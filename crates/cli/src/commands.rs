@@ -1,9 +1,7 @@
 //! CLI subcommand implementations.
 
 use crate::store;
-use soteria::{
-    Backend, Soteria, SoteriaConfig, SoteriaState, StateImage, TrainCheckpoint, Verdict,
-};
+use soteria::{Soteria, SoteriaConfig, SoteriaState, StateImage, TrainCheckpoint, Verdict};
 use soteria_attacks::{
     Attack, BlockSplit, GeaAttack, LowDensityInsert, Obfuscate, SubCfgInjection,
 };
@@ -58,14 +56,6 @@ fn flag_f64(flags: &HashMap<String, String>, name: &str, default: f64) -> Result
     match flags.get(name) {
         Some(v) => v.parse().map_err(|e| format!("bad --{name}: {e}")),
         None => Ok(default),
-    }
-}
-
-/// Honors `--backend (f32|int8)`; defaults to f32.
-fn flag_backend(flags: &HashMap<String, String>) -> Result<Backend, String> {
-    match flags.get("backend") {
-        Some(v) => v.parse().map_err(|e| format!("bad --backend: {e}")),
-        None => Ok(Backend::F32),
     }
 }
 
@@ -248,16 +238,14 @@ pub fn attack(args: &[String]) -> Result<(), String> {
 
 /// Trains a system on a corpus directory (no checkpointing — the
 /// `analyze --corpus` path).
-fn train_on_dir(corpus_dir: &str, seed: u64, backend: Backend) -> Result<Soteria, String> {
+fn train_on_dir(corpus_dir: &str, seed: u64) -> Result<Soteria, String> {
     eprintln!("loading corpus from {corpus_dir}...");
     let samples = store::read_samples(&PathBuf::from(corpus_dir))?;
     let corpus = Corpus::from_samples(samples, seed);
     let split = corpus.split(0.8, seed);
     eprintln!("training Soteria on {} samples...", split.train.len());
-    let mut config = SoteriaConfig::tiny();
-    config.backend = backend;
-    let mut system =
-        Soteria::train(&config, &corpus, &split.train, seed).map_err(|e| e.to_string())?;
+    let mut system = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, seed)
+        .map_err(|e| e.to_string())?;
     eprintln!(
         "trained (threshold {:.4})",
         system.detector_mut().stats().threshold()
@@ -278,7 +266,6 @@ pub fn train(args: &[String]) -> Result<(), String> {
     let corpus_dir = flags.get("corpus").ok_or("train needs --corpus DIR")?;
     let out = flags.get("out").ok_or("train needs --out MODEL")?;
     let seed = flag_u64(&flags, "seed", 7)?;
-    let backend = flag_backend(&flags)?;
     let checkpoint_every = flag_u64(&flags, "checkpoint-every", 0)? as usize;
     let ckpt_path = flags
         .get("checkpoint")
@@ -301,8 +288,7 @@ pub fn train(args: &[String]) -> Result<(), String> {
     let split = corpus.split(0.8, seed);
     eprintln!("training Soteria on {} samples...", split.train.len());
 
-    let mut train_config = SoteriaConfig::tiny();
-    train_config.backend = backend;
+    let train_config = SoteriaConfig::tiny();
     let mut system = if checkpoint_every > 0 || resume.is_some() {
         let ckpt_file = PathBuf::from(&ckpt_path);
         Soteria::train_resumable(
@@ -403,18 +389,16 @@ pub fn analyze(args: &[String]) -> Result<(), String> {
         return Err("analyze needs at least one FILE".into());
     }
 
-    let backend = flag_backend(&flags)?;
     let mut system = if let Some(model_path) = flags.get("model") {
         let state =
             SoteriaState::load_from_path(&PathBuf::from(model_path)).map_err(|e| e.to_string())?;
         eprintln!("loaded model from {model_path}");
         Soteria::from_state(state)
     } else if let Some(corpus_dir) = flags.get("corpus") {
-        train_on_dir(corpus_dir, seed, backend)?
+        train_on_dir(corpus_dir, seed)?
     } else {
         return Err("analyze needs --corpus DIR or --model MODEL.json".into());
     };
-    system.set_backend(backend)?;
 
     let mut degraded = 0usize;
     for (i, file) in positional.iter().enumerate() {
@@ -479,7 +463,6 @@ pub fn analyze(args: &[String]) -> Result<(), String> {
 pub fn serve(args: &[String]) -> Result<(), String> {
     let (flags, _) = parse(args)?;
     let seed = flag_u64(&flags, "seed", 7)?;
-    let backend = flag_backend(&flags)?;
     let system = if let Some(path) = flags.get("artifact") {
         // Instant start: validate once, then borrow every weight matrix
         // straight out of the mapped buffer — no JSON, no per-tensor
@@ -500,7 +483,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         eprintln!("loaded model from {model_path}");
         Soteria::from_state(state)
     } else if let Some(corpus_dir) = flags.get("corpus") {
-        train_on_dir(corpus_dir, seed, backend)?
+        train_on_dir(corpus_dir, seed)?
     } else {
         return Err("serve needs --artifact FILE, --corpus DIR, or --model MODEL.json".into());
     };
@@ -523,7 +506,6 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         seed,
         trace_sampling,
         admission: admission_from_flags(&flags)?,
-        backend,
         ..ServeConfig::default()
     };
     let service = ScreeningService::start(system, &config);

@@ -34,12 +34,12 @@ fn usage() -> &'static str {
      KIND: gea (default, needs --target) | inject | inject-dead |\n    \
      lowdensity | blocksplit | obfuscate\n  \
      soteria-cli train --corpus DIR --out MODEL [--seed N] [--metrics PATH]\n    \
-     [--backend f32|int8] [--checkpoint-every N] [--checkpoint PATH] [--resume PATH]\n  \
-     soteria-cli analyze (--corpus DIR | --model MODEL) [--seed N] [--backend f32|int8]\n    \
-     [--metrics PATH] FILE...\n  \
+     [--checkpoint-every N] [--checkpoint PATH] [--resume PATH]\n  \
+     soteria-cli analyze (--corpus DIR | --model MODEL) [--seed N] [--metrics PATH]\n    \
+     FILE...\n  \
      soteria-cli serve (--artifact FILE | --corpus DIR | --model MODEL) [--seed N]\n    \
-     [--backend f32|int8] [--workers N] [--queue N]\n    \
-     [--cache N] [--batch-window-ms N] [--max-batch N] [--listen ADDR] [--metrics PATH]\n    \
+     [--workers N] [--queue N] [--cache N] [--batch-window-ms N] [--max-batch N]\n    \
+     [--listen ADDR] [--metrics PATH]\n    \
      [--metrics-interval SECS] [--trace F] [--deadline-ms N] [--rate-limit R] [--burst B]\n    \
      [--brownout F] [--reject-threshold F] [--breaker N]\n  \
      soteria-cli export-artifact --model STATE --out ARTIFACT\n  \
@@ -65,9 +65,6 @@ fn usage() -> &'static str {
      --reject-threshold F sheds load at those queue-pressure fractions, and\n  \
      --breaker N opens a circuit after N extraction panics. Shed requests\n  \
      answer {\"verdict\":\"rejected\",\"reason\":...,\"retry_after_ms\":...}.\n\n\
-     --backend int8 runs inference on the deterministic int8 quantized path\n  \
-     (train calibrates and persists the quantized weights; analyze/serve on a\n  \
-     saved model need a model trained or re-saved with int8 weights).\n\n\
      --checkpoint-every N snapshots training state every N epochs (atomic,\n  \
      crash-safe); --resume PATH continues a killed run bit-for-bit.\n  \
      --metrics PATH writes a telemetry snapshot (counters + span timings) as\n  \

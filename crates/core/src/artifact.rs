@@ -28,8 +28,9 @@
 //!   56..64  reserved (zero)
 //! section table (32 bytes per entry, at offset 64)
 //!   0..4    kind u32      (0 = META JSON, 1 = tensor blob)
-//!   4..8    element u32   (0 = bytes, 1 = f32, 2 = i8, 3 = f64,
-//!                          4 = u64, 5 = u8)
+//!   4..8    element u32   (0 = bytes, 1 = f32, 3 = f64, 4 = u64,
+//!                          5 = u8; 2 is reserved: older artifacts
+//!                          stored i8 tensors under it)
 //!   8..16   payload offset u64 (64-byte aligned)
 //!   16..24  payload byte length u64
 //!   24..28  CRC-32 of the payload
@@ -39,8 +40,8 @@
 //!
 //! Section 0 is the META JSON: configuration, threshold statistics, layer
 //! descriptors, and vocabulary descriptors, each referring to tensor
-//! sections by id. Everything large (weights, biases, quantized tensors,
-//! vocabulary gram/IDF tables) lives in tensor sections.
+//! sections by id. Everything large (weights, biases, vocabulary
+//! gram/IDF tables) lives in tensor sections.
 //!
 //! # Integrity
 //!
@@ -58,8 +59,8 @@ use serde::{Deserialize, Serialize};
 use soteria_features::{ExtractorConfig, FeatureExtractor, Gram, Vocabulary};
 use soteria_nn::persist::{LayerSpec, ModelSpec};
 use soteria_nn::{
-    Activation, Conv1d, Conv2d, Dense, Dropout, Matrix, MaxPool1d, MaxPool2d, QuantLayerParts,
-    QuantizedModel, Scalar, TensorView, WeightStore,
+    Activation, Conv1d, Conv2d, Dense, Dropout, Matrix, MaxPool1d, MaxPool2d, Scalar, TensorView,
+    WeightStore,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -85,7 +86,7 @@ pub const KIND_TENSOR: u32 = 1;
 
 const ELEM_BYTES: u32 = 0;
 const ELEM_F32: u32 = 1;
-const ELEM_I8: u32 = 2;
+// Element code 2 is reserved: older artifacts stored i8 tensors under it.
 const ELEM_F64: u32 = 3;
 const ELEM_U64: u32 = 4;
 const ELEM_U8: u32 = 5;
@@ -95,7 +96,6 @@ const ELEM_U8: u32 = 5;
 fn elem_code<T: Scalar>() -> u32 {
     match T::NAME {
         "f32" => ELEM_F32,
-        "i8" => ELEM_I8,
         "f64" => ELEM_F64,
         "u64" => ELEM_U64,
         "u8" => ELEM_U8,
@@ -112,8 +112,8 @@ fn align_up(n: usize, align: usize) -> usize {
 pub struct SectionEntry {
     /// Section kind ([`KIND_META`] or [`KIND_TENSOR`]).
     pub kind: u32,
-    /// Element code (0 = bytes, 1 = f32, 2 = i8, 3 = f64, 4 = u64,
-    /// 5 = u8).
+    /// Element code (0 = bytes, 1 = f32, 3 = f64, 4 = u64, 5 = u8; 2 is
+    /// reserved).
     pub elem: u32,
     /// Absolute payload offset (64-byte aligned).
     pub offset: u64,
@@ -185,37 +185,6 @@ enum LayerDesc {
     },
 }
 
-/// One int8 layer, mirroring [`QuantLayerParts`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum QLayerDesc {
-    Dense {
-        in_dim: usize,
-        out_dim: usize,
-        activation: Activation,
-        w: u32,
-        scale: u32,
-        bias: u32,
-        inv_in_scale: f32,
-    },
-    Conv1d {
-        in_c: usize,
-        out_c: usize,
-        kernel: usize,
-        length: usize,
-        relu: bool,
-        w: u32,
-        scale: u32,
-        bias: u32,
-        inv_in_scale: f32,
-    },
-    MaxPool1d {
-        channels: usize,
-        length: usize,
-        window: usize,
-    },
-    Identity,
-}
-
 /// The artifact's section-0 JSON document: everything a
 /// [`SoteriaState`] holds except the tensors themselves.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -228,9 +197,6 @@ struct ArtifactMeta {
     detector: Vec<LayerDesc>,
     dbl_cnn: Vec<LayerDesc>,
     lbl_cnn: Vec<LayerDesc>,
-    detector_quant: Option<Vec<QLayerDesc>>,
-    dbl_quant: Option<Vec<QLayerDesc>>,
-    lbl_quant: Option<Vec<QLayerDesc>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -262,10 +228,6 @@ impl TensorSink {
             bytes.extend_from_slice(&v.to_ne_bytes());
         }
         self.push_bytes(ELEM_F32, bytes)
-    }
-
-    fn push_i8(&mut self, data: &[i8]) -> u32 {
-        self.push_bytes(ELEM_I8, data.iter().map(|&v| v as u8).collect())
     }
 
     fn push_f64(&mut self, data: &[f64]) -> u32 {
@@ -353,70 +315,6 @@ fn model_desc(spec: &ModelSpec, sink: &mut TensorSink) -> Result<Vec<LayerDesc>,
         .collect()
 }
 
-fn quant_desc(
-    model: &QuantizedModel,
-    sink: &mut TensorSink,
-) -> Result<Vec<QLayerDesc>, StateError> {
-    model
-        .to_parts()
-        .into_iter()
-        .enumerate()
-        .map(|(i, part)| match part {
-            QuantLayerParts::Dense {
-                in_dim,
-                out_dim,
-                activation,
-                w,
-                scale,
-                bias,
-                inv_in_scale,
-            } => Ok(QLayerDesc::Dense {
-                in_dim,
-                out_dim,
-                activation,
-                w: sink.push_i8(&w),
-                scale: sink.push_f32(&scale),
-                bias: sink.push_f32(&bias),
-                inv_in_scale,
-            }),
-            QuantLayerParts::Conv1d {
-                in_c,
-                out_c,
-                kernel,
-                length,
-                relu,
-                w,
-                scale,
-                bias,
-                inv_in_scale,
-            } => Ok(QLayerDesc::Conv1d {
-                in_c,
-                out_c,
-                kernel,
-                length,
-                relu,
-                w: sink.push_i8(&w),
-                scale: sink.push_f32(&scale),
-                bias: sink.push_f32(&bias),
-                inv_in_scale,
-            }),
-            QuantLayerParts::MaxPool1d {
-                channels,
-                length,
-                window,
-            } => Ok(QLayerDesc::MaxPool1d {
-                channels,
-                length,
-                window,
-            }),
-            QuantLayerParts::Identity => Ok(QLayerDesc::Identity),
-            _ => Err(StateError::Parse(format!(
-                "quantized layer {i} has a type the v3 artifact does not describe"
-            ))),
-        })
-        .collect()
-}
-
 /// Serializes a state into v3 artifact bytes.
 pub(crate) fn write_artifact(state: &SoteriaState) -> Result<Vec<u8>, StateError> {
     let mut sink = TensorSink::new();
@@ -429,21 +327,6 @@ pub(crate) fn write_artifact(state: &SoteriaState) -> Result<Vec<u8>, StateError
         detector: model_desc(&state.detector_model, &mut sink)?,
         dbl_cnn: model_desc(&state.dbl_cnn, &mut sink)?,
         lbl_cnn: model_desc(&state.lbl_cnn, &mut sink)?,
-        detector_quant: state
-            .detector_quant
-            .as_ref()
-            .map(|m| quant_desc(m, &mut sink))
-            .transpose()?,
-        dbl_quant: state
-            .dbl_quant
-            .as_ref()
-            .map(|m| quant_desc(m, &mut sink))
-            .transpose()?,
-        lbl_quant: state
-            .lbl_quant
-            .as_ref()
-            .map(|m| quant_desc(m, &mut sink))
-            .transpose()?,
     };
     let meta_json = serde_json::to_string(&meta).map_err(|e| StateError::Parse(e.to_string()))?;
 
@@ -916,65 +799,6 @@ impl StateImage {
         Ok(ModelSpec::new(layers))
     }
 
-    fn quant(&self, descs: &[QLayerDesc]) -> Result<QuantizedModel, StateError> {
-        let parts = descs
-            .iter()
-            .map(|desc| {
-                Ok(match *desc {
-                    QLayerDesc::Dense {
-                        in_dim,
-                        out_dim,
-                        activation,
-                        w,
-                        scale,
-                        bias,
-                        inv_in_scale,
-                    } => QuantLayerParts::Dense {
-                        in_dim,
-                        out_dim,
-                        activation,
-                        w: self.tensor(w)?,
-                        scale: self.tensor(scale)?,
-                        bias: self.tensor(bias)?,
-                        inv_in_scale,
-                    },
-                    QLayerDesc::Conv1d {
-                        in_c,
-                        out_c,
-                        kernel,
-                        length,
-                        relu,
-                        w,
-                        scale,
-                        bias,
-                        inv_in_scale,
-                    } => QuantLayerParts::Conv1d {
-                        in_c,
-                        out_c,
-                        kernel,
-                        length,
-                        relu,
-                        w: self.tensor(w)?,
-                        scale: self.tensor(scale)?,
-                        bias: self.tensor(bias)?,
-                        inv_in_scale,
-                    },
-                    QLayerDesc::MaxPool1d {
-                        channels,
-                        length,
-                        window,
-                    } => QuantLayerParts::MaxPool1d {
-                        channels,
-                        length,
-                        window,
-                    },
-                    QLayerDesc::Identity => QuantLayerParts::Identity,
-                })
-            })
-            .collect::<Result<Vec<_>, StateError>>()?;
-        QuantizedModel::from_parts(parts).map_err(StateError::Parse)
-    }
-
     /// Builds a [`SoteriaState`] whose tensors borrow this image's buffer
     /// (zero tensor copies; only vocabulary indices and layer scaffolding
     /// are allocated).
@@ -995,24 +819,6 @@ impl StateImage {
             detector_stats: self.meta.detector_stats,
             dbl_cnn: self.model(&self.meta.dbl_cnn)?,
             lbl_cnn: self.model(&self.meta.lbl_cnn)?,
-            detector_quant: self
-                .meta
-                .detector_quant
-                .as_deref()
-                .map(|d| self.quant(d))
-                .transpose()?,
-            dbl_quant: self
-                .meta
-                .dbl_quant
-                .as_deref()
-                .map(|d| self.quant(d))
-                .transpose()?,
-            lbl_quant: self
-                .meta
-                .lbl_quant
-                .as_deref()
-                .map(|d| self.quant(d))
-                .transpose()?,
         })
     }
 }
@@ -1036,7 +842,6 @@ mod tests {
     use super::*;
     use crate::config::SoteriaConfig;
     use soteria_corpus::{Corpus, CorpusConfig};
-    use soteria_nn::Backend;
 
     fn small_trained() -> (Soteria, Corpus, Vec<usize>) {
         let corpus = Corpus::generate(&CorpusConfig {
@@ -1063,29 +868,6 @@ mod tests {
                 restored.analyze(g, i as u64),
                 original.analyze(g, i as u64),
                 "verdict mismatch on test sample {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn quantized_artifact_keeps_int8_backend_and_verdicts() {
-        let (mut original, corpus, test) = small_trained();
-        let features: Vec<soteria_features::SampleFeatures> = test
-            .iter()
-            .map(|&i| original.features(corpus.samples()[i].graph(), i as u64))
-            .collect();
-        original.quantize(&features).expect("quantize");
-        original.set_backend(Backend::Int8).expect("switch");
-
-        let bytes = original.save_state().unwrap().to_artifact().unwrap();
-        let mut restored = Soteria::load_image(&StateImage::parse(&bytes).unwrap()).unwrap();
-        assert_eq!(restored.backend(), Backend::Int8);
-        for (i, &idx) in test.iter().enumerate() {
-            let g = corpus.samples()[idx].graph();
-            assert_eq!(
-                restored.analyze(g, i as u64),
-                original.analyze(g, i as u64),
-                "int8 verdict mismatch on test sample {i}"
             );
         }
     }

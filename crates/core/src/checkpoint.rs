@@ -423,7 +423,7 @@ mod tests {
             TrainCheckpoint::from_envelope(&corrupted),
             Err(StateError::ChecksumMismatch { .. })
         ));
-        // Unlike model states, checkpoints have no legacy bare-JSON form.
+        // Like model states, checkpoints have no bare-JSON form.
         assert!(matches!(
             TrainCheckpoint::from_envelope("{}"),
             Err(StateError::BadHeader { .. })

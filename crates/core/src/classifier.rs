@@ -9,8 +9,7 @@ use soteria_nn::persist::spec_of;
 use soteria_nn::{
     loss::{one_hot, softmax_row},
     trainer::argmax_rows,
-    Activation, Backend, Conv1d, Dense, Dropout, Loss, Matrix, MaxPool1d, QuantizedModel,
-    Sequential, TrainConfig, Trainer,
+    Activation, Conv1d, Dense, Dropout, Loss, Matrix, MaxPool1d, Sequential, TrainConfig, Trainer,
 };
 
 /// Builds one CNN (the paper's ConvB1 → ConvB2 → CB stack) for inputs of
@@ -90,12 +89,6 @@ pub struct FamilyClassifier {
     lbl_cnn: Sequential,
     classes: usize,
     config: ClassifierConfig,
-    /// Calibrated int8 copies of the two CNNs, if quantized.
-    dbl_quant: Option<QuantizedModel>,
-    lbl_quant: Option<QuantizedModel>,
-    /// Which compute path inference uses. [`Backend::Int8`] requires both
-    /// quantized models to be populated.
-    backend: Backend,
 }
 
 impl FamilyClassifier {
@@ -227,9 +220,6 @@ impl FamilyClassifier {
             lbl_cnn,
             classes,
             config: config.clone(),
-            dbl_quant: None,
-            lbl_quant: None,
-            backend: Backend::F32,
         })
     }
 
@@ -245,104 +235,14 @@ impl FamilyClassifier {
             lbl_cnn,
             classes,
             config,
-            dbl_quant: None,
-            lbl_quant: None,
-            backend: Backend::F32,
         }
     }
 
-    /// Quantizes both CNNs to int8: each model's activation scales are
-    /// calibrated from its own labeling's walk rows. Does **not** switch
-    /// the active backend — call
-    /// [`set_backend`](FamilyClassifier::set_backend) after.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`QuantizedModel::from_model`] failures (empty
-    /// calibration batch, unsupported layer types).
-    pub fn quantize(&mut self, dbl_calib: &Matrix, lbl_calib: &Matrix) -> Result<(), String> {
-        self.dbl_quant = Some(QuantizedModel::from_model(&self.dbl_cnn, dbl_calib)?);
-        self.lbl_quant = Some(QuantizedModel::from_model(&self.lbl_cnn, lbl_calib)?);
-        Ok(())
-    }
-
-    /// Switches the active inference backend.
-    ///
-    /// # Errors
-    ///
-    /// Refuses [`Backend::Int8`] when either CNN lacks quantized weights.
-    pub fn set_backend(&mut self, backend: Backend) -> Result<(), String> {
-        if backend == Backend::Int8 && (self.dbl_quant.is_none() || self.lbl_quant.is_none()) {
-            return Err("classifier has no quantized weights (quantize first)".to_string());
-        }
-        self.backend = backend;
-        Ok(())
-    }
-
-    /// The active inference backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// The calibrated int8 models `(DBL, LBL)`, if any (model persistence).
-    pub fn quantized(&self) -> (Option<&QuantizedModel>, Option<&QuantizedModel>) {
-        (self.dbl_quant.as_ref(), self.lbl_quant.as_ref())
-    }
-
-    /// Installs previously-calibrated int8 models (model persistence).
-    /// Passing `None` for either also drops back to [`Backend::F32`].
-    pub fn set_quantized(
-        &mut self,
-        dbl_quant: Option<QuantizedModel>,
-        lbl_quant: Option<QuantizedModel>,
-    ) {
-        if dbl_quant.is_none() || lbl_quant.is_none() {
-            self.backend = Backend::F32;
-        }
-        self.dbl_quant = dbl_quant;
-        self.lbl_quant = lbl_quant;
-    }
-
-    /// One forward pass through the active backend for one labeling's CNN.
-    fn predict_logits(&mut self, labeling: Labeling, x: &Matrix) -> Matrix {
-        let (cnn, quant) = match labeling {
-            Labeling::Density => (&mut self.dbl_cnn, &self.dbl_quant),
-            Labeling::Level => (&mut self.lbl_cnn, &self.lbl_quant),
-        };
-        match (self.backend, quant) {
-            (Backend::Int8, Some(q)) => q.forward(x),
-            _ => cnn.predict(x),
-        }
-    }
-
-    /// Micro-batched forward for one labeling: stacks every group's rows,
-    /// runs one pass through the active backend, splits back per group.
-    fn predict_stacked_logits(
-        &mut self,
-        labeling: Labeling,
-        groups: &[&[Vec<f64>]],
-    ) -> Vec<Matrix> {
-        match self.backend {
-            Backend::Int8 => {
-                let rows: Vec<&[f64]> = groups
-                    .iter()
-                    .flat_map(|g| g.iter().map(Vec::as_slice))
-                    .collect();
-                if rows.is_empty() {
-                    return groups.iter().map(|_| Matrix::zeros(0, 0)).collect();
-                }
-                let stacked = Matrix::from_row_slices(&rows);
-                let out = self.predict_logits(labeling, &stacked);
-                let counts: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-                out.split_rows(&counts)
-            }
-            Backend::F32 => {
-                let cnn = match labeling {
-                    Labeling::Density => &mut self.dbl_cnn,
-                    Labeling::Level => &mut self.lbl_cnn,
-                };
-                cnn.predict_stacked(groups)
-            }
+    /// The CNN for one labeling.
+    fn cnn(&mut self, labeling: Labeling) -> &mut Sequential {
+        match labeling {
+            Labeling::Density => &mut self.dbl_cnn,
+            Labeling::Level => &mut self.lbl_cnn,
         }
     }
 
@@ -392,8 +292,8 @@ impl FamilyClassifier {
         soteria_telemetry::record("classifier.batch_size", features.len() as f64);
         let dbl_groups: Vec<&[Vec<f64>]> = features.iter().map(|f| f.dbl_walks()).collect();
         let lbl_groups: Vec<&[Vec<f64>]> = features.iter().map(|f| f.lbl_walks()).collect();
-        let dbl_logits = self.predict_stacked_logits(Labeling::Density, &dbl_groups);
-        let lbl_logits = self.predict_stacked_logits(Labeling::Level, &lbl_groups);
+        let dbl_logits = self.dbl_cnn.predict_stacked(&dbl_groups);
+        let lbl_logits = self.lbl_cnn.predict_stacked(&lbl_groups);
         dbl_logits
             .iter()
             .zip(&lbl_logits)
@@ -429,7 +329,7 @@ impl FamilyClassifier {
             (Labeling::Level, features.lbl_walks()),
         ] {
             let x = Matrix::from_rows(walks);
-            let logits = self.predict_logits(labeling, &x);
+            let logits = self.cnn(labeling).predict(&x);
             for r in 0..logits.rows() {
                 for (a, p) in acc.iter_mut().zip(softmax_row(logits.row(r))) {
                     *a += f64::from(p);
@@ -445,7 +345,7 @@ impl FamilyClassifier {
 
     fn predict_walks(&mut self, labeling: Labeling, walks: &[Vec<f64>]) -> Vec<usize> {
         let x = Matrix::from_rows(walks);
-        argmax_rows(&self.predict_logits(labeling, &x))
+        argmax_rows(&self.cnn(labeling).predict(&x))
     }
 }
 

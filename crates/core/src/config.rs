@@ -2,7 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 use soteria_features::ExtractorConfig;
-use soteria_nn::Backend;
 use soteria_resilience::ResourceGuards;
 
 /// Auto-encoder detector hyperparameters.
@@ -72,13 +71,6 @@ pub struct SoteriaConfig {
     /// before this field existed (serde default).
     #[serde(default)]
     pub guards: ResourceGuards,
-    /// Inference compute backend. [`Backend::F32`] is the reference path,
-    /// bit-identical to the training-time model; [`Backend::Int8`] runs
-    /// the quantized inference path (calibrated at the end of training, or
-    /// via [`Soteria::quantize`](crate::Soteria::quantize)). Absent from
-    /// configs saved before this field existed (serde default = f32).
-    #[serde(default)]
-    pub backend: Backend,
 }
 
 impl SoteriaConfig {
@@ -107,7 +99,6 @@ impl SoteriaConfig {
             },
             classes: 4,
             guards: ResourceGuards::default(),
-            backend: Backend::F32,
         }
     }
 
@@ -144,7 +135,6 @@ impl SoteriaConfig {
             },
             classes: 4,
             guards: ResourceGuards::default(),
-            backend: Backend::F32,
         }
     }
 
@@ -177,7 +167,6 @@ impl SoteriaConfig {
             },
             classes: 4,
             guards: ResourceGuards::default(),
-            backend: Backend::F32,
         }
     }
 }

@@ -13,8 +13,7 @@ use crate::config::DetectorConfig;
 use serde::{Deserialize, Serialize};
 use soteria_nn::persist::spec_of;
 use soteria_nn::{
-    loss::rmse_per_row, Activation, Backend, Dense, Loss, Matrix, QuantizedModel, Sequential,
-    TrainConfig, Trainer,
+    loss::rmse_per_row, Activation, Dense, Loss, Matrix, Sequential, TrainConfig, Trainer,
 };
 
 /// A trained auto-encoder detector.
@@ -23,11 +22,6 @@ pub struct AeDetector {
     autoencoder: Sequential,
     stats: ThresholdStats,
     config: DetectorConfig,
-    /// Calibrated int8 copy of the auto-encoder, if quantized.
-    quantized: Option<QuantizedModel>,
-    /// Which compute path inference uses. [`Backend::Int8`] requires
-    /// `quantized` to be populated.
-    backend: Backend,
 }
 
 /// Clean-training reconstruction-error statistics and the derived
@@ -256,8 +250,6 @@ impl AeDetector {
                 alpha: config.alpha,
             },
             config: config.clone(),
-            quantized: None,
-            backend: Backend::F32,
         })
     }
 
@@ -271,62 +263,6 @@ impl AeDetector {
             autoencoder,
             stats,
             config,
-            quantized: None,
-            backend: Backend::F32,
-        }
-    }
-
-    /// Quantizes the auto-encoder to int8 using `calib` (a batch of
-    /// combined feature rows) for the per-layer activation scales. Does
-    /// **not** switch the active backend — call
-    /// [`set_backend`](AeDetector::set_backend) after.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`QuantizedModel::from_model`] failures (empty
-    /// calibration batch, unsupported layer types).
-    pub fn quantize(&mut self, calib: &Matrix) -> Result<(), String> {
-        self.quantized = Some(QuantizedModel::from_model(&self.autoencoder, calib)?);
-        Ok(())
-    }
-
-    /// Switches the active inference backend.
-    ///
-    /// # Errors
-    ///
-    /// Refuses [`Backend::Int8`] when no quantized model is present.
-    pub fn set_backend(&mut self, backend: Backend) -> Result<(), String> {
-        if backend == Backend::Int8 && self.quantized.is_none() {
-            return Err("detector has no quantized weights (quantize first)".to_string());
-        }
-        self.backend = backend;
-        Ok(())
-    }
-
-    /// The active inference backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// The calibrated int8 model, if any (used by model persistence).
-    pub fn quantized(&self) -> Option<&QuantizedModel> {
-        self.quantized.as_ref()
-    }
-
-    /// Installs a previously-calibrated int8 model (model persistence).
-    /// Passing `None` also drops back to [`Backend::F32`].
-    pub fn set_quantized(&mut self, quantized: Option<QuantizedModel>) {
-        if quantized.is_none() {
-            self.backend = Backend::F32;
-        }
-        self.quantized = quantized;
-    }
-
-    /// One forward pass through the active backend.
-    fn predict(&mut self, x: &Matrix) -> Matrix {
-        match (self.backend, &self.quantized) {
-            (Backend::Int8, Some(q)) => q.forward(x),
-            _ => self.autoencoder.predict(x),
         }
     }
 
@@ -348,7 +284,7 @@ impl AeDetector {
     /// Reconstruction error (RMSE) of one combined feature vector.
     pub fn reconstruction_error(&mut self, features: &[f64]) -> f64 {
         let x = Matrix::from_rows(std::slice::from_ref(&features.to_vec()));
-        let y = self.predict(&x);
+        let y = self.autoencoder.predict(&x);
         rmse_per_row(&y, &x)[0]
     }
 
@@ -358,7 +294,7 @@ impl AeDetector {
             return Vec::new();
         }
         let x = Matrix::from_rows(features);
-        let y = self.predict(&x);
+        let y = self.autoencoder.predict(&x);
         rmse_per_row(&y, &x)
     }
 
@@ -372,7 +308,7 @@ impl AeDetector {
             return Vec::new();
         }
         let x = Matrix::from_row_slices(rows);
-        let y = self.predict(&x);
+        let y = self.autoencoder.predict(&x);
         rmse_per_row(&y, &x)
     }
 

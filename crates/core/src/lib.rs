@@ -57,4 +57,3 @@ pub use detector::AeDetector;
 pub use error::TrainError;
 pub use persist::{SoteriaState, StateError};
 pub use pipeline::{PipelineMetrics, Soteria, StageTime, Verdict};
-pub use soteria_nn::Backend;

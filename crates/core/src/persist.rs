@@ -17,8 +17,8 @@
 //! diagnosed as [`StateError::ChecksumMismatch`] instead of a confusing
 //! parse failure deep inside serde. Files are written via
 //! [`soteria_resilience::atomic_write`] (temp file + fsync + rename), so a
-//! crash mid-save leaves the previous state intact. States saved before
-//! the envelope existed (bare JSON, first byte `{`) still load.
+//! crash mid-save leaves the previous state intact. Bare JSON without the
+//! envelope has no checksum and is rejected with a typed [`StateError`].
 
 use crate::classifier::FamilyClassifier;
 use crate::config::SoteriaConfig;
@@ -27,7 +27,6 @@ use crate::pipeline::Soteria;
 use serde::{Deserialize, Serialize};
 use soteria_features::FeatureExtractor;
 use soteria_nn::persist::{spec_of, ModelSpec};
-use soteria_nn::{Backend, QuantizedModel};
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
@@ -241,16 +240,6 @@ pub struct SoteriaState {
     pub dbl_cnn: ModelSpec,
     /// The LBL CNN weights.
     pub lbl_cnn: ModelSpec,
-    /// Calibrated int8 auto-encoder, if the system was quantized. Absent
-    /// from states saved before the int8 path existed (serde default).
-    #[serde(default)]
-    pub detector_quant: Option<QuantizedModel>,
-    /// Calibrated int8 DBL CNN, if quantized.
-    #[serde(default)]
-    pub dbl_quant: Option<QuantizedModel>,
-    /// Calibrated int8 LBL CNN, if quantized.
-    #[serde(default)]
-    pub lbl_quant: Option<QuantizedModel>,
 }
 
 impl SoteriaState {
@@ -285,28 +274,19 @@ impl SoteriaState {
         Ok(encode_envelope(STATE_MAGIC, STATE_VERSION, &payload))
     }
 
-    /// Parses the enveloped format, verifying version and checksum. Bare
-    /// JSON (a file starting with `{`) is accepted for states saved before
-    /// the envelope existed.
+    /// Parses the enveloped format, verifying version and checksum.
     ///
     /// # Errors
     ///
     /// Returns the specific [`StateError`] diagnosing what is wrong with
     /// the file.
     pub fn from_envelope(data: &str) -> Result<Self, StateError> {
-        if data.starts_with('{') {
-            // Pre-envelope legacy state: count it so fleets migrating to
-            // enveloped/artifact files can see stragglers in telemetry.
-            soteria_telemetry::counter("persist.state.legacy_loads", 1);
-            return Self::from_json(data).map_err(|e| StateError::Parse(e.to_string()));
-        }
         let payload = decode_envelope(STATE_MAGIC, STATE_VERSION, data)?;
         Self::from_json(payload).map_err(|e| StateError::Parse(e.to_string()))
     }
 
     /// Detects the on-disk flavor and parses accordingly: a v3 binary
-    /// artifact (sniffed by its 16-byte magic), the v2 text envelope, or
-    /// legacy bare JSON (counted in `persist.state.legacy_loads`).
+    /// artifact (sniffed by its 16-byte magic) or the v2 text envelope.
     ///
     /// # Errors
     ///
@@ -402,39 +382,23 @@ impl Soteria {
             detector_stats: self.detector_ref().stats(),
             dbl_cnn: spec_of(self.classifier_ref().dbl_model())?,
             lbl_cnn: spec_of(self.classifier_ref().lbl_model())?,
-            detector_quant: self.detector_ref().quantized().cloned(),
-            dbl_quant: self.classifier_ref().quantized().0.cloned(),
-            lbl_quant: self.classifier_ref().quantized().1.cloned(),
         })
     }
 
-    /// Restores a system from saved state, including any calibrated int8
-    /// weights. If the saved config selects [`Backend::Int8`] but the
-    /// quantized weights are missing (e.g. a hand-edited config), the
-    /// system falls back to [`Backend::F32`] and records
-    /// `persist.backend.int8_fallback` in telemetry rather than failing.
+    /// Restores a system from saved state.
     pub fn from_state(state: SoteriaState) -> Self {
-        let mut detector = AeDetector::from_parts(
+        let detector = AeDetector::from_parts(
             state.detector_model.into_sequential(),
             state.detector_stats,
             state.config.detector.clone(),
         );
-        detector.set_quantized(state.detector_quant);
-        let mut classifier = FamilyClassifier::from_parts(
+        let classifier = FamilyClassifier::from_parts(
             state.dbl_cnn.into_sequential(),
             state.lbl_cnn.into_sequential(),
             state.config.classes,
             state.config.classifier.clone(),
         );
-        classifier.set_quantized(state.dbl_quant, state.lbl_quant);
-        let mut config = state.config;
-        let wanted = config.backend;
-        config.backend = Backend::F32;
-        let mut system = Soteria::from_parts(config, state.extractor, detector, classifier);
-        if wanted == Backend::Int8 && system.set_backend(Backend::Int8).is_err() {
-            soteria_telemetry::counter("persist.backend.int8_fallback", 1);
-        }
-        system
+        Soteria::from_parts(state.config, state.extractor, detector, classifier)
     }
 }
 
@@ -479,62 +443,39 @@ mod tests {
     }
 
     #[test]
-    fn quantized_system_round_trips_with_backend_intact() {
+    fn int8_era_v2_state_loads_as_f32_with_identical_verdicts() {
+        // States written while an 8-bit inference path existed carry a
+        // `backend` config key and three calibrated-weight keys. Struct
+        // fields deserialize by name, so those keys are ignored and the
+        // state loads as the f32 system it always contained.
         let (mut original, corpus, test) = small_trained();
-        let features: Vec<soteria_features::SampleFeatures> = test
-            .iter()
-            .map(|&i| original.features(corpus.samples()[i].graph(), i as u64))
-            .collect();
-        original.quantize(&features).expect("quantize");
-        original.set_backend(Backend::Int8).expect("switch");
+        let payload = original.save_state().unwrap().to_json().unwrap();
+        let quant = r#"{"layers":[{"Dense":{"in_dim":2,"out_dim":1,"activation":"Relu","w":[127,-64],"scale":[0.01],"bias":[0.5],"inv_in_scale":42.0}},"Identity",{"MaxPool1d":{"channels":1,"length":2,"window":2}}]}"#;
+        let body = payload
+            .strip_prefix("{\"config\":{")
+            .and_then(|rest| rest.strip_suffix('}'))
+            .expect("payload is an object whose first field is config");
+        let legacy = format!(
+            "{{\"config\":{{\"backend\":\"Int8\",{body},\
+             \"detector_quant\":{quant},\"dbl_quant\":{quant},\"lbl_quant\":{quant}}}"
+        );
+        let enveloped = encode_envelope(STATE_MAGIC, 2, &legacy);
 
-        let json = original.save_state().unwrap().to_json().unwrap();
-        let mut restored = Soteria::from_state(SoteriaState::from_json(&json).unwrap());
-        assert_eq!(restored.backend(), Backend::Int8);
+        let state = SoteriaState::from_bytes(enveloped.as_bytes()).expect("legacy state loads");
+        assert_eq!(
+            state.to_json().unwrap(),
+            payload,
+            "removed keys leave no trace"
+        );
+        let mut restored = Soteria::from_state(state);
         for (i, &idx) in test.iter().enumerate() {
             let g = corpus.samples()[idx].graph();
             assert_eq!(
                 restored.analyze(g, i as u64),
                 original.analyze(g, i as u64),
-                "int8 verdict mismatch on test sample {i}"
+                "verdict mismatch on test sample {i}"
             );
         }
-    }
-
-    #[test]
-    fn int8_config_without_quant_weights_falls_back_to_f32() {
-        let (original, ..) = small_trained();
-        let mut state = original.save_state().unwrap();
-        // A hand-edited config asking for int8 without calibrated weights
-        // must load (on f32) rather than fail.
-        state.config.backend = Backend::Int8;
-        state.detector_quant = None;
-        let restored = Soteria::from_state(state);
-        assert_eq!(restored.backend(), Backend::F32);
-    }
-
-    #[test]
-    fn legacy_bare_json_loads_are_counted_in_telemetry() {
-        let (original, ..) = small_trained();
-        let state = original.save_state().unwrap();
-        let bare = state.to_json().unwrap();
-        let envelope = state.to_envelope().unwrap();
-        let artifact = state.to_artifact().unwrap();
-
-        let _scope = soteria_telemetry::scoped();
-        SoteriaState::from_bytes(bare.as_bytes()).expect("legacy load");
-        assert_eq!(
-            soteria_telemetry::snapshot().counter("persist.state.legacy_loads"),
-            Some(1),
-            "bare-JSON fallback must announce itself so migrating fleets can find stragglers"
-        );
-        // The modern formats never touch the counter.
-        SoteriaState::from_bytes(envelope.as_bytes()).expect("v2 load");
-        SoteriaState::from_bytes(&artifact).expect("v3 load");
-        assert_eq!(
-            soteria_telemetry::snapshot().counter("persist.state.legacy_loads"),
-            Some(1)
-        );
     }
 
     #[test]
@@ -555,17 +496,39 @@ mod tests {
     }
 
     #[test]
-    fn envelope_round_trips_and_legacy_json_still_loads() {
+    fn envelope_round_trips() {
         let (original, ..) = small_trained();
         let state = original.save_state().unwrap();
         let enveloped = state.to_envelope().unwrap();
         assert!(enveloped.starts_with("SOTERIA-STATE v2 crc32="));
         let back = SoteriaState::from_envelope(&enveloped).unwrap();
         assert_eq!(back.detector_stats, state.detector_stats);
-        // Pre-envelope files are bare JSON; they must keep loading.
-        let legacy = state.to_json().unwrap();
-        let back = SoteriaState::from_envelope(&legacy).unwrap();
-        assert_eq!(back.detector_stats, state.detector_stats);
+    }
+
+    #[test]
+    fn bare_json_is_rejected_with_a_typed_error() {
+        let (original, ..) = small_trained();
+        let bare = original.save_state().unwrap().to_json().unwrap();
+        // Bare JSON carries no checksum, so it is not a state file.
+        for data in [bare.clone(), format!("{bare}\n"), "{}".to_string()] {
+            assert!(
+                matches!(
+                    SoteriaState::from_bytes(data.as_bytes()),
+                    Err(StateError::BadHeader { .. })
+                ),
+                "bare JSON of {} bytes must be a typed header error",
+                data.len()
+            );
+        }
+        let dir = std::env::temp_dir().join(format!("soteria-bare-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.json");
+        std::fs::write(&path, &bare).unwrap();
+        assert!(matches!(
+            SoteriaState::load_from_path(&path),
+            Err(StateError::BadHeader { .. })
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -9,7 +9,6 @@ use serde::{Deserialize, Serialize};
 use soteria_cfg::Cfg;
 use soteria_corpus::{Corpus, Family};
 use soteria_features::{FeatureExtractor, SampleFeatures};
-use soteria_nn::{Backend, Matrix};
 use soteria_resilience::FaultKind;
 use std::panic::AssertUnwindSafe;
 use std::time::Instant;
@@ -262,101 +261,14 @@ impl Soteria {
             )
         });
 
-        let mut system = Soteria {
+        let system = Soteria {
             config: config.clone(),
             extractor,
             detector,
             classifier,
         };
-        if config.backend == Backend::Int8 {
-            // Calibrate the int8 copies from the training features and
-            // switch over. Freshly trained models contain only supported
-            // layer types and the split is non-empty, so this cannot fail.
-            clock.stage("quantize", || {
-                system
-                    .quantize(&features)
-                    .expect("quantizing freshly trained models cannot fail");
-                system
-                    .set_backend(Backend::Int8)
-                    .expect("quantized weights installed above");
-            });
-        }
         let metrics = clock.finish(train_indices.len());
         Ok((system, metrics))
-    }
-
-    /// How many calibration samples [`Soteria::quantize`] uses at most.
-    pub const QUANT_CALIB_SAMPLES: usize = 256;
-
-    /// Calibrates int8 copies of the detector and both classifier CNNs
-    /// from `calib_features` (normally the training features). At most
-    /// [`QUANT_CALIB_SAMPLES`](Soteria::QUANT_CALIB_SAMPLES) samples are
-    /// used, chosen deterministically (every k-th), so the quantized
-    /// weights are a pure function of the trained model and the feature
-    /// set. Does **not** switch the active backend — call
-    /// [`set_backend`](Soteria::set_backend) after.
-    ///
-    /// # Errors
-    ///
-    /// Returns a rendered error when `calib_features` is empty or a model
-    /// contains a layer type the int8 path does not support.
-    pub fn quantize(&mut self, calib_features: &[SampleFeatures]) -> Result<(), String> {
-        if calib_features.is_empty() {
-            return Err("quantization needs a non-empty calibration set".to_string());
-        }
-        let stride = calib_features
-            .len()
-            .div_ceil(Self::QUANT_CALIB_SAMPLES)
-            .max(1);
-        let subset: Vec<&SampleFeatures> = calib_features.iter().step_by(stride).collect();
-        let combined: Vec<&[f64]> = subset.iter().map(|f| f.combined()).collect();
-        let dbl_rows: Vec<&[f64]> = subset
-            .iter()
-            .flat_map(|f| f.dbl_walks().iter().map(Vec::as_slice))
-            .collect();
-        let lbl_rows: Vec<&[f64]> = subset
-            .iter()
-            .flat_map(|f| f.lbl_walks().iter().map(Vec::as_slice))
-            .collect();
-        self.detector
-            .quantize(&Matrix::from_row_slices(&combined))?;
-        self.classifier.quantize(
-            &Matrix::from_row_slices(&dbl_rows),
-            &Matrix::from_row_slices(&lbl_rows),
-        )?;
-        Ok(())
-    }
-
-    /// Switches every model's active inference backend and records the
-    /// choice in the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Refuses [`Backend::Int8`] when quantized weights are missing
-    /// (train with `config.backend = Int8`, or call
-    /// [`quantize`](Soteria::quantize) first); the system stays on its
-    /// previous backend.
-    pub fn set_backend(&mut self, backend: Backend) -> Result<(), String> {
-        self.detector.set_backend(backend)?;
-        if let Err(e) = self.classifier.set_backend(backend) {
-            // Keep detector and classifier consistent on failure.
-            let _ = self.detector.set_backend(self.config.backend);
-            return Err(e);
-        }
-        self.config.backend = backend;
-        soteria_telemetry::counter(
-            match backend {
-                Backend::F32 => "pipeline.backend.f32",
-                Backend::Int8 => "pipeline.backend.int8",
-            },
-            1,
-        );
-        Ok(())
-    }
-
-    /// The active inference backend.
-    pub fn backend(&self) -> Backend {
-        self.config.backend
     }
 
     /// The system configuration.
@@ -1193,67 +1105,6 @@ mod tests {
         assert!(soteria.screen_many(&[], 0).is_empty());
         assert!(soteria.screen_features_batch(&[]).is_empty());
         assert!(soteria.screen_features_batch_ae_only(&[]).is_empty());
-    }
-
-    #[test]
-    fn int8_training_quantizes_and_stays_deterministic() {
-        let corpus = Corpus::generate(&CorpusConfig {
-            counts: [12, 12, 12, 10],
-            seed: 61,
-            av_noise: false,
-            lineages: 3,
-        });
-        let split = corpus.split(0.8, 3);
-        let mut config = SoteriaConfig::tiny();
-        config.backend = soteria_nn::Backend::Int8;
-        let (mut a, metrics) =
-            Soteria::train_with_metrics(&config, &corpus, &split.train, 5).expect("train");
-        assert_eq!(a.backend(), soteria_nn::Backend::Int8);
-        assert!(metrics.stage_ms("quantize").is_some(), "quantize stage ran");
-        let mut b = Soteria::train(&config, &corpus, &split.train, 5).expect("train");
-        for (i, &idx) in split.test.iter().enumerate() {
-            let g = corpus.samples()[idx].graph();
-            assert_eq!(a.analyze(g, i as u64), b.analyze(g, i as u64));
-        }
-    }
-
-    #[test]
-    fn int8_backend_detects_like_f32_on_clean_samples() {
-        let (mut soteria, corpus, test) = trained();
-        let features: Vec<soteria_features::SampleFeatures> = test
-            .iter()
-            .map(|&i| soteria.features(corpus.samples()[i].graph(), i as u64))
-            .collect();
-        soteria.quantize(&features).expect("quantize");
-        soteria
-            .set_backend(soteria_nn::Backend::Int8)
-            .expect("switch");
-        let passed = test
-            .iter()
-            .filter(|&&i| {
-                !soteria
-                    .analyze(corpus.samples()[i].graph(), i as u64)
-                    .is_adversarial()
-            })
-            .count();
-        assert!(
-            passed * 10 >= test.len() * 5,
-            "int8 flagged too many clean samples: {passed}/{} passed",
-            test.len()
-        );
-        // Switching back restores the f32 path.
-        soteria
-            .set_backend(soteria_nn::Backend::F32)
-            .expect("switch back");
-        assert_eq!(soteria.backend(), soteria_nn::Backend::F32);
-    }
-
-    #[test]
-    fn int8_without_quantized_weights_is_refused() {
-        let (mut soteria, ..) = trained();
-        assert!(soteria.set_backend(soteria_nn::Backend::Int8).is_err());
-        assert_eq!(soteria.backend(), soteria_nn::Backend::F32);
-        assert!(soteria.quantize(&[]).is_err());
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! soteria-exp nn-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]
 //! soteria-exp extract-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]
 //! soteria-exp robustness-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]
-//!                              [--backend f32|int8]
-//! soteria-exp quant-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]
 //! soteria-exp serve-bench [--seed N] [--scale F] [--out DIR] [--baseline PATH]
 //! soteria-exp serve-smoke [--seed N] [--scale F]
 //! soteria-exp overload-bench [--seed N] [--scale F] [--out DIR] [--baseline PATH] [--smoke]
@@ -33,10 +31,10 @@
 //!
 //! `artifact-bench` measures the instant-start story: cold-load wall time
 //! of the same trained state from the v2 JSON envelope vs the v3 binary
-//! artifact, HARD-FAILING if the two loads are not verdict-identical on
-//! both backends or if any corrupted artifact panics the loader. The
-//! speedup is recorded in `BENCH_artifact.json`; drift against a committed
-//! baseline is noted, not fatal (wall clock is hardware-bound).
+//! artifact, HARD-FAILING if the two loads are not verdict-identical or
+//! if any corrupted artifact panics the loader. The speedup is recorded in
+//! `BENCH_artifact.json`; drift against a committed baseline is noted, not
+//! fatal (wall clock is hardware-bound).
 //!
 //! Tables print to stdout; with `--out DIR`, each table is also written as
 //! CSV for plotting, plus a `<experiment>_metrics.json` telemetry snapshot.
@@ -72,9 +70,7 @@ fn usage() -> &'static str {
      soteria-exp bench [--seed N] [--scale F] [--out DIR]\n       \
      soteria-exp nn-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]\n       \
      soteria-exp extract-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]\n       \
-     soteria-exp robustness-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke] \
-     [--backend f32|int8]\n       \
-     soteria-exp quant-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]\n       \
+     soteria-exp robustness-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]\n       \
      soteria-exp serve-bench [--seed N] [--scale F] [--out DIR] [--baseline PATH]\n       \
      soteria-exp serve-smoke [--seed N] [--scale F] [--trace F]\n       \
      soteria-exp overload-bench [--seed N] [--scale F] [--out DIR] [--baseline PATH] [--smoke]\n       \
@@ -263,10 +259,6 @@ struct NnBenchReport {
     gemv: Vec<MatmulBench>,
     conv1d: Conv1dBench,
     classifier: ClassifierBench,
-    /// f32-vs-int8 forward throughput on a detector-like dense stack,
-    /// with both paths' determinism re-checked in-run.
-    #[serde(default)]
-    int8: Option<Int8Bench>,
 }
 
 /// One `matmul` shape: `[m×k]·[k×n]`, best-of-reps wall time.
@@ -302,31 +294,17 @@ struct ClassifierBench {
     final_loss: f32,
 }
 
-/// f32 vs int8 inference throughput on a detector-shaped dense stack.
-#[derive(Debug, Serialize, Deserialize)]
-struct Int8Bench {
-    /// Layer widths of the benched stack, input first.
-    dims: Vec<usize>,
-    /// Batch rows pushed through per forward.
-    rows: usize,
-    reps: usize,
-    f32_rows_per_sec: f64,
-    int8_rows_per_sec: f64,
-    /// int8 / f32 throughput ratio.
-    speedup: f64,
-}
-
 /// `nn-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]` — time
 /// the soteria-nn compute backend in isolation: blocked-GEMM throughput by
 /// shape, im2col Conv1d forward/backward throughput, and epochs/sec of a
-/// small end-to-end classifier training loop. `--smoke` shrinks every
+/// small end-to-end classifier training loop, plus a bit-identity
+/// re-check of a detector-shaped dense stack. `--smoke` shrinks every
 /// dimension for the CI gate. With `--baseline PATH`, drift against a
 /// committed report is *noted* (never fatal: wall-clock numbers are
 /// hardware-dependent).
 fn run_nn_bench(argv: &[String]) -> Result<(), String> {
     use soteria_nn::{
-        Activation, Conv1d, Dense, Layer, Loss, Matrix, MaxPool1d, QuantizedModel, Sequential,
-        TrainConfig, Trainer,
+        Activation, Conv1d, Dense, Layer, Loss, Matrix, MaxPool1d, Sequential, TrainConfig, Trainer,
     };
 
     let mut seed = 7u64;
@@ -496,18 +474,17 @@ fn run_nn_bench(argv: &[String]) -> Result<(), String> {
         final_loss: history.final_loss(),
     };
 
-    // Both-backend coverage: a detector-shaped dense stack through the f32
-    // reference path and the int8 quantized path. Each path's determinism
-    // is re-checked in-run (forward twice, compare bit patterns) — a
-    // mismatch is a hard failure, not a note, because it means the
-    // committed golden vectors no longer pin anything.
+    // Determinism re-check: a detector-shaped dense stack forwarded
+    // repeatedly must reproduce its first output bit for bit. A mismatch
+    // is a hard failure, not a note, because it means the committed golden
+    // vectors no longer pin anything (DESIGN.md §5).
     let dims: Vec<usize> = if smoke {
         vec![256, 384, 256]
     } else {
         vec![1000, 2000, 3000, 2000, 1000]
     };
     let rows = if smoke { 32 } else { 128 };
-    let int8_reps = if smoke { 3 } else { 10 };
+    let dense_reps = if smoke { 3 } else { 10 };
     let mut layers: Vec<Box<dyn Layer>> = Vec::new();
     for w in dims.windows(2) {
         let last = w[1] == *dims.last().expect("dims non-empty");
@@ -523,45 +500,18 @@ fn run_nn_bench(argv: &[String]) -> Result<(), String> {
         )));
     }
     let mut stack = Sequential::new(layers);
-    let calib = Matrix::from_vec(rows, dims[0], fill(rows * dims[0], seed ^ 0xCA11));
-    let quantized = QuantizedModel::from_model(&stack, &calib)
-        .map_err(|e| format!("nn-bench: quantizing the dense stack failed: {e}"))?;
     let x = Matrix::from_vec(rows, dims[0], fill(rows * dims[0], seed ^ 0x18));
     let bits = |m: &Matrix| -> Vec<u32> { m.data().iter().map(|v| v.to_bits()).collect() };
-    let mut f32_best = f64::INFINITY;
-    let mut int8_best = f64::INFINITY;
-    let f32_ref = stack.predict(&x);
-    let int8_ref = quantized.forward(&x);
-    for _ in 0..int8_reps {
-        let t = std::time::Instant::now();
-        let y = stack.predict(&x);
-        f32_best = f32_best.min(t.elapsed().as_secs_f64());
-        if bits(&y) != bits(&f32_ref) {
+    let f32_ref = bits(&stack.predict(&x));
+    for _ in 0..dense_reps {
+        if bits(&stack.predict(&x)) != f32_ref {
             return Err(
                 "nn-bench: f32 bit-identity drift — repeated forward passes over the \
                         same input disagree; the reference path must be deterministic"
                     .into(),
             );
         }
-        let t = std::time::Instant::now();
-        let y = quantized.forward(&x);
-        int8_best = int8_best.min(t.elapsed().as_secs_f64());
-        if bits(&y) != bits(&int8_ref) {
-            return Err(
-                "nn-bench: int8 determinism drift — repeated quantized forward passes \
-                        over the same input disagree; see DESIGN.md §9"
-                    .into(),
-            );
-        }
     }
-    let int8 = Int8Bench {
-        dims,
-        rows,
-        reps: int8_reps,
-        f32_rows_per_sec: rows as f64 / f32_best,
-        int8_rows_per_sec: rows as f64 / int8_best,
-        speedup: f32_best / int8_best,
-    };
 
     let report = NnBenchReport {
         seed,
@@ -571,7 +521,6 @@ fn run_nn_bench(argv: &[String]) -> Result<(), String> {
         gemv,
         conv1d,
         classifier,
-        int8: Some(int8),
     };
 
     println!(
@@ -586,12 +535,7 @@ fn run_nn_bench(argv: &[String]) -> Result<(), String> {
             mm.m, mm.k, mm.n, mm.best_ms, mm.gflops
         );
     }
-    if let Some(q) = &report.int8 {
-        println!(
-            "  int8    dense {:?} x {} rows  f32 {:>9.0} rows/s  int8 {:>9.0} rows/s  ({:.2}x)",
-            q.dims, q.rows, q.f32_rows_per_sec, q.int8_rows_per_sec, q.speedup
-        );
-    }
+    println!("  dense   {dims:?} x {rows} rows  bit-identical across {dense_reps} passes");
     println!(
         "  conv1d  [{}x{}c len {} k{} -> {}c]  fwd {:>8.1} samples/s  bwd {:>8.1} samples/s",
         report.conv1d.batch,
@@ -880,10 +824,6 @@ struct RobustnessCell {
 struct RobustnessBenchReport {
     seed: u64,
     smoke: bool,
-    /// Inference backend the matrix was screened under (`f32` or `int8`).
-    /// Baseline floors only compare within the same backend.
-    #[serde(default)]
-    backend: String,
     /// Pool workers plus the calling thread (never 0).
     #[serde(default)]
     effective_threads: usize,
@@ -909,7 +849,6 @@ fn run_robustness_bench(argv: &[String]) -> Result<(), String> {
     let mut out = PathBuf::from(".");
     let mut baseline: Option<PathBuf> = None;
     let mut smoke = false;
-    let mut backend = soteria::Backend::F32;
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -925,13 +864,6 @@ fn run_robustness_bench(argv: &[String]) -> Result<(), String> {
                 baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?))
             }
             "--smoke" => smoke = true,
-            "--backend" => {
-                backend = it
-                    .next()
-                    .ok_or("--backend needs a value")?
-                    .parse()
-                    .map_err(|e: String| format!("bad backend: {e}"))?;
-            }
             other => {
                 return Err(format!(
                     "unknown robustness-bench flag {other}\n{}",
@@ -957,9 +889,7 @@ fn run_robustness_bench(argv: &[String]) -> Result<(), String> {
         lineages: 3,
     });
     let split = corpus.split(0.8, seed ^ 0x5917);
-    let mut config = SoteriaConfig::tiny();
-    config.backend = backend;
-    let mut soteria = Soteria::train(&config, &corpus, &split.train, seed)
+    let mut soteria = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, seed)
         .map_err(|e| format!("robustness-bench: training failed: {e}"))?;
     let threshold = soteria.detector_mut().stats().threshold();
     let extractor = soteria.extractor().clone();
@@ -1110,7 +1040,6 @@ fn run_robustness_bench(argv: &[String]) -> Result<(), String> {
     let report = RobustnessBenchReport {
         seed,
         smoke,
-        backend: backend.to_string(),
         effective_threads,
         corpus_samples: corpus.samples().len(),
         train_samples: split.train.len(),
@@ -1122,10 +1051,9 @@ fn run_robustness_bench(argv: &[String]) -> Result<(), String> {
     };
 
     println!(
-        "robustness-bench (seed {seed}{}, backend {}, {} effective threads): {} attack \
-         families, {} cells, {} crafted samples, threshold {:.4}",
+        "robustness-bench (seed {seed}{}, {} effective threads): {} attack families, {} cells, \
+         {} crafted samples, threshold {:.4}",
         if smoke { ", smoke" } else { "" },
-        report.backend,
         report.effective_threads,
         report.attack_families,
         report.cells.len(),
@@ -1159,11 +1087,7 @@ fn run_robustness_bench(argv: &[String]) -> Result<(), String> {
             .and_then(|s| {
                 serde_json::from_str::<RobustnessBenchReport>(&s).map_err(|e| e.to_string())
             }) {
-            Ok(committed)
-                if committed.smoke == report.smoke
-                    && committed.seed == report.seed
-                    && committed.backend == report.backend =>
-            {
+            Ok(committed) if committed.smoke == report.smoke && committed.seed == report.seed => {
                 // The run is fully deterministic under (seed, smoke), so the
                 // committed detection rates are a floor, not a noisy estimate:
                 // any drop is a real robustness regression and fails the gate.
@@ -1201,423 +1125,8 @@ fn run_robustness_bench(argv: &[String]) -> Result<(), String> {
                 );
             }
             Ok(committed) => eprintln!(
-                "note: baseline {} was recorded with seed {} smoke {} backend '{}', this run \
-                 is seed {} smoke {} backend '{}' — floor not comparable, skipping",
-                path.display(),
-                committed.seed,
-                committed.smoke,
-                committed.backend,
-                report.seed,
-                report.smoke,
-                report.backend
-            ),
-            Err(e) => eprintln!(
-                "note: cannot compare against baseline {}: {e}",
-                path.display()
-            ),
-        }
-    }
-
-    std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
-    let path = out.join("BENCH_robustness.json");
-    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
-    println!("wrote {}", path.display());
-    Ok(())
-}
-
-/// f32-vs-int8 accuracy delta and calibration report, serialized to
-/// `BENCH_quant.json`.
-#[derive(Debug, Serialize, Deserialize)]
-struct QuantBenchReport {
-    seed: u64,
-    smoke: bool,
-    /// Pool workers plus the calling thread (never 0).
-    effective_threads: usize,
-    /// Detector threshold (μ + α·σ) of the trained pipeline (shared by
-    /// both backends — quantization never moves the committed threshold).
-    threshold: f64,
-    /// Clean held-out samples screened under both backends.
-    clean_samples: usize,
-    /// Fraction of clean samples whose verdicts agree across backends.
-    clean_agreement: f64,
-    /// Clean false-positive (flagged-adversarial) rate per backend.
-    clean_fp_f32: f64,
-    clean_fp_int8: f64,
-    /// Detector batch-screening throughput over the clean feature rows.
-    f32_rows_per_sec: f64,
-    int8_rows_per_sec: f64,
-    /// Detection rate pooled over every attack-matrix cell, per backend.
-    overall_f32: f64,
-    overall_int8: f64,
-    /// Largest |int8 − f32| detection-rate delta across the cells. The
-    /// gate: exceeding [`QUANT_DELTA_BUDGET`] fails the command.
-    max_detection_delta: f64,
-    cells: Vec<QuantCell>,
-    /// Per-layer calibration (activation scale, weight-scale range) for
-    /// each quantized model.
-    calibration: Vec<QuantModelScales>,
-}
-
-/// One attack-matrix cell screened under both backends.
-#[derive(Debug, Serialize, Deserialize)]
-struct QuantCell {
-    kind: String,
-    name: String,
-    strength: String,
-    direction: String,
-    crafted: usize,
-    detected_f32: usize,
-    detected_int8: usize,
-    rate_f32: f64,
-    rate_int8: f64,
-    /// `rate_int8 − rate_f32` (signed; the gate bounds its magnitude).
-    delta: f64,
-}
-
-/// Committed calibration summary of one quantized model.
-#[derive(Debug, Serialize, Deserialize)]
-struct QuantModelScales {
-    model: String,
-    layers: Vec<soteria_nn::QuantLayerReport>,
-}
-
-/// Maximum tolerated |detection-rate delta| between the int8 and f32
-/// backends on any attack-matrix cell: half a percentage point.
-const QUANT_DELTA_BUDGET: f64 = 0.005;
-
-/// `quant-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]` —
-/// train the pipeline once, quantize it, and screen the same clean split
-/// and attack matrix under both backends. HARD-FAILS if any cell's
-/// detection-rate delta exceeds [`QUANT_DELTA_BUDGET`] — the int8 path is
-/// only shippable while it detects what the f32 path detects. Also
-/// records the per-layer calibration scales and both backends' detector
-/// throughput. With `--baseline PATH`, drift against a committed report
-/// is *noted* (throughput is hardware-bound; the delta gate is absolute).
-fn run_quant_bench(argv: &[String]) -> Result<(), String> {
-    use soteria::{AeDetector, Backend};
-    use soteria_attacks::{batch_seed, craft_batch, standard_zoo, ZooBuild};
-    use soteria_corpus::corpus::Sample;
-    use soteria_gea::TargetSelection;
-
-    let mut seed = 7u64;
-    let mut out = PathBuf::from(".");
-    let mut baseline: Option<PathBuf> = None;
-    let mut smoke = false;
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--out" => out = PathBuf::from(it.next().ok_or("--out needs a value")?),
-            "--baseline" => {
-                baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?))
-            }
-            "--smoke" => smoke = true,
-            other => return Err(format!("unknown quant-bench flag {other}\n{}", usage())),
-        }
-    }
-
-    soteria_pool::ensure_threads(8);
-    let effective_threads = soteria_pool::effective_threads();
-
-    let corpus = Corpus::generate(&CorpusConfig {
-        counts: if smoke {
-            [6, 6, 6, 6]
-        } else {
-            [16, 16, 16, 16]
-        },
-        seed,
-        av_noise: false,
-        lineages: 3,
-    });
-    let split = corpus.split(0.8, seed ^ 0x5917);
-    let mut soteria = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, seed)
-        .map_err(|e| format!("quant-bench: training failed: {e}"))?;
-    let threshold = soteria.detector_mut().stats().threshold();
-    let extractor = soteria.extractor().clone();
-
-    // Calibrate on the training split — the same data the committed
-    // train-time quantization stage sees.
-    let train_graphs: Vec<&Cfg> = split
-        .train
-        .iter()
-        .map(|&i| corpus.samples()[i].graph())
-        .collect();
-    let calib = extractor.extract_batch(&train_graphs, seed ^ 0xCA11);
-    soteria
-        .quantize(&calib)
-        .map_err(|e| format!("quant-bench: quantization failed: {e}"))?;
-    let calibration = {
-        let det = soteria
-            .detector_mut()
-            .quantized()
-            .expect("just quantized")
-            .report();
-        let (dbl, lbl) = soteria.classifier_ref().quantized();
-        vec![
-            QuantModelScales {
-                model: "detector".into(),
-                layers: det,
-            },
-            QuantModelScales {
-                model: "classifier_dbl".into(),
-                layers: dbl.expect("just quantized").report(),
-            },
-            QuantModelScales {
-                model: "classifier_lbl".into(),
-                layers: lbl.expect("just quantized").report(),
-            },
-        ]
-    };
-
-    // Clean split: identical features + walk seeds through both backends.
-    let clean_feats: Vec<_> = split
-        .test
-        .iter()
-        .enumerate()
-        .map(|(i, &idx)| soteria.features(corpus.samples()[idx].graph(), 9_000 + i as u64))
-        .collect();
-    let mut clean_verdicts: Vec<Vec<Verdict>> = Vec::new();
-    let mut throughput = [0.0f64; 2];
-    for (bi, backend) in [Backend::F32, Backend::Int8].into_iter().enumerate() {
-        soteria
-            .set_backend(backend)
-            .map_err(|e| format!("quant-bench: cannot select {backend}: {e}"))?;
-        clean_verdicts.push(
-            clean_feats
-                .iter()
-                .map(|f| soteria.analyze_features(f))
-                .collect(),
-        );
-        let rows: Vec<&[f64]> = clean_feats.iter().map(|f| f.combined()).collect();
-        let mut best = f64::INFINITY;
-        for _ in 0..if smoke { 3 } else { 10 } {
-            let t = std::time::Instant::now();
-            let errors = soteria.detector_mut().reconstruction_errors_of(&rows);
-            best = best.min(t.elapsed().as_secs_f64());
-            assert_eq!(errors.len(), rows.len());
-        }
-        throughput[bi] = rows.len() as f64 / best.max(1e-12);
-    }
-    let agreement = clean_verdicts[0]
-        .iter()
-        .zip(&clean_verdicts[1])
-        .filter(|(a, b)| a.is_adversarial() == b.is_adversarial() && a.family() == b.family())
-        .count() as f64
-        / clean_feats.len().max(1) as f64;
-    let fp_rate = |vs: &[Verdict]| {
-        vs.iter().filter(|v| v.is_adversarial()).count() as f64 / vs.len().max(1) as f64
-    };
-
-    // Attack matrix: craft once against the committed f32 detector, then
-    // screen the same crafted samples (same per-sample seeds) under both
-    // backends. Structural validity and craft determinism are
-    // robustness-bench's gates; this command measures the verdict delta.
-    soteria
-        .set_backend(Backend::F32)
-        .map_err(|e| format!("quant-bench: cannot restore f32: {e}"))?;
-    let benign_graphs: Vec<&Cfg> = split
-        .train
-        .iter()
-        .map(|&i| &corpus.samples()[i])
-        .filter(|s| s.family() == soteria_corpus::Family::Benign)
-        .map(|s| s.graph())
-        .collect();
-    let benign_feats = extractor.extract_batch(&benign_graphs, seed ^ 0xCE27);
-    let mut benign_centroid = vec![0.0; extractor.combined_dim()];
-    for f in &benign_feats {
-        for (c, x) in benign_centroid.iter_mut().zip(f.combined()) {
-            *c += x;
-        }
-    }
-    for c in &mut benign_centroid {
-        *c /= benign_feats.len().max(1) as f64;
-    }
-    let selection = TargetSelection::select(&corpus);
-    let zoo = {
-        let detector: &AeDetector = soteria.detector_mut();
-        standard_zoo(&ZooBuild {
-            corpus: &corpus,
-            selection: &selection,
-            extractor: &extractor,
-            detector,
-            benign_centroid,
-        })
-    };
-
-    let cap = if smoke { 6 } else { 12 };
-    let mut crafted_cells = Vec::new();
-    for (ei, entry) in zoo.iter().enumerate() {
-        let originals: Vec<&Sample> = split
-            .test
-            .iter()
-            .map(|&i| &corpus.samples()[i])
-            .filter(|s| entry.direction.applies_to(s.family()))
-            .take(cap)
-            .collect();
-        if originals.is_empty() {
-            continue;
-        }
-        let master = seed ^ (0xA77 + ei as u64 * 1000);
-        let mut crafted = Vec::with_capacity(originals.len());
-        for (i, result) in craft_batch(entry.attack.as_ref(), &originals, master)
-            .into_iter()
-            .enumerate()
-        {
-            crafted.push(result.map_err(|e| {
-                format!(
-                    "quant-bench: {} failed to craft sample {i}: {e}",
-                    entry.attack.name()
-                )
-            })?);
-        }
-        crafted_cells.push((entry, master, crafted));
-    }
-
-    let mut detected = vec![[0usize; 2]; crafted_cells.len()];
-    let mut total = [0usize; 2];
-    let mut total_crafted = 0usize;
-    for (bi, backend) in [Backend::F32, Backend::Int8].into_iter().enumerate() {
-        soteria
-            .set_backend(backend)
-            .map_err(|e| format!("quant-bench: cannot select {backend}: {e}"))?;
-        for (ci, (_, master, crafted)) in crafted_cells.iter().enumerate() {
-            let items: Vec<(&Cfg, u64)> = crafted
-                .iter()
-                .enumerate()
-                .map(|(i, c)| (c.sample().graph(), batch_seed(*master, i as u64)))
-                .collect();
-            let verdicts = soteria.analyze_graphs_seeded(&items);
-            let hits = verdicts.iter().filter(|v| v.is_adversarial()).count();
-            detected[ci][bi] = hits;
-            total[bi] += hits;
-            if bi == 0 {
-                total_crafted += crafted.len();
-            }
-        }
-    }
-
-    let cells: Vec<QuantCell> = crafted_cells
-        .iter()
-        .enumerate()
-        .map(|(ci, (entry, _, crafted))| {
-            let n = crafted.len() as f64;
-            let rate_f32 = detected[ci][0] as f64 / n;
-            let rate_int8 = detected[ci][1] as f64 / n;
-            QuantCell {
-                kind: entry.kind.to_string(),
-                name: entry.attack.name(),
-                strength: entry.strength.clone(),
-                direction: entry.direction.to_string(),
-                crafted: crafted.len(),
-                detected_f32: detected[ci][0],
-                detected_int8: detected[ci][1],
-                rate_f32,
-                rate_int8,
-                delta: rate_int8 - rate_f32,
-            }
-        })
-        .collect();
-    let max_detection_delta = cells.iter().map(|c| c.delta.abs()).fold(0.0, f64::max);
-
-    let report = QuantBenchReport {
-        seed,
-        smoke,
-        effective_threads,
-        threshold,
-        clean_samples: clean_feats.len(),
-        clean_agreement: agreement,
-        clean_fp_f32: fp_rate(&clean_verdicts[0]),
-        clean_fp_int8: fp_rate(&clean_verdicts[1]),
-        f32_rows_per_sec: throughput[0],
-        int8_rows_per_sec: throughput[1],
-        overall_f32: total[0] as f64 / total_crafted.max(1) as f64,
-        overall_int8: total[1] as f64 / total_crafted.max(1) as f64,
-        max_detection_delta,
-        cells,
-        calibration,
-    };
-
-    println!(
-        "quant-bench (seed {seed}{}, {} effective threads): {} clean samples, {} cells, \
-         {} crafted samples",
-        if smoke { ", smoke" } else { "" },
-        report.effective_threads,
-        report.clean_samples,
-        report.cells.len(),
-        total_crafted,
-    );
-    println!(
-        "  clean: agreement {:.0}%  fp f32 {:.1}%  fp int8 {:.1}%  detector {:.0} rows/s f32, \
-         {:.0} rows/s int8",
-        report.clean_agreement * 100.0,
-        report.clean_fp_f32 * 100.0,
-        report.clean_fp_int8 * 100.0,
-        report.f32_rows_per_sec,
-        report.int8_rows_per_sec,
-    );
-    println!(
-        "  {:<28} {:<12} {:>7} {:>9} {:>9} {:>8}",
-        "attack", "direction", "crafted", "f32-rate", "int8-rate", "delta"
-    );
-    for c in &report.cells {
-        println!(
-            "  {:<28} {:<12} {:>7} {:>8.0}% {:>8.0}% {:>+7.1}%",
-            c.name,
-            c.direction,
-            c.crafted,
-            c.rate_f32 * 100.0,
-            c.rate_int8 * 100.0,
-            c.delta * 100.0,
-        );
-    }
-    println!(
-        "  overall detection f32 {:.1}%  int8 {:.1}%  max |delta| {:.2}% (budget {:.2}%)",
-        report.overall_f32 * 100.0,
-        report.overall_int8 * 100.0,
-        report.max_detection_delta * 100.0,
-        QUANT_DELTA_BUDGET * 100.0,
-    );
-
-    if max_detection_delta > QUANT_DELTA_BUDGET {
-        let worst = report
-            .cells
-            .iter()
-            .max_by(|a, b| a.delta.abs().total_cmp(&b.delta.abs()))
-            .expect("cells non-empty when delta > 0");
-        return Err(format!(
-            "quant-bench: int8 detection-rate delta {:.3} on {} ({}) exceeds the {:.3} budget \
-             — the quantized path no longer detects what the f32 path detects",
-            worst.delta.abs(),
-            worst.name,
-            worst.direction,
-            QUANT_DELTA_BUDGET
-        ));
-    }
-
-    if let Some(path) = &baseline {
-        match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str::<QuantBenchReport>(&s).map_err(|e| e.to_string()))
-        {
-            Ok(committed) if committed.smoke == report.smoke && committed.seed == report.seed => {
-                if report.max_detection_delta > committed.max_detection_delta + 1e-9 {
-                    eprintln!(
-                        "note: quant-bench drift: max |delta| {:.3} vs committed {:.3} — still \
-                         inside the budget, refresh results/BENCH_quant.json if intentional",
-                        report.max_detection_delta, committed.max_detection_delta
-                    );
-                }
-            }
-            Ok(committed) => eprintln!(
                 "note: baseline {} was recorded with seed {} smoke {}, this run is seed {} \
-                 smoke {} — not comparable, skipping",
+                 smoke {} — floor not comparable, skipping",
                 path.display(),
                 committed.seed,
                 committed.smoke,
@@ -1632,7 +1141,7 @@ fn run_quant_bench(argv: &[String]) -> Result<(), String> {
     }
 
     std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
-    let path = out.join("BENCH_quant.json");
+    let path = out.join("BENCH_robustness.json");
     let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
     std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
     println!("wrote {}", path.display());
@@ -2750,7 +2259,7 @@ struct ArtifactBenchReport {
     artifact_cold_ms: f64,
     /// `json_cold_ms / artifact_cold_ms` — the instant-start headline.
     speedup: f64,
-    /// HARD GATE: both loads verdict-identical on both backends.
+    /// HARD GATE: both loads verdict-identical to the trained system.
     verdicts_identical: bool,
     probe_count: usize,
     /// Corruption mini-sweep over the artifact (same gate as `chaos`).
@@ -2765,14 +2274,12 @@ struct ArtifactBenchReport {
 /// `artifact-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]` —
 /// trains one system, saves it as both the v2 JSON envelope and the v3
 /// binary artifact, and measures the cold file → ready-to-serve wall time
-/// of each. HARD-FAILS if the two loads are not verdict-identical on both
-/// backends, or if any corrupted artifact panics the loader or loads with
-/// different verdicts. The speedup itself is recorded, and drift against
+/// of each. HARD-FAILS if the two loads are not verdict-identical, or if
+/// any corrupted artifact panics the loader or loads with different
+/// verdicts. The speedup itself is recorded, and drift against
 /// `--baseline` is noted, not fatal — wall clock is hardware-bound,
 /// correctness is not.
 fn run_artifact_bench(argv: &[String]) -> Result<(), String> {
-    use soteria::Backend;
-
     let mut seed = 7u64;
     let mut out = PathBuf::from(".");
     let mut baseline: Option<PathBuf> = None;
@@ -2799,9 +2306,7 @@ fn run_artifact_bench(argv: &[String]) -> Result<(), String> {
     soteria_pool::ensure_threads(8);
 
     // Wide detector layers make the persisted state serving-sized, so the
-    // measured ratio reflects a real deployment, not a toy file. Int8
-    // training persists the quantized tensors too — they ride along in
-    // both formats.
+    // measured ratio reflects a real deployment, not a toy file.
     let corpus = Corpus::generate(&CorpusConfig {
         counts: if smoke { [6, 6, 6, 6] } else { [8, 8, 8, 8] },
         seed,
@@ -2809,10 +2314,7 @@ fn run_artifact_bench(argv: &[String]) -> Result<(), String> {
         lineages: 2,
     });
     let split = corpus.split(0.8, seed ^ 0x517);
-    let mut config = SoteriaConfig {
-        backend: Backend::Int8,
-        ..SoteriaConfig::tiny()
-    };
+    let mut config = SoteriaConfig::tiny();
     config.detector.hidden = if smoke {
         [96, 128, 96]
     } else {
@@ -2888,36 +2390,13 @@ fn run_artifact_bench(argv: &[String]) -> Result<(), String> {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Gate 1: the three systems (trained, JSON-loaded, artifact-loaded)
-    // must be verdict-identical on both backends, bit for bit.
+    // must be verdict-identical, bit for bit.
     let probes: Vec<Vec<u8>> = split
         .test
         .iter()
         .take(4)
         .map(|&i| corpus.samples()[i].binary().to_bytes())
         .collect();
-    let mut verdicts_identical = true;
-    for backend in [Backend::Int8, Backend::F32] {
-        for m in [&mut trained, &mut json_model, &mut artifact_model] {
-            m.set_backend(backend)
-                .map_err(|e| format!("artifact-bench: cannot select {backend}: {e}"))?;
-        }
-        let screen = |m: &mut Soteria| -> String {
-            let items: Vec<(&[u8], u64)> = probes
-                .iter()
-                .enumerate()
-                .map(|(i, b)| (b.as_slice(), 3_000 + i as u64))
-                .collect();
-            format!("{:?}", m.screen_many_seeded(&items))
-        };
-        let reference = screen(&mut trained);
-        if screen(&mut json_model) != reference || screen(&mut artifact_model) != reference {
-            verdicts_identical = false;
-        }
-    }
-
-    // Gate 2: corruption mini-sweep — typed rejection or identical load,
-    // never a panic, never a different verdict.
-    let corruption_cases = if smoke { 100 } else { 250 };
     let probe_verdicts = |m: &mut Soteria| -> String {
         let items: Vec<(&[u8], u64)> = probes
             .iter()
@@ -2926,19 +2405,16 @@ fn run_artifact_bench(argv: &[String]) -> Result<(), String> {
             .collect();
         format!("{:?}", m.screen_many_seeded(&items))
     };
+    let baseline_verdicts = probe_verdicts(&mut trained);
+    let verdicts_identical = probe_verdicts(&mut json_model) == baseline_verdicts
+        && probe_verdicts(&mut artifact_model) == baseline_verdicts;
+
+    // Gate 2: corruption mini-sweep — typed rejection or identical load,
+    // never a panic, never a different verdict.
+    let corruption_cases = if smoke { 100 } else { 250 };
     let artifact = state
         .to_artifact()
         .map_err(|e| format!("artifact-bench: re-export failed: {e}"))?;
-    // The baseline must come from a FRESH pristine load: corrupted-but-
-    // valid artifacts load on their persisted backend, while the models
-    // above were switched around by the backend comparison.
-    let baseline_verdicts = {
-        let image = StateImage::parse(&artifact)
-            .map_err(|e| format!("artifact-bench: pristine parse failed: {e}"))?;
-        let mut m = Soteria::load_image(&image)
-            .map_err(|e| format!("artifact-bench: pristine load failed: {e}"))?;
-        probe_verdicts(&mut m)
-    };
     let injector = soteria_corpus::FaultInjector::new(seed ^ 0xBE2C);
     let mut counts = [0usize; 4];
     let prior_hook = std::panic::take_hook();
@@ -2992,7 +2468,7 @@ fn run_artifact_bench(argv: &[String]) -> Result<(), String> {
         "  cold start      v2 json {json_cold_ms:.2} ms, v3 artifact {artifact_cold_ms:.3} ms \
          -> {speedup:.0}x"
     );
-    println!("  verdicts        identical on both backends: {verdicts_identical}");
+    println!("  verdicts        identical: {verdicts_identical}");
     println!(
         "  corruption      {corruption_cases} cases: {} rejected, {} identical, {} diverged, \
          {} panicked",
@@ -3330,17 +2806,6 @@ fn main() -> ExitCode {
     }
     if argv.first().map(String::as_str) == Some("robustness-bench") {
         let result = run_robustness_bench(&argv[1..]);
-        soteria_telemetry::print_summary_if_requested();
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("quant-bench") {
-        let result = run_quant_bench(&argv[1..]);
         soteria_telemetry::print_summary_if_requested();
         return match result {
             Ok(()) => ExitCode::SUCCESS,

@@ -53,7 +53,6 @@ pub mod model;
 pub mod optimizer;
 pub mod persist;
 pub mod pool;
-pub mod quant;
 pub mod simd;
 #[allow(unsafe_code)]
 pub mod storage;
@@ -69,6 +68,5 @@ pub use matrix::Matrix;
 pub use model::Sequential;
 pub use optimizer::{Adam, Optimizer, OptimizerState, Sgd};
 pub use pool::MaxPool1d;
-pub use quant::{Backend, QuantLayerParts, QuantLayerReport, QuantizedModel};
 pub use storage::{AlignedBytes, Scalar, TensorView, ViewError, WeightStore, BUFFER_ALIGN};
 pub use trainer::{RngState, TrainConfig, Trainer, TrainerCheckpoint, TrainingHistory};

@@ -62,7 +62,7 @@ macro_rules! impl_scalar {
     )*};
 }
 
-impl_scalar!(f32 => "f32", i8 => "i8", u8 => "u8", f64 => "f64", u64 => "u64");
+impl_scalar!(f32 => "f32", u8 => "u8", f64 => "f64", u64 => "u64");
 
 /// A heap buffer aligned to [`BUFFER_ALIGN`], immutable once shared.
 ///
@@ -496,12 +496,5 @@ mod tests {
         let back = WeightStore::<f32>::from_value(&shared.to_value()).expect("deserialize");
         assert!(!back.is_shared());
         assert_eq!(back, shared);
-    }
-
-    #[test]
-    fn i8_views_work() {
-        let buf = Arc::new(AlignedBytes::copy_from(&[0xFF, 0x01, 0x80, 0x7F]));
-        let view = TensorView::<i8>::new(buf, 0, 4).expect("view");
-        assert_eq!(view.as_slice(), &[-1, 1, -128, 127]);
     }
 }

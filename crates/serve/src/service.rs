@@ -74,7 +74,7 @@
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, RejectReason};
 use crate::cache::{fnv1a64, CacheStats, VerdictCache};
 use crate::deadline::Deadline;
-use soteria::{Backend, Soteria, SoteriaState, StateError, Verdict};
+use soteria::{Soteria, SoteriaState, StateError, Verdict};
 use soteria_features::{FeatureExtractor, SampleFeatures};
 use soteria_resilience::{FaultKind, ResourceGuards};
 use soteria_telemetry::TraceBuilder;
@@ -126,11 +126,6 @@ pub struct ServeConfig {
     /// default disables every mechanism (the only rejection is a full
     /// queue), so existing deployments see no behavior change.
     pub admission: AdmissionConfig,
-    /// Inference compute backend for the batcher's forward passes.
-    /// Requesting [`Backend::Int8`] on a system without calibrated int8
-    /// weights falls back to [`Backend::F32`] and records
-    /// `serve.backend.int8_fallback` in telemetry.
-    pub backend: Backend,
 }
 
 impl Default for ServeConfig {
@@ -145,7 +140,6 @@ impl Default for ServeConfig {
             seed: 0,
             trace_sampling: 0.0,
             admission: AdmissionConfig::default(),
-            backend: Backend::F32,
         }
     }
 }
@@ -369,7 +363,6 @@ pub struct ScreeningService {
     admission: Arc<AdmissionController>,
     shared: Arc<SharedCounters>,
     slot: ExtractorSlot,
-    backend: Backend,
     seed: u64,
     trace_sampling: f64,
     submitted: AtomicU64,
@@ -389,13 +382,6 @@ impl ScreeningService {
         // Spin up the shared compute pool before the first request so the
         // batcher's forward passes never pay thread-spawn latency.
         let _ = soteria_nn::backend::warm();
-        let mut soteria = soteria;
-        if soteria.set_backend(config.backend).is_err() {
-            soteria_telemetry::counter("serve.backend.int8_fallback", 1);
-            soteria
-                .set_backend(Backend::F32)
-                .expect("f32 backend always available");
-        }
         let cache = Arc::new(VerdictCache::new(
             config.cache_capacity,
             config.cache_shards.max(1),
@@ -470,7 +456,6 @@ impl ScreeningService {
             admission,
             shared,
             slot,
-            backend: config.backend,
             seed: config.seed,
             trace_sampling: config.trace_sampling,
             submitted: AtomicU64::new(0),
@@ -489,19 +474,7 @@ impl ScreeningService {
     /// extracted after this call returns are screened by the new model.
     /// The verdict cache is cleared so no old-model verdict outlives the
     /// swap, and batches never mix the two models.
-    ///
-    /// If the new model cannot serve the configured backend (e.g. int8
-    /// without calibrated weights) it falls back to [`Backend::F32`] and
-    /// records `serve.backend.int8_fallback`, exactly like
-    /// [`start`](ScreeningService::start).
     pub fn swap(&self, soteria: Soteria) -> u64 {
-        let mut soteria = soteria;
-        if soteria.set_backend(self.backend).is_err() {
-            soteria_telemetry::counter("serve.backend.int8_fallback", 1);
-            soteria
-                .set_backend(Backend::F32)
-                .expect("f32 backend always available");
-        }
         // The slot mutex serializes concurrent swaps: the epoch bump, the
         // extractor publish, and the command send happen as one unit, so
         // epochs observed by workers and the batcher are both monotone.
@@ -1191,7 +1164,6 @@ mod tests {
             seed: 9,
             trace_sampling: 1.0,
             admission: AdmissionConfig::default(),
-            backend: Backend::F32,
         }
     }
 

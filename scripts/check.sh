@@ -25,7 +25,7 @@ cargo run -q --release -p soteria-eval --bin soteria-exp -- \
     chaos --seed 42 --samples 200 --artifact-cases 500
 
 # Artifact smoke gate: the v3 zero-copy artifact must load into a system
-# verdict-identical to the v2 JSON load on BOTH backends, and a corruption
+# verdict-identical to the v2 JSON load on the f32 path, and a corruption
 # mini-sweep must produce zero loader panics and zero silent divergences —
 # all HARD failures. Cold-start speedup drift against the committed
 # results/BENCH_artifact.json is a *note*, never fatal — wall-clock
@@ -50,15 +50,14 @@ SOTERIA_METRICS=summary cargo run -q --release -p soteria-eval --bin soteria-exp
     serve-smoke --trace 1.0
 
 # Compute-backend smoke gate: a shrunk nn-bench run drives the GEMM /
-# gemv / im2col-conv kernels, a real training loop, and BOTH inference
-# backends (f32 reference and int8 quantized) end to end. The command
-# itself HARD-FAILS on f32 bit-identity or int8 determinism drift —
-# those are correctness, not throughput. Throughput drift against the
-# committed baseline is a *note*, never fatal — wall-clock numbers are
-# hardware-bound (the overlapping 64x256x256 matmul shape is what gets
-# compared). The golden-vector pins for both paths
-# (tests/golden_vectors.rs, tests/golden_quant.rs) hard-fail inside the
-# workspace test step above.
+# gemv / im2col-conv kernels, a real training loop, and the f32 inference
+# path (the only one) end to end. The command itself HARD-FAILS on f32
+# bit-identity drift — that is correctness, not throughput. Throughput
+# drift against the committed baseline is a *note*, never fatal —
+# wall-clock numbers are hardware-bound (the overlapping 64x256x256
+# matmul shape is what gets compared). The golden-vector pins
+# (tests/golden_vectors.rs) hard-fail inside the workspace test step
+# above.
 echo "==> nn bench gate: soteria-exp nn-bench --smoke"
 tmpdir="$(mktemp -d)"
 nn_baseline=()
@@ -141,31 +140,6 @@ if [[ -f results/BENCH_robustness.json ]]; then
 fi
 cargo run -q --release -p soteria-eval --bin soteria-exp -- \
     robustness-bench --smoke --out "$tmpdir" "${robustness_baseline[@]}"
-rm -rf "$tmpdir"
-
-# The same matrix must also pass end to end on the int8 quantized
-# backend: training auto-quantizes, every crafted sample still gets a
-# verdict, and crafting stays valid and deterministic. The committed
-# floor is f32-only, so no baseline is passed here — the f32/int8
-# detection-rate delta is quant-bench's gate below.
-echo "==> robustness gate (int8): soteria-exp robustness-bench --smoke --backend int8"
-tmpdir="$(mktemp -d)"
-cargo run -q --release -p soteria-eval --bin soteria-exp -- \
-    robustness-bench --smoke --backend int8 --out "$tmpdir"
-rm -rf "$tmpdir"
-
-# Quantization accuracy gate: screen the clean split and the attack
-# matrix under BOTH backends and HARD-FAIL if any cell's detection-rate
-# delta exceeds the 0.5-percentage-point budget (DESIGN.md §9). Drift
-# against the committed results/BENCH_quant.json is a *note*.
-echo "==> quant gate: soteria-exp quant-bench --smoke"
-tmpdir="$(mktemp -d)"
-quant_baseline=()
-if [[ -f results/BENCH_quant.json ]]; then
-    quant_baseline=(--baseline results/BENCH_quant.json)
-fi
-cargo run -q --release -p soteria-eval --bin soteria-exp -- \
-    quant-bench --smoke --out "$tmpdir" "${quant_baseline[@]}"
 rm -rf "$tmpdir"
 
 echo "==> all checks passed"

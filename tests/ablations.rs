@@ -1,5 +1,4 @@
 //! Quality-side ablations of the design choices DESIGN.md calls out.
-//! (The cost side lives in `crates/bench/benches/ablations.rs`.)
 
 use soteria_corpus::{Corpus, CorpusConfig, Family};
 use soteria_features::ngram::GramCounts;

@@ -1,14 +1,14 @@
 //! Differential equivalence battery for the `SOTERIA-STATE v3` artifact.
 //!
 //! The binary artifact is only allowed to exist because it is *provably*
-//! the same model: for arbitrary trained configurations and both
-//! inference backends, a JSON-loaded system and an artifact-loaded system
+//! the same model: for arbitrary trained configurations, a JSON-loaded
+//! system and an artifact-loaded system
 //! must produce byte-for-byte identical verdicts on clean, GEA-adversarial,
 //! and corrupted inputs, at every screening pool size — and converting
 //! v2 → v3 → v2 must reproduce the v2 envelope byte-for-byte.
 
 use proptest::prelude::*;
-use soteria::{Backend, Soteria, SoteriaConfig, SoteriaState, StateImage, Verdict};
+use soteria::{Soteria, SoteriaConfig, SoteriaState, StateImage, Verdict};
 use soteria_corpus::{Corpus, CorpusConfig, Family, FaultInjector};
 use soteria_gea::{gea_merge, SizeClass, TargetSelection};
 use std::collections::HashMap;
@@ -44,14 +44,8 @@ fn build_case(corpus_seed: u64, train_seed: u64) -> TrainedCase {
         lineages: 2,
     });
     let split = corpus.split(0.8, 1);
-    // Int8-backend training calibrates and persists the quantized weights,
-    // so the saved state carries BOTH backends; the F32 arm of the battery
-    // just switches back after loading.
-    let config = SoteriaConfig {
-        backend: Backend::Int8,
-        ..SoteriaConfig::tiny()
-    };
-    let soteria = Soteria::train(&config, &corpus, &split.train, train_seed).expect("train");
+    let soteria =
+        Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, train_seed).expect("train");
 
     // Input pool: clean test binaries, GEA adversarial examples against a
     // benign target, and injector-corrupted mutants.
@@ -126,13 +120,12 @@ proptest! {
 
     /// The core differential property: the artifact-loaded system is
     /// indistinguishable, verdict-for-verdict and byte-for-byte, from the
-    /// JSON-loaded system it was exported from — on either backend, at
-    /// every pool size, across clean/adversarial/corrupted inputs.
+    /// JSON-loaded system it was exported from — at every pool size,
+    /// across clean/adversarial/corrupted inputs.
     #[test]
     fn artifact_and_json_loads_are_verdict_identical(
         corpus_seed in 61u64..63,
         train_seed in 3u64..5,
-        int8 in proptest::prelude::any::<bool>(),
         seed_base in 0u64..1_000,
     ) {
         let mut bank = bank();
@@ -145,20 +138,14 @@ proptest! {
         let image = StateImage::parse(&case.artifact).expect("v3 parse");
         let mut art_model = Soteria::load_image(&image).expect("v3 load");
 
-        let backend = if int8 { Backend::Int8 } else { Backend::F32 };
-        json_model.set_backend(backend).expect("backend available");
-        art_model.set_backend(backend).expect("backend available");
-        prop_assert_eq!(json_model.backend(), art_model.backend());
-
         for chunk in POOL_SIZES {
             let from_json = screen_chunked(&mut json_model, &case.pool, chunk, seed_base);
             let from_artifact = screen_chunked(&mut art_model, &case.pool, chunk, seed_base);
             prop_assert_eq!(
                 format!("{from_json:?}"),
                 format!("{from_artifact:?}"),
-                "verdicts diverged at pool size {} on {:?}",
-                chunk,
-                backend
+                "verdicts diverged at pool size {}",
+                chunk
             );
             prop_assert_eq!(&from_json, &from_artifact);
         }

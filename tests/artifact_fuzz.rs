@@ -10,7 +10,7 @@
 //! read is a failure of the battery.
 
 use proptest::prelude::*;
-use soteria::{Backend, Soteria, SoteriaConfig, StateError, StateImage, Verdict};
+use soteria::{Soteria, SoteriaConfig, StateError, StateImage, Verdict};
 use soteria_corpus::{ArtifactMutation, Corpus, CorpusConfig, FaultInjector};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -33,13 +33,8 @@ fn baseline() -> MutexGuard<'static, Baseline> {
             lineages: 2,
         });
         let split = corpus.split(0.8, 1);
-        // Int8 training persists quantized sections too, so the fuzzer's
-        // bit flips also land in int8 tensors and calibration scales.
-        let config = SoteriaConfig {
-            backend: Backend::Int8,
-            ..SoteriaConfig::tiny()
-        };
-        let mut soteria = Soteria::train(&config, &corpus, &split.train, 13).expect("train");
+        let mut soteria =
+            Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, 13).expect("train");
         let artifact = soteria
             .save_state()
             .expect("save state")

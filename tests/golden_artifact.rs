@@ -18,7 +18,7 @@
 //! elsewhere rather than a false alarm.
 
 use serde::{Deserialize, Serialize};
-use soteria::{Backend, Soteria, SoteriaConfig};
+use soteria::{Soteria, SoteriaConfig};
 use soteria_corpus::{Corpus, CorpusConfig};
 use soteria_resilience::crc32;
 use std::path::PathBuf;
@@ -57,13 +57,8 @@ fn compute_current() -> ArtifactFixture {
         lineages: 2,
     });
     let split = corpus.split(0.8, 1);
-    // Int8 training persists the quantized sections too, so the fixture
-    // pins the full section set, not just the f32 tensors.
-    let config = SoteriaConfig {
-        backend: Backend::Int8,
-        ..SoteriaConfig::tiny()
-    };
-    let soteria = Soteria::train(&config, &corpus, &split.train, TRAIN_SEED).expect("train");
+    let soteria =
+        Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, TRAIN_SEED).expect("train");
     let artifact = soteria
         .save_state()
         .expect("save state")
