@@ -18,8 +18,8 @@ pub fn batch_seed(master_seed: u64, index: u64) -> u64 {
 
 /// Crafts one adversarial example per original, in input order.
 ///
-/// Each sample gets the seed `derive_seed(master_seed, index)`; chunks are
-/// fanned out across the pool via `soteria_pool::run_scoped`, with the
+/// Each sample gets the seed `derive_seed(master_seed, index)`; samples
+/// fan out over the pool via `soteria_pool::map` when it is warm, with the
 /// calling thread participating. Errors are per-sample — one failed craft
 /// does not abort the batch.
 pub fn craft_batch(
@@ -27,32 +27,9 @@ pub fn craft_batch(
     originals: &[&Sample],
     master_seed: u64,
 ) -> Vec<Result<CraftedSample, CorpusError>> {
-    if originals.is_empty() {
-        return Vec::new();
-    }
-    let jobs = (soteria_pool::pool_threads() + 1).min(originals.len());
-    let chunk = originals.len().div_ceil(jobs.max(1));
-    let mut slots: Vec<Option<Result<CraftedSample, CorpusError>>> = Vec::new();
-    slots.resize_with(originals.len(), || None);
-
-    let indexed: Vec<(usize, &Sample)> = originals.iter().copied().enumerate().collect();
-    let tasks: Vec<soteria_pool::ScopedTask<'_>> = indexed
-        .chunks(chunk)
-        .zip(slots.chunks_mut(chunk))
-        .map(|(item_chunk, slot_chunk)| {
-            Box::new(move || {
-                for ((i, original), slot) in item_chunk.iter().zip(slot_chunk) {
-                    *slot = Some(attack.craft(original, derive_seed(master_seed, *i as u64)));
-                }
-            }) as soteria_pool::ScopedTask<'_>
-        })
-        .collect();
-    soteria_pool::run_scoped(tasks);
-
-    slots
-        .into_iter()
-        .map(|s| s.expect("every chunk fills its slots"))
-        .collect()
+    soteria_pool::map(originals, |i, original| {
+        attack.craft(original, derive_seed(master_seed, i as u64))
+    })
 }
 
 #[cfg(test)]

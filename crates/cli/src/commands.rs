@@ -400,10 +400,27 @@ pub fn analyze(args: &[String]) -> Result<(), String> {
         return Err("analyze needs --corpus DIR or --model MODEL.json".into());
     };
 
+    // Read up to the first unreadable file; the files before it still get
+    // their verdict lines before the read error ends the command.
+    let mut inputs: Vec<Vec<u8>> = Vec::with_capacity(positional.len());
+    let mut read_error = None;
+    for file in &positional {
+        match std::fs::read(file) {
+            Ok(bytes) => inputs.push(bytes),
+            Err(e) => {
+                read_error = Some(format!("read {file}: {e}"));
+                break;
+            }
+        }
+    }
+    let items: Vec<(&[u8], u64)> = inputs
+        .iter()
+        .enumerate()
+        .map(|(i, bytes)| (bytes.as_slice(), seed ^ (1000 + i as u64)))
+        .collect();
     let mut degraded = 0usize;
-    for (i, file) in positional.iter().enumerate() {
-        let bytes = std::fs::read(file).map_err(|e| format!("read {file}: {e}"))?;
-        match system.screen_binary(&bytes, seed ^ (1000 + i as u64)) {
+    for (file, verdict) in positional.iter().zip(system.screen_many_seeded(&items)) {
+        match verdict {
             Verdict::Adversarial {
                 reconstruction_error,
             } => println!("{file}: ADVERSARIAL (RE {reconstruction_error:.4})"),
@@ -420,6 +437,9 @@ pub fn analyze(args: &[String]) -> Result<(), String> {
                 println!("{file}: DEGRADED ({reason})");
             }
         }
+    }
+    if let Some(e) = read_error {
+        return Err(e);
     }
     write_metrics_if_requested(&flags)?;
     if degraded > 0 {

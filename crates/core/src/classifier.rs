@@ -7,9 +7,8 @@ use soteria_corpus::Family;
 use soteria_features::{Labeling, SampleFeatures};
 use soteria_nn::persist::spec_of;
 use soteria_nn::{
-    loss::{one_hot, softmax_row},
-    trainer::argmax_rows,
-    Activation, Conv1d, Dense, Dropout, Loss, Matrix, MaxPool1d, Sequential, TrainConfig, Trainer,
+    loss::one_hot, trainer::argmax_rows, Activation, Conv1d, Dense, Dropout, Loss, Matrix,
+    MaxPool1d, Sequential, TrainConfig, Trainer,
 };
 
 /// Builds one CNN (the paper's ConvB1 → ConvB2 → CB stack) for inputs of
@@ -314,35 +313,6 @@ impl FamilyClassifier {
             .collect()
     }
 
-    /// The voted family label only.
-    pub fn predict(&mut self, features: &SampleFeatures) -> Family {
-        self.classify(features).voted_label
-    }
-
-    /// Mean softmax probabilities over all walk vectors (used to analyze
-    /// the AEs that slip past the detector).
-    pub fn mean_probabilities(&mut self, features: &SampleFeatures) -> Vec<f64> {
-        let mut acc = vec![0.0f64; self.classes];
-        let mut count = 0usize;
-        for (labeling, walks) in [
-            (Labeling::Density, features.dbl_walks()),
-            (Labeling::Level, features.lbl_walks()),
-        ] {
-            let x = Matrix::from_rows(walks);
-            let logits = self.cnn(labeling).predict(&x);
-            for r in 0..logits.rows() {
-                for (a, p) in acc.iter_mut().zip(softmax_row(logits.row(r))) {
-                    *a += f64::from(p);
-                }
-            }
-            count += logits.rows();
-        }
-        for a in &mut acc {
-            *a /= count.max(1) as f64;
-        }
-        acc
-    }
-
     fn predict_walks(&mut self, labeling: Labeling, walks: &[Vec<f64>]) -> Vec<usize> {
         let x = Matrix::from_rows(walks);
         argmax_rows(&self.cnn(labeling).predict(&x))
@@ -403,7 +373,7 @@ mod tests {
         let correct = features
             .iter()
             .zip(&labels)
-            .filter(|(f, &l)| clf.predict(f).index() == l)
+            .filter(|(f, &l)| clf.classify(f).voted_label.index() == l)
             .count();
         assert!(
             correct * 10 >= features.len() * 8,
@@ -429,16 +399,6 @@ mod tests {
         let report = clf.classify(&features[1]);
         let max = report.votes.iter().max().copied().unwrap();
         assert_eq!(report.votes[report.voted_label.index()], max);
-    }
-
-    #[test]
-    fn mean_probabilities_form_distribution() {
-        let (mut clf, features, _) = setup();
-        let p = clf.mean_probabilities(&features[0]);
-        assert_eq!(p.len(), 4);
-        let sum: f64 = p.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-6);
-        assert!(p.iter().all(|&x| x >= 0.0));
     }
 
     #[test]

@@ -288,16 +288,6 @@ impl AeDetector {
         rmse_per_row(&y, &x)[0]
     }
 
-    /// Reconstruction errors for a batch of vectors.
-    pub fn reconstruction_errors(&mut self, features: &[Vec<f64>]) -> Vec<f64> {
-        if features.is_empty() {
-            return Vec::new();
-        }
-        let x = Matrix::from_rows(features);
-        let y = self.autoencoder.predict(&x);
-        rmse_per_row(&y, &x)
-    }
-
     /// Reconstruction errors for borrowed vectors (the micro-batched
     /// serving path stacks many samples' combined vectors into one forward
     /// pass). Each result is bit-identical to
@@ -310,16 +300,6 @@ impl AeDetector {
         let x = Matrix::from_row_slices(rows);
         let y = self.autoencoder.predict(&x);
         rmse_per_row(&y, &x)
-    }
-
-    /// Whether the vector is flagged adversarial at the configured α.
-    pub fn is_adversarial(&mut self, features: &[f64]) -> bool {
-        self.reconstruction_error(features) > self.stats.threshold()
-    }
-
-    /// Whether the vector is flagged at an explicit α (threshold sweeps).
-    pub fn is_adversarial_at(&mut self, features: &[f64], alpha: f64) -> bool {
-        self.reconstruction_error(features) > self.stats.threshold_at(alpha)
     }
 }
 
@@ -376,7 +356,11 @@ mod tests {
     fn clean_samples_reconstruct_below_threshold() {
         let data = clean_data(40, 16, 1);
         let mut det = AeDetector::train(&config(), &data, 3);
-        let flagged = data.iter().filter(|f| det.is_adversarial(f)).count();
+        let threshold = det.stats().threshold();
+        let flagged = data
+            .iter()
+            .filter(|f| det.reconstruction_error(f) > threshold)
+            .count();
         // μ+σ flags at most the upper tail of the training set itself.
         assert!(flagged <= data.len() / 4, "flagged {flagged}/40 clean");
     }
@@ -386,7 +370,6 @@ mod tests {
         let data = clean_data(40, 16, 2);
         let mut det = AeDetector::train(&config(), &data, 4);
         let ae = anomaly(16, 99);
-        assert!(det.is_adversarial(&ae));
         assert!(det.reconstruction_error(&ae) > det.stats().threshold());
     }
 
@@ -405,24 +388,14 @@ mod tests {
         let data = clean_data(30, 16, 4);
         let mut det = AeDetector::train(&config(), &data, 6);
         let flagged_at = |det: &mut AeDetector, alpha: f64| {
+            let threshold = det.stats().threshold_at(alpha);
             data.iter()
-                .filter(|f| det.is_adversarial_at(f, alpha))
+                .filter(|f| det.reconstruction_error(f) > threshold)
                 .count()
         };
         let at0 = flagged_at(&mut det, 0.0);
         let at2 = flagged_at(&mut det, 2.0);
         assert!(at0 > at2, "α=0 flagged {at0}, α=2 flagged {at2}");
-    }
-
-    #[test]
-    fn batch_errors_match_single_errors() {
-        let data = clean_data(10, 8, 5);
-        let mut det = AeDetector::train(&config(), &data, 7);
-        let batch = det.reconstruction_errors(&data);
-        for (i, f) in data.iter().enumerate() {
-            assert!((batch[i] - det.reconstruction_error(f)).abs() < 1e-9);
-        }
-        assert!(det.reconstruction_errors(&[]).is_empty());
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //! * [`pipeline`] chains them: a sample is first screened by the detector
 //!   and only clean samples reach the classifier.
 //!
+//! [`Soteria::analyze`] (a CFG) and [`Soteria::screen_binary`] (untrusted
+//! bytes) are the sequential reference; [`Soteria::screen_many_seeded`] is
+//! the batch path, bit-identical per item to `screen_binary` with the same
+//! seed. Its screen stage is public for callers that extract on their own
+//! ([`Soteria::screen_features_batch`], with the detector-only brownout
+//! tier [`Soteria::screen_features_batch_ae_only`]).
+//!
 //! # Example
 //!
 //! ```no_run

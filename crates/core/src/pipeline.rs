@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use soteria_cfg::Cfg;
 use soteria_corpus::{Corpus, Family};
 use soteria_features::{FeatureExtractor, SampleFeatures};
-use soteria_resilience::FaultKind;
+use soteria_resilience::{FaultKind, ResourceGuards};
 use std::panic::AssertUnwindSafe;
 use std::time::Instant;
 
@@ -78,10 +78,9 @@ fn degraded(reason: FaultKind) -> Verdict {
     Verdict::Degraded { reason }
 }
 
-/// Wall-clock breakdown of one pipeline run ([`Soteria::train_with_metrics`]
-/// or [`Soteria::analyze_batch_with_metrics`]): the stages in execution
-/// order, plus totals. Purely observational — computing it never changes
-/// any result.
+/// Wall-clock breakdown of one training run
+/// ([`Soteria::train_with_metrics`]): the stages in execution order, plus
+/// totals. Purely observational — computing it never changes any result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineMetrics {
     /// Number of samples that went through the run.
@@ -118,18 +117,16 @@ impl PipelineMetrics {
     }
 }
 
-/// Collects stage timings and mirrors them into the global telemetry
-/// registry under `prefix.stage`.
+/// Collects training stage timings and mirrors them into the global
+/// telemetry registry under `pipeline.train.<stage>`.
 struct StageClock {
-    prefix: &'static str,
     run_start: Instant,
     stages: Vec<StageTime>,
 }
 
 impl StageClock {
-    fn start(prefix: &'static str) -> Self {
+    fn start() -> Self {
         StageClock {
-            prefix,
             run_start: Instant::now(),
             stages: Vec::new(),
         }
@@ -143,7 +140,7 @@ impl StageClock {
         // Gated: the name is built with format!, which must not run on
         // the allocation-free disabled path.
         if soteria_telemetry::enabled() {
-            soteria_telemetry::record(&format!("{}.{name}", self.prefix), ms);
+            soteria_telemetry::record(&format!("pipeline.train.{name}"), ms);
         }
         self.stages.push(StageTime {
             name: name.to_string(),
@@ -154,7 +151,7 @@ impl StageClock {
 
     fn finish(self, samples: usize) -> PipelineMetrics {
         let total_ms = self.run_start.elapsed().as_secs_f64() * 1e3;
-        soteria_telemetry::record(self.prefix, total_ms);
+        soteria_telemetry::record("pipeline.train", total_ms);
         PipelineMetrics {
             samples,
             stages: self.stages,
@@ -218,7 +215,7 @@ impl Soteria {
                 len: corpus.samples().len(),
             });
         }
-        let mut clock = StageClock::start("pipeline.train");
+        let mut clock = StageClock::start();
         soteria_telemetry::counter("pipeline.train.samples", train_indices.len() as u64);
         let graphs: Vec<&Cfg> = train_indices
             .iter()
@@ -325,416 +322,172 @@ impl Soteria {
     /// Runs the full pipeline on one CFG. A sample that faults (oversized
     /// graph, walk-budget overrun, stage panic) yields
     /// [`Verdict::Degraded`] instead of unwinding.
+    ///
+    /// With [`screen_binary`](Soteria::screen_binary) this is the
+    /// sequential reference: one sample, per-sample forward passes, no
+    /// fan-out across samples.
     pub fn analyze(&mut self, cfg: &Cfg, walk_seed: u64) -> Verdict {
         let _span = soteria_telemetry::span("pipeline.analyze");
-        let guards = self.config.guards.clone();
-        match self.extractor.try_extract(cfg, walk_seed, &guards) {
-            Ok(features) => self.screen_isolated(&features, walk_seed),
+        match self
+            .extractor
+            .try_extract(cfg, walk_seed, &self.config.guards)
+        {
+            Ok(features) => self.screen_one(&features, walk_seed, false),
             Err(fault) => degraded(fault),
         }
-    }
-
-    /// Analyzes many graphs at once: features are extracted in parallel
-    /// (per-graph walk seeds derived from `walk_seed`), then screened and
-    /// classified. Equivalent per graph to [`analyze`](Soteria::analyze)
-    /// with derived seeds, but much faster on multi-core hosts. Faulting
-    /// samples degrade individually; they never abort the batch.
-    pub fn analyze_batch(&mut self, graphs: &[&Cfg], walk_seed: u64) -> Vec<Verdict> {
-        self.analyze_batch_with_metrics(graphs, walk_seed).0
-    }
-
-    /// Like [`analyze_batch`](Soteria::analyze_batch), and additionally
-    /// returns the wall-clock breakdown of the two stages (`extract`,
-    /// `screen`).
-    pub fn analyze_batch_with_metrics(
-        &mut self,
-        graphs: &[&Cfg],
-        walk_seed: u64,
-    ) -> (Vec<Verdict>, PipelineMetrics) {
-        let mut clock = StageClock::start("pipeline.analyze_batch");
-        let guards = self.config.guards.clone();
-        let features = clock.stage("extract", || {
-            self.extractor
-                .extract_batch_isolated(graphs, walk_seed, &guards)
-        });
-        let verdicts = clock.stage("screen", || {
-            features
-                .into_iter()
-                .enumerate()
-                .map(|(i, f)| match f {
-                    Ok(f) => self.screen_isolated(&f, walk_seed.wrapping_add(i as u64)),
-                    Err(fault) => degraded(fault),
-                })
-                .collect::<Vec<_>>()
-        });
-        let metrics = clock.finish(graphs.len());
-        (verdicts, metrics)
-    }
-
-    /// Analyzes many pre-lifted graphs with an explicit walk seed per
-    /// graph — the attack-evaluation batch entry point: crafted
-    /// adversarial samples arrive as `(graph, seed)` pairs whose seeds the
-    /// harness derived per sample, so the derived-seed scheme of
-    /// [`analyze_batch`](Soteria::analyze_batch) does not apply.
-    ///
-    /// Bit-identical per item to [`analyze`](Soteria::analyze)`(cfg, seed)`:
-    /// extraction runs in parallel across the worker pool and screening in
-    /// one batched forward pass, but every forward pass is row-independent
-    /// and each sample keeps its seed as both walk seed and screen key.
-    /// Faults degrade their sample only.
-    pub fn analyze_graphs_seeded(&mut self, items: &[(&Cfg, u64)]) -> Vec<Verdict> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let _span = soteria_telemetry::span("pipeline.analyze_graphs_seeded");
-        soteria_telemetry::counter("pipeline.analyze_graphs_seeded.samples", items.len() as u64);
-        let guards = self.config.guards.clone();
-        let extractor = &self.extractor;
-        let jobs = (soteria_nn::backend::warm() + 1).min(items.len());
-        let chunk = items.len().div_ceil(jobs.max(1));
-        let mut extracted: Vec<Option<Result<SampleFeatures, FaultKind>>> = vec![None; items.len()];
-        let tasks: Vec<soteria_nn::backend::ScopedTask<'_>> = items
-            .chunks(chunk)
-            .zip(extracted.chunks_mut(chunk))
-            .map(|(item_chunk, slot_chunk)| {
-                let guards = &guards;
-                Box::new(move || {
-                    let worker = soteria_resilience::isolate(AssertUnwindSafe(|| {
-                        for ((cfg, seed), slot) in item_chunk.iter().zip(slot_chunk) {
-                            *slot = Some(extractor.try_extract(cfg, *seed, guards));
-                        }
-                    }));
-                    if worker.is_err() {
-                        soteria_telemetry::counter("pipeline.screen_many.worker_deaths", 1);
-                    }
-                }) as soteria_nn::backend::ScopedTask<'_>
-            })
-            .collect();
-        soteria_nn::backend::run_scoped(tasks);
-
-        let mut verdicts: Vec<Option<Verdict>> = vec![None; items.len()];
-        let mut batch: Vec<(SampleFeatures, u64)> = Vec::new();
-        let mut batch_indices: Vec<usize> = Vec::new();
-        for (i, slot) in extracted.into_iter().enumerate() {
-            match slot {
-                Some(Ok(features)) => {
-                    batch_indices.push(i);
-                    batch.push((features, items[i].1));
-                }
-                Some(Err(fault)) => verdicts[i] = Some(degraded(fault)),
-                None => {
-                    verdicts[i] = Some(degraded(FaultKind::Panic {
-                        message: "screening worker died before reaching this sample".to_owned(),
-                    }))
-                }
-            }
-        }
-        let screened = self.screen_features_batch(&batch);
-        for (i, verdict) in batch_indices.into_iter().zip(screened) {
-            verdicts[i] = Some(verdict);
-        }
-        verdicts
-            .into_iter()
-            .map(|v| v.expect("every sample resolved"))
-            .collect()
     }
 
     /// Runs the full pipeline on a serialized binary: parse → lift →
-    /// analyze, with every failure mode — malformed container, undecodable
-    /// reachable code, guard trips, stage panics — confined to a
-    /// [`Verdict::Degraded`]. This is the serving-path entry point for
-    /// untrusted input.
+    /// extract ([`extract_binary`]) → screen, with every failure mode —
+    /// malformed container, undecodable reachable code, guard trips, stage
+    /// panics — confined to a [`Verdict::Degraded`]. The sequential
+    /// reference for untrusted input: one sample, per-sample forward
+    /// passes, no fan-out across samples.
     pub fn screen_binary(&mut self, bytes: &[u8], walk_seed: u64) -> Verdict {
         let _span = soteria_telemetry::span("pipeline.screen_binary");
-        let lifted = soteria_resilience::isolate(AssertUnwindSafe(|| {
-            let binary = soteria_corpus::Binary::parse(bytes).map_err(FaultKind::from)?;
-            let lifted = soteria_corpus::disasm::lift(&binary).map_err(FaultKind::from)?;
-            Ok(lifted.cfg)
-        }));
-        match lifted {
-            Ok(Ok(cfg)) => self.analyze(&cfg, walk_seed),
-            Ok(Err(fault)) | Err(fault) => degraded(fault),
-        }
-    }
-
-    /// Screens pre-extracted features with the screen stage confined: a
-    /// panic (organic or chaos-injected) in the detector or classifier
-    /// degrades this sample only.
-    fn screen_isolated(&mut self, features: &SampleFeatures, key: u64) -> Verdict {
-        let result = soteria_resilience::isolate(AssertUnwindSafe(|| {
-            soteria_resilience::chaos_point("pipeline.screen", key);
-            self.analyze_features(features)
-        }));
-        match result {
-            Ok(verdict) => verdict,
+        match extract_binary(&self.extractor, bytes, walk_seed, &self.config.guards) {
+            Ok(features) => self.screen_one(&features, walk_seed, false),
             Err(fault) => degraded(fault),
         }
     }
 
-    /// Screens many serialized binaries in one call: parse, lift, and
-    /// feature extraction run in parallel across worker threads, then the
-    /// detector and classifier each run a single batched forward pass over
-    /// every surviving sample (so the threaded matmul in `soteria-nn`
-    /// amortizes across the batch). Per-sample walk seeds are derived as
-    /// `walk_seed.wrapping_add(i)`.
+    /// The batch path: screens many serialized binaries, each with its own
+    /// walk seed (also its screen key). Parse, lift, and feature extraction
+    /// fan out over the shared worker pool, then the screen stage runs the
+    /// detector and classifier once each over every surviving sample (so
+    /// the threaded matmul in `soteria-nn` amortizes across the batch).
     ///
-    /// Bit-identical per item to calling
-    /// [`screen_binary`](Soteria::screen_binary)`(bytes[i], walk_seed + i)`
-    /// sequentially: every forward pass is row-independent, so batching is
-    /// purely a throughput optimization. Faults degrade their sample only.
-    pub fn screen_many(&mut self, binaries: &[&[u8]], walk_seed: u64) -> Vec<Verdict> {
-        let items: Vec<(&[u8], u64)> = binaries
-            .iter()
-            .enumerate()
-            .map(|(i, &bytes)| (bytes, walk_seed.wrapping_add(i as u64)))
-            .collect();
-        self.screen_many_seeded(&items)
-    }
-
-    /// [`screen_many`](Soteria::screen_many) with an explicit walk seed per
-    /// binary. This is the serving-path batch entry point: the screening
-    /// service derives each seed from the sample's content so verdicts are
-    /// a pure function of the bytes.
+    /// Bit-identical per item to
+    /// [`screen_binary`](Soteria::screen_binary)`(bytes, seed)`: every
+    /// forward pass is row-independent, so batching is purely a throughput
+    /// optimization. Faults degrade their sample only. The screening
+    /// service derives each seed from the sample's content, so verdicts
+    /// are a pure function of the bytes.
     pub fn screen_many_seeded(&mut self, items: &[(&[u8], u64)]) -> Vec<Verdict> {
         if items.is_empty() {
             return Vec::new();
         }
         let _span = soteria_telemetry::span("pipeline.screen_many");
         soteria_telemetry::counter("pipeline.screen_many.samples", items.len() as u64);
-        let guards = self.config.guards.clone();
-        let extractor = &self.extractor;
-        // Extraction chunks run on the shared soteria-nn worker pool (the
-        // same threads the batched forward passes below will use), with the
-        // calling thread participating as one more worker.
-        let jobs = (soteria_nn::backend::warm() + 1).min(items.len());
-        let chunk = items.len().div_ceil(jobs.max(1));
-        let mut extracted: Vec<Option<Result<SampleFeatures, FaultKind>>> = vec![None; items.len()];
-        let tasks: Vec<soteria_nn::backend::ScopedTask<'_>> = items
-            .chunks(chunk)
-            .zip(extracted.chunks_mut(chunk))
-            .map(|(item_chunk, slot_chunk)| {
-                let guards = &guards;
-                Box::new(move || {
-                    // Every stage below is isolated per sample, so this
-                    // outer isolate tripping is unexpected — but it keeps a
-                    // stray panic from poisoning the pool barrier; the
-                    // chunk's unfilled slots degrade individually below.
-                    let worker = soteria_resilience::isolate(AssertUnwindSafe(|| {
-                        for ((bytes, seed), slot) in item_chunk.iter().zip(slot_chunk) {
-                            let lifted = soteria_resilience::isolate(AssertUnwindSafe(|| {
-                                let binary = soteria_corpus::Binary::parse(bytes)
-                                    .map_err(FaultKind::from)?;
-                                let lifted = soteria_corpus::disasm::lift(&binary)
-                                    .map_err(FaultKind::from)?;
-                                Ok(lifted.cfg)
-                            }));
-                            *slot = Some(match lifted {
-                                Ok(Ok(cfg)) => extractor.try_extract(&cfg, *seed, guards),
-                                Ok(Err(fault)) | Err(fault) => Err(fault),
-                            });
-                        }
-                    }));
-                    if worker.is_err() {
-                        soteria_telemetry::counter("pipeline.screen_many.worker_deaths", 1);
-                    }
-                }) as soteria_nn::backend::ScopedTask<'_>
-            })
-            .collect();
-        soteria_nn::backend::run_scoped(tasks);
+        let (extractor, guards) = (&self.extractor, &self.config.guards);
+        // The same pool threads run the batched forward passes below.
+        soteria_nn::backend::warm();
+        let extracted = soteria_nn::backend::map(items, |_, &(bytes, seed)| {
+            extract_binary(extractor, bytes, seed, guards)
+        });
 
-        let mut verdicts: Vec<Option<Verdict>> = vec![None; items.len()];
         let mut batch: Vec<(SampleFeatures, u64)> = Vec::new();
-        let mut batch_indices: Vec<usize> = Vec::new();
-        for (i, slot) in extracted.into_iter().enumerate() {
-            match slot {
-                Some(Ok(features)) => {
-                    batch_indices.push(i);
-                    batch.push((features, items[i].1));
+        let mut faults: Vec<Option<FaultKind>> = Vec::with_capacity(items.len());
+        for (result, &(_, seed)) in extracted.into_iter().zip(items) {
+            match result {
+                Ok(features) => {
+                    batch.push((features, seed));
+                    faults.push(None);
                 }
-                Some(Err(fault)) => verdicts[i] = Some(degraded(fault)),
-                None => {
-                    verdicts[i] = Some(degraded(FaultKind::Panic {
-                        message: "screening worker died before reaching this sample".to_owned(),
-                    }))
-                }
+                Err(fault) => faults.push(Some(fault)),
             }
         }
-        let screened = self.screen_features_batch(&batch);
-        for (i, verdict) in batch_indices.into_iter().zip(screened) {
-            verdicts[i] = Some(verdict);
-        }
-        verdicts
+        let mut screened = self.screen_features_batch(&batch).into_iter();
+        faults
             .into_iter()
-            .map(|v| v.expect("every sample resolved"))
+            .map(|fault| match fault {
+                Some(fault) => degraded(fault),
+                None => screened.next().expect("one verdict per extracted sample"),
+            })
             .collect()
     }
 
-    /// Screens many pre-extracted feature sets in one batched pass: the
-    /// detector computes every reconstruction error from one stacked matrix
-    /// and the classifier's two CNNs each run a single forward pass over
-    /// all surviving samples. Each item carries its own screen key (chaos
-    /// gate + provenance); a fault degrades that item only.
+    /// The screen stage over pre-extracted features: the detector computes
+    /// every reconstruction error from one stacked matrix and the
+    /// classifier's two CNNs each run a single forward pass over all
+    /// surviving samples. Each item carries its own screen key (chaos gate
+    /// + provenance); a fault degrades that item only.
     ///
-    /// Bit-identical per item to the per-sample screen path — every layer's
-    /// forward pass is row-independent, so stacking rows cannot change any
-    /// output bit.
+    /// Bit-identical per item to the per-sample screen behind
+    /// [`analyze`](Soteria::analyze) — every layer's forward pass is
+    /// row-independent, so stacking rows cannot change any output bit.
     pub fn screen_features_batch(&mut self, items: &[(SampleFeatures, u64)]) -> Vec<Verdict> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let _span = soteria_telemetry::span("pipeline.screen_features_batch");
-        soteria_telemetry::record("pipeline.screen_batch_size", items.len() as f64);
-        let mut verdicts: Vec<Option<Verdict>> = vec![None; items.len()];
-        // Run each sample's chaos gate first, isolated, so an injected
-        // fault degrades its sample exactly as on the per-sample path.
-        let mut live: Vec<usize> = Vec::with_capacity(items.len());
-        for (i, (_, key)) in items.iter().enumerate() {
-            let gate = soteria_resilience::isolate(AssertUnwindSafe(|| {
-                soteria_resilience::chaos_point("pipeline.screen", *key);
-            }));
-            match gate {
-                Ok(()) => live.push(i),
-                Err(fault) => verdicts[i] = Some(degraded(fault)),
-            }
-        }
-        if !live.is_empty() {
-            let batched = soteria_resilience::isolate(AssertUnwindSafe(|| {
-                let rows: Vec<&[f64]> = live.iter().map(|&i| items[i].0.combined()).collect();
-                let errors = self.detector.reconstruction_errors_of(&rows);
-                let threshold = self.detector.stats().threshold();
-                let mut resolved: Vec<(usize, Verdict)> = Vec::with_capacity(live.len());
-                let mut clean: Vec<(usize, f64)> = Vec::new();
-                for (idx, &i) in live.iter().enumerate() {
-                    let re = errors[idx];
-                    if re > threshold {
-                        soteria_telemetry::counter("pipeline.verdicts.adversarial", 1);
-                        resolved.push((
-                            i,
-                            Verdict::Adversarial {
-                                reconstruction_error: re,
-                            },
-                        ));
-                    } else {
-                        clean.push((i, re));
-                    }
-                }
-                let clean_features: Vec<&SampleFeatures> =
-                    clean.iter().map(|&(i, _)| &items[i].0).collect();
-                let reports = self.classifier.classify_batch(&clean_features);
-                for (&(i, re), report) in clean.iter().zip(reports) {
-                    soteria_telemetry::counter("pipeline.verdicts.clean", 1);
-                    resolved.push((
-                        i,
-                        Verdict::Clean {
-                            family: report.voted_label,
-                            reconstruction_error: re,
-                            report,
-                        },
-                    ));
-                }
-                resolved
-            }));
-            match batched {
-                Ok(resolved) => {
-                    for (i, verdict) in resolved {
-                        verdicts[i] = Some(verdict);
-                    }
-                }
-                Err(_) => {
-                    // A panic in the batched math can't be attributed to one
-                    // sample; re-run the survivors through the per-sample
-                    // isolated path so each resolves (or degrades) on its
-                    // own. The chaos gate already passed for these keys and
-                    // is deterministic, so it passes again.
-                    for &i in &live {
-                        verdicts[i] = Some(self.screen_isolated(&items[i].0, items[i].1));
-                    }
-                }
-            }
-        }
-        verdicts
-            .into_iter()
-            .map(|v| v.expect("every item resolved"))
-            .collect()
+        self.screen_stage(items, false)
     }
 
-    /// The brownout fast path: runs **only the AE detector** over a batch
-    /// of pre-extracted features, skipping the (much heavier) ensemble
-    /// classifier entirely.
+    /// The brownout tier of the screen stage: runs **only the AE
+    /// detector**, skipping the (much heavier) ensemble classifier.
     ///
-    /// For samples the detector flags (reconstruction error above
-    /// threshold) the full pipeline never consults the classifier — see
-    /// [`analyze_features`](Soteria::analyze_features) — so the
-    /// `Adversarial` verdicts returned here are **bit-identical** to what
-    /// the full path would produce, and safe to cache under the sample's
-    /// content key. Samples the detector passes would normally go on to
-    /// classification; here they return
-    /// `Degraded(FaultKind::Overload { tier: "ae-only" })` instead, which
-    /// is load-derived and must never be cached.
-    ///
-    /// Faults (chaos gates, detector panics) degrade their sample only,
-    /// mirroring [`screen_features_batch`](Soteria::screen_features_batch).
+    /// A flagged sample never reaches the classifier on the full tier
+    /// either, so the `Adversarial` verdicts returned here are
+    /// **bit-identical** to [`screen_features_batch`](Soteria::screen_features_batch)'s
+    /// and safe to cache under the sample's content key. Samples the
+    /// detector passes return `Degraded(FaultKind::Overload { tier:
+    /// "ae-only" })` instead, which is load-derived and must never be
+    /// cached. Faults degrade their sample only, as on the full tier.
     pub fn screen_features_batch_ae_only(
         &mut self,
         items: &[(SampleFeatures, u64)],
     ) -> Vec<Verdict> {
+        self.screen_stage(items, true)
+    }
+
+    /// The one screen stage behind both tiers; `ae_only` stops it after
+    /// the detector.
+    fn screen_stage(&mut self, items: &[(SampleFeatures, u64)], ae_only: bool) -> Vec<Verdict> {
         if items.is_empty() {
             return Vec::new();
         }
-        let _span = soteria_telemetry::span("pipeline.screen_ae_only");
-        soteria_telemetry::counter("pipeline.screen_ae_only.samples", items.len() as u64);
-        let mut verdicts: Vec<Option<Verdict>> = vec![None; items.len()];
-        // Same per-sample chaos gate (and stage name) as the full path, so
-        // a chaos schedule injects identically into both tiers.
-        let mut live: Vec<usize> = Vec::with_capacity(items.len());
-        for (i, (_, key)) in items.iter().enumerate() {
-            let gate = soteria_resilience::isolate(AssertUnwindSafe(|| {
-                soteria_resilience::chaos_point("pipeline.screen", *key);
-            }));
-            match gate {
-                Ok(()) => live.push(i),
-                Err(fault) => verdicts[i] = Some(degraded(fault)),
-            }
-        }
-        if !live.is_empty() {
-            let batched = soteria_resilience::isolate(AssertUnwindSafe(|| {
-                let rows: Vec<&[f64]> = live.iter().map(|&i| items[i].0.combined()).collect();
-                let errors = self.detector.reconstruction_errors_of(&rows);
-                let threshold = self.detector.stats().threshold();
-                live.iter()
-                    .zip(errors)
-                    .map(|(&i, re)| {
-                        if re > threshold {
-                            soteria_telemetry::counter("pipeline.verdicts.adversarial", 1);
-                            (
-                                i,
-                                Verdict::Adversarial {
-                                    reconstruction_error: re,
-                                },
-                            )
-                        } else {
-                            (
-                                i,
-                                degraded(FaultKind::Overload {
-                                    tier: "ae-only".to_owned(),
-                                }),
-                            )
-                        }
-                    })
-                    .collect::<Vec<_>>()
-            }));
-            match batched {
-                Ok(resolved) => {
-                    for (i, verdict) in resolved {
-                        verdicts[i] = Some(verdict);
-                    }
+        let _span = if ae_only {
+            soteria_telemetry::counter("pipeline.screen_ae_only.samples", items.len() as u64);
+            soteria_telemetry::span("pipeline.screen_ae_only")
+        } else {
+            soteria_telemetry::record("pipeline.screen_batch_size", items.len() as f64);
+            soteria_telemetry::span("pipeline.screen_features_batch")
+        };
+        // Run each sample's chaos gate first, isolated, so an injected
+        // fault degrades its sample exactly as on the per-sample path.
+        let mut verdicts: Vec<Option<Verdict>> = items
+            .iter()
+            .map(|(_, key)| {
+                soteria_resilience::isolate(|| {
+                    soteria_resilience::chaos_point("pipeline.screen", *key);
+                })
+                .err()
+                .map(degraded)
+            })
+            .collect();
+        let live: Vec<usize> = (0..items.len())
+            .filter(|&i| verdicts[i].is_none())
+            .collect();
+        let batched = soteria_resilience::isolate(AssertUnwindSafe(|| {
+            let rows: Vec<&[f64]> = live.iter().map(|&i| items[i].0.combined()).collect();
+            let errors = self.detector.reconstruction_errors_of(&rows);
+            let threshold = self.detector.stats().threshold();
+            let mut resolved: Vec<(usize, Verdict)> = Vec::with_capacity(live.len());
+            let mut passed: Vec<(usize, f64)> = Vec::new();
+            for (&i, re) in live.iter().zip(errors) {
+                match detector_verdict(re, threshold, ae_only) {
+                    Some(verdict) => resolved.push((i, verdict)),
+                    None => passed.push((i, re)),
                 }
-                Err(fault) => {
-                    // Detector panics are rare enough that attributing the
-                    // whole sub-batch is acceptable for a shedding tier.
-                    for &i in &live {
-                        verdicts[i] = Some(degraded(fault.clone()));
-                    }
+            }
+            let features: Vec<&SampleFeatures> = passed.iter().map(|&(i, _)| &items[i].0).collect();
+            let reports = self.classifier.classify_batch(&features);
+            for (&(i, re), report) in passed.iter().zip(reports) {
+                resolved.push((i, classified(re, report)));
+            }
+            resolved
+        }));
+        match batched {
+            Ok(resolved) => {
+                for (i, verdict) in resolved {
+                    verdicts[i] = Some(verdict);
+                }
+            }
+            Err(_) => {
+                // A panic in the batched math can't be attributed to one
+                // sample; re-run the survivors through the per-sample
+                // screen so each resolves (or degrades) on its own. The
+                // chaos gate already passed for these keys and is
+                // deterministic, so it passes again.
+                for &i in &live {
+                    verdicts[i] = Some(self.screen_one(&items[i].0, items[i].1, ae_only));
                 }
             }
         }
@@ -744,24 +497,66 @@ impl Soteria {
             .collect()
     }
 
-    /// Runs detector + classifier on pre-extracted features (the reuse
-    /// path).
-    pub fn analyze_features(&mut self, features: &SampleFeatures) -> Verdict {
-        let re = self.detector.reconstruction_error(features.combined());
-        if re > self.detector.stats().threshold() {
-            soteria_telemetry::counter("pipeline.verdicts.adversarial", 1);
-            return Verdict::Adversarial {
-                reconstruction_error: re,
-            };
-        }
-        let report = self.classifier.classify(features);
-        soteria_telemetry::counter("pipeline.verdicts.clean", 1);
-        Verdict::Clean {
-            family: report.voted_label,
-            reconstruction_error: re,
-            report,
-        }
+    /// The per-sample screen: chaos gate, detector, and (unless `ae_only`)
+    /// classifier, each forward pass over this sample alone. A panic
+    /// (organic or chaos-injected) degrades this sample only.
+    fn screen_one(&mut self, features: &SampleFeatures, key: u64, ae_only: bool) -> Verdict {
+        let result = soteria_resilience::isolate(AssertUnwindSafe(|| {
+            soteria_resilience::chaos_point("pipeline.screen", key);
+            let re = self.detector.reconstruction_error(features.combined());
+            let threshold = self.detector.stats().threshold();
+            detector_verdict(re, threshold, ae_only)
+                .unwrap_or_else(|| classified(re, self.classifier.classify(features)))
+        }));
+        result.unwrap_or_else(degraded)
     }
+}
+
+/// The verdict the detector alone settles: `Adversarial` above the
+/// threshold, the brownout shed when `ae_only`, and `None` when the sample
+/// goes on to the classifier.
+fn detector_verdict(re: f64, threshold: f64, ae_only: bool) -> Option<Verdict> {
+    if re > threshold {
+        soteria_telemetry::counter("pipeline.verdicts.adversarial", 1);
+        Some(Verdict::Adversarial {
+            reconstruction_error: re,
+        })
+    } else if ae_only {
+        Some(degraded(FaultKind::Overload {
+            tier: "ae-only".to_owned(),
+        }))
+    } else {
+        None
+    }
+}
+
+/// A sample that passed the detector, with its classifier report.
+fn classified(re: f64, report: ClassifierReport) -> Verdict {
+    soteria_telemetry::counter("pipeline.verdicts.clean", 1);
+    Verdict::Clean {
+        family: report.voted_label,
+        reconstruction_error: re,
+        report,
+    }
+}
+
+/// The front half of screening one serialized binary: parse → lift →
+/// [`FeatureExtractor::try_extract`], all inside one isolation boundary,
+/// so a malformed container, undecodable reachable code, a guard trip or
+/// a stage panic comes back as this sample's `Err(FaultKind)` and never
+/// unwinds into the caller. The sequential reference, the batch path and
+/// the screening service's workers all extract through it.
+pub fn extract_binary(
+    extractor: &FeatureExtractor,
+    bytes: &[u8],
+    seed: u64,
+    guards: &ResourceGuards,
+) -> Result<SampleFeatures, FaultKind> {
+    soteria_resilience::isolate(AssertUnwindSafe(|| {
+        let binary = soteria_corpus::Binary::parse(bytes).map_err(FaultKind::from)?;
+        let lifted = soteria_corpus::disasm::lift(&binary).map_err(FaultKind::from)?;
+        extractor.try_extract(&lifted.cfg, seed, guards)
+    }))?
 }
 
 #[cfg(test)]
@@ -781,6 +576,40 @@ mod tests {
         let soteria =
             Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, 5).expect("train");
         (soteria, corpus, split.test)
+    }
+
+    /// The large benign GEA target.
+    fn gea_target(corpus: &Corpus) -> &soteria_corpus::corpus::Sample {
+        let selection = TargetSelection::select(corpus);
+        let target = selection
+            .target(Family::Benign, soteria_gea::SizeClass::Large)
+            .unwrap();
+        selection.sample(corpus, target)
+    }
+
+    /// Features of three clean test samples and of GEA merges of three
+    /// malicious ones, so both detector outcomes appear in one batch.
+    fn mixed_features(
+        soteria: &Soteria,
+        corpus: &Corpus,
+        test: &[usize],
+    ) -> Vec<(SampleFeatures, u64)> {
+        let target = gea_target(corpus);
+        let mut items: Vec<(SampleFeatures, u64)> = Vec::new();
+        for &i in test.iter().take(3) {
+            let seed = 900 + i as u64;
+            items.push((soteria.features(corpus.samples()[i].graph(), seed), seed));
+        }
+        for &i in test
+            .iter()
+            .filter(|&&i| corpus.samples()[i].family() != Family::Benign)
+            .take(3)
+        {
+            let seed = 1900 + i as u64;
+            let merged = gea_merge(&corpus.samples()[i], target).unwrap();
+            items.push((soteria.features(merged.sample().graph(), seed), seed));
+        }
+        items
     }
 
     #[test]
@@ -804,13 +633,7 @@ mod tests {
     #[test]
     fn gea_examples_are_flagged_more_often_than_clean() {
         let (mut soteria, corpus, test) = trained();
-        let selection = TargetSelection::select(&corpus);
-        let target = selection.sample(
-            &corpus,
-            selection
-                .target(Family::Benign, soteria_gea::SizeClass::Large)
-                .unwrap(),
-        );
+        let target = gea_target(&corpus);
         let mut flagged_ae = 0;
         let mut flagged_clean = 0;
         let mut n_ae = 0;
@@ -839,28 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn analyze_graphs_seeded_matches_per_sample_analyze() {
-        let (mut soteria, corpus, test) = trained();
-        // Arbitrary, non-consecutive seeds — the crafted-sample screening
-        // path uses harness-derived seeds, not an offset scheme.
-        let items: Vec<(&Cfg, u64)> = test
-            .iter()
-            .map(|&i| {
-                (
-                    corpus.samples()[i].graph(),
-                    (i as u64).wrapping_mul(0x9e37) ^ 0xA77,
-                )
-            })
-            .collect();
-        let sequential: Vec<Verdict> = items
-            .iter()
-            .map(|&(cfg, seed)| soteria.analyze(cfg, seed))
-            .collect();
-        let batched = soteria.analyze_graphs_seeded(&items);
-        assert_eq!(batched, sequential);
-    }
-
-    #[test]
     fn clean_verdicts_carry_reports() {
         let (mut soteria, corpus, test) = trained();
         for &i in &test {
@@ -879,29 +680,7 @@ mod tests {
     }
 
     #[test]
-    fn analyze_batch_runs_every_graph() {
-        let (mut soteria, corpus, test) = trained();
-        let graphs: Vec<&soteria_cfg::Cfg> =
-            test.iter().map(|&i| corpus.samples()[i].graph()).collect();
-        let verdicts = soteria.analyze_batch(&graphs, 99);
-        assert_eq!(verdicts.len(), graphs.len());
-        // Most clean samples pass (same invariant as the per-sample path).
-        let passed = verdicts.iter().filter(|v| !v.is_adversarial()).count();
-        assert!(passed * 10 >= verdicts.len() * 5);
-    }
-
-    #[test]
-    fn feature_reuse_path_matches_analyze() {
-        let (mut soteria, corpus, test) = trained();
-        let g = corpus.samples()[test[0]].graph();
-        let features = soteria.features(g, 7);
-        let a = soteria.analyze_features(&features);
-        let b = soteria.analyze(g, 7);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn train_and_analyze_metrics_cover_all_stages() {
+    fn train_metrics_cover_all_stages() {
         let corpus = Corpus::generate(&CorpusConfig {
             counts: [8, 8, 8, 8],
             seed: 77,
@@ -909,7 +688,7 @@ mod tests {
             lineages: 3,
         });
         let split = corpus.split(0.75, 1);
-        let (mut soteria, train_metrics) =
+        let (_, train_metrics) =
             Soteria::train_with_metrics(&SoteriaConfig::tiny(), &corpus, &split.train, 5)
                 .expect("train");
         assert_eq!(train_metrics.samples, split.train.len());
@@ -919,36 +698,33 @@ mod tests {
                 "missing stage {stage}"
             );
         }
+        assert!(train_metrics.stage_ms("no_such_stage").is_none());
         // Stages nest inside the run, so their sum cannot exceed it.
         let stage_sum: f64 = train_metrics.stages.iter().map(|s| s.ms).sum();
         assert!(stage_sum <= train_metrics.total_ms + 1.0);
         assert!(train_metrics.samples_per_sec() > 0.0);
-
-        let graphs: Vec<&Cfg> = split
-            .test
-            .iter()
-            .map(|&i| corpus.samples()[i].graph())
-            .collect();
-        let (verdicts, analyze_metrics) = soteria.analyze_batch_with_metrics(&graphs, 3);
-        assert_eq!(verdicts.len(), graphs.len());
-        assert_eq!(analyze_metrics.samples, graphs.len());
-        assert!(analyze_metrics.stage_ms("extract").is_some());
-        assert!(analyze_metrics.stage_ms("screen").is_some());
-        assert!(analyze_metrics.stage_ms("no_such_stage").is_none());
     }
 
     #[test]
     fn verdicts_are_identical_with_telemetry_on_and_off() {
         // Telemetry must be purely observational: toggling it cannot
-        // change a single verdict bit. Train once, then compare full
-        // analyze_batch output under both settings.
+        // change a single verdict bit. Train once, then compare the batch
+        // path's output under both settings.
         let (mut soteria, corpus, test) = trained();
-        let graphs: Vec<&Cfg> = test.iter().map(|&i| corpus.samples()[i].graph()).collect();
+        let binaries: Vec<Vec<u8>> = test
+            .iter()
+            .map(|&i| corpus.samples()[i].binary().to_bytes())
+            .collect();
+        let items: Vec<(&[u8], u64)> = binaries
+            .iter()
+            .enumerate()
+            .map(|(i, b)| (b.as_slice(), 42 + i as u64))
+            .collect();
         let was_enabled = soteria_telemetry::enabled();
         soteria_telemetry::set_enabled(true);
-        let with_telemetry = soteria.analyze_batch(&graphs, 42);
+        let with_telemetry = soteria.screen_many_seeded(&items);
         soteria_telemetry::set_enabled(false);
-        let without_telemetry = soteria.analyze_batch(&graphs, 42);
+        let without_telemetry = soteria.screen_many_seeded(&items);
         soteria_telemetry::set_enabled(was_enabled);
         assert_eq!(with_telemetry, without_telemetry);
     }
@@ -981,104 +757,16 @@ mod tests {
     }
 
     #[test]
-    fn screen_many_is_bit_identical_to_sequential_screen_binary() {
-        let (mut soteria, corpus, test) = trained();
-        let mut binaries: Vec<Vec<u8>> = test
-            .iter()
-            .take(6)
-            .map(|&i| corpus.samples()[i].binary().to_bytes())
-            .collect();
-        // A malformed sample in the middle must degrade alone.
-        binaries.insert(3, vec![0xA5u8; 64]);
-        let refs: Vec<&[u8]> = binaries.iter().map(Vec::as_slice).collect();
-        let batched = soteria.screen_many(&refs, 41);
-        let sequential: Vec<Verdict> = refs
-            .iter()
-            .enumerate()
-            .map(|(i, bytes)| soteria.screen_binary(bytes, 41u64.wrapping_add(i as u64)))
-            .collect();
-        assert_eq!(batched, sequential);
-        assert!(batched[3].is_degraded());
-        assert!(batched.iter().filter(|v| !v.is_degraded()).count() >= 4);
-    }
-
-    #[test]
-    fn seeded_batch_screening_matches_one_by_one_extraction() {
-        // Batch extraction (worker-pool fan-out, fast path) vs one-by-one
-        // screening with the same explicit per-item seeds: verdicts — and
-        // therefore the underlying feature vectors — must be bit-identical
-        // through `screen_many_seeded`, including non-consecutive seeds the
-        // `screen_many` wrapper would never produce.
-        let (mut soteria, corpus, test) = trained();
-        let binaries: Vec<Vec<u8>> = test
-            .iter()
-            .take(5)
-            .map(|&i| corpus.samples()[i].binary().to_bytes())
-            .collect();
-        let items: Vec<(&[u8], u64)> = binaries
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (b.as_slice(), 0xC0FF_EE00 ^ (i as u64).wrapping_mul(0x9E37)))
-            .collect();
-        let batched = soteria.screen_many_seeded(&items);
-        let sequential: Vec<Verdict> = items
-            .iter()
-            .map(|(bytes, seed)| soteria.screen_binary(bytes, *seed))
-            .collect();
-        assert_eq!(batched, sequential);
-        assert!(batched.iter().all(|v| !v.is_degraded()));
-    }
-
-    #[test]
-    fn screen_features_batch_matches_per_sample_screen() {
-        let (mut soteria, corpus, test) = trained();
-        let items: Vec<(soteria_features::SampleFeatures, u64)> = test
-            .iter()
-            .take(5)
-            .map(|&i| {
-                let seed = 300 + i as u64;
-                (soteria.features(corpus.samples()[i].graph(), seed), seed)
-            })
-            .collect();
-        let batched = soteria.screen_features_batch(&items);
-        for ((features, key), batched_verdict) in items.iter().zip(&batched) {
-            let single = soteria.screen_isolated(features, *key);
-            assert_eq!(*batched_verdict, single);
-        }
-    }
-
-    #[test]
     fn ae_only_tier_is_bit_identical_where_it_answers() {
         let (mut soteria, corpus, test) = trained();
-        // Mix clean test samples with GEA-merged ones so both detector
-        // outcomes appear in one batch.
-        let selection = TargetSelection::select(&corpus);
-        let target = selection.sample(
-            &corpus,
-            selection
-                .target(Family::Benign, soteria_gea::SizeClass::Large)
-                .unwrap(),
-        );
-        let malicious: Vec<usize> = test
-            .iter()
-            .copied()
-            .filter(|&i| corpus.samples()[i].family() != Family::Benign)
-            .take(3)
-            .collect();
-        let mut items: Vec<(soteria_features::SampleFeatures, u64)> = Vec::new();
-        for &i in test.iter().take(3) {
-            let seed = 900 + i as u64;
-            items.push((soteria.features(corpus.samples()[i].graph(), seed), seed));
-        }
-        for &i in &malicious {
-            let seed = 1900 + i as u64;
-            let merged = gea_merge(&corpus.samples()[i], target).unwrap();
-            items.push((soteria.features(merged.sample().graph(), seed), seed));
-        }
+        let items = mixed_features(&soteria, &corpus, &test);
         let full = soteria.screen_features_batch(&items);
         let ae_only = soteria.screen_features_batch_ae_only(&items);
         let mut flagged = 0;
-        for (f, a) in full.iter().zip(&ae_only) {
+        for ((f, a), (features, key)) in full.iter().zip(&ae_only).zip(&items) {
+            // Each tier's batch matches its per-sample screen.
+            assert_eq!(*f, soteria.screen_one(features, *key, false));
+            assert_eq!(*a, soteria.screen_one(features, *key, true));
             match a {
                 Verdict::Adversarial { .. } => {
                     // Where the detector answers, the fast tier must be
@@ -1100,9 +788,42 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_in_the_batched_math_degrades_only_its_sample() {
+        let (mut soteria, corpus, test) = trained();
+        let mut items = mixed_features(&soteria, &corpus, &test);
+        let expected_full = soteria.screen_features_batch(&items);
+        let expected_ae_only = soteria.screen_features_batch_ae_only(&items);
+        // Features from an extractor of another width make the stacked
+        // detector pass panic on ragged rows, and the per-sample pass on
+        // the detector's input width.
+        let graphs: Vec<&Cfg> = test.iter().map(|&i| corpus.samples()[i].graph()).collect();
+        let other = FeatureExtractor::fit(&soteria_features::ExtractorConfig::small(), &graphs, 1);
+        assert_ne!(other.combined_dim(), soteria.extractor().combined_dim());
+        items.insert(2, (other.extract(graphs[0], 5), 5));
+        for ae_only in [false, true] {
+            let mut verdicts = if ae_only {
+                soteria.screen_features_batch_ae_only(&items)
+            } else {
+                soteria.screen_features_batch(&items)
+            };
+            let bad = verdicts.remove(2);
+            assert!(
+                matches!(bad.fault(), Some(FaultKind::Panic { .. })),
+                "mis-sized sample must degrade with a panic: {bad:?}"
+            );
+            let expected = if ae_only {
+                &expected_ae_only
+            } else {
+                &expected_full
+            };
+            assert_eq!(&verdicts, expected, "ae_only = {ae_only}");
+        }
+    }
+
+    #[test]
     fn empty_batches_screen_to_empty() {
         let (mut soteria, _, _) = trained();
-        assert!(soteria.screen_many(&[], 0).is_empty());
+        assert!(soteria.screen_many_seeded(&[]).is_empty());
         assert!(soteria.screen_features_batch(&[]).is_empty());
         assert!(soteria.screen_features_batch_ae_only(&[]).is_empty());
     }

@@ -46,7 +46,9 @@
 //! `BENCH_pipeline.json`.
 
 use serde::{Deserialize, Serialize};
-use soteria::{PipelineMetrics, Soteria, SoteriaConfig, SoteriaState, StateImage, Verdict};
+use soteria::{
+    PipelineMetrics, Soteria, SoteriaConfig, SoteriaState, StageTime, StateImage, Verdict,
+};
 use soteria_cfg::Cfg;
 use soteria_corpus::{Corpus, CorpusConfig};
 use soteria_eval::experiments::{self, ALL_EXPERIMENTS, PAPER_EXPERIMENTS};
@@ -197,19 +199,36 @@ fn run_bench(argv: &[String]) -> Result<(), String> {
     let (mut system, train) =
         Soteria::train_with_metrics(&SoteriaConfig::tiny(), &corpus, &split.train, seed)
             .map_err(|e| format!("bench training failed: {e}"))?;
-    let graphs: Vec<&Cfg> = split
+    // The analyze half is one batch-path call over the test split's bytes,
+    // timed as a single stage; e2e_bench's traced ledger splits it by layer.
+    let binaries: Vec<Vec<u8>> = split
         .test
         .iter()
-        .map(|&i| corpus.samples()[i].graph())
+        .map(|&i| corpus.samples()[i].binary().to_bytes())
         .collect();
-    let (verdicts, analyze) = system.analyze_batch_with_metrics(&graphs, seed ^ 0xBE7C);
+    let items: Vec<(&[u8], u64)> = binaries
+        .iter()
+        .enumerate()
+        .map(|(i, b)| (b.as_slice(), (seed ^ 0xBE7C).wrapping_add(i as u64)))
+        .collect();
+    let start = std::time::Instant::now();
+    let verdicts = system.screen_many_seeded(&items);
+    let ms = start.elapsed().as_secs_f64() * 1e3;
+    let analyze = PipelineMetrics {
+        samples: items.len(),
+        stages: vec![StageTime {
+            name: "screen_many_seeded".to_owned(),
+            ms,
+        }],
+        total_ms: ms,
+    };
     let adversarial = verdicts.iter().filter(|v| v.is_adversarial()).count();
 
     let report = BenchReport {
         seed,
         corpus_scale: scale,
         train_samples: split.train.len(),
-        analyze_samples: graphs.len(),
+        analyze_samples: items.len(),
         train_samples_per_sec: train.samples_per_sec(),
         analyze_samples_per_sec: analyze.samples_per_sec(),
         verdicts_adversarial: adversarial,
@@ -988,12 +1007,19 @@ fn run_robustness_bench(argv: &[String]) -> Result<(), String> {
             ));
         }
 
-        let items: Vec<(&Cfg, u64)> = crafted
+        // Screen the crafted executables' bytes through the production
+        // batch path; validate() above already pinned that each re-lifts
+        // to exactly its crafted graph.
+        let binaries: Vec<Vec<u8>> = crafted
+            .iter()
+            .map(|c| c.sample().binary().to_bytes())
+            .collect();
+        let items: Vec<(&[u8], u64)> = binaries
             .iter()
             .enumerate()
-            .map(|(i, c)| (c.sample().graph(), batch_seed(master, i as u64)))
+            .map(|(i, b)| (b.as_slice(), batch_seed(master, i as u64)))
             .collect();
-        let verdicts = soteria.analyze_graphs_seeded(&items);
+        let verdicts = soteria.screen_many_seeded(&items);
         let detected = verdicts.iter().filter(|v| v.is_adversarial()).count();
         let degraded = verdicts.iter().filter(|v| v.is_degraded()).count();
         let evaded = verdicts.len() - detected - degraded;
@@ -3015,7 +3041,7 @@ mod tests {
             "train_samples_per_sec",
             "analyze_samples_per_sec",
             "\"extract\"",
-            "\"screen\"",
+            "\"screen_many_seeded\"",
             "\"classifier\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");

@@ -209,52 +209,19 @@ impl FeatureExtractor {
 
     /// Walks every training sample and returns its merged DBL/LBL gram
     /// bags, in input order. Samples fan out over the shared worker pool
-    /// (per-sample derived seeds and order-preserving slots keep the result
+    /// when it is warm (per-sample derived seeds keep the result
     /// independent of scheduling).
     fn train_documents<B: Borrow<Cfg> + Sync>(
         config: &ExtractorConfig,
         train: &[B],
         seed: u64,
     ) -> (Vec<GramCounts>, Vec<GramCounts>) {
-        let n = train.len();
-        let mut slots: Vec<Option<(GramCounts, GramCounts)>> = vec![None; n];
-        let jobs = (soteria_pool::pool_threads() + 1).min(n.max(1));
-        if jobs <= 1 {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                let (d, l) =
-                    Self::both_grams(config, train[i].borrow(), derive_seed(seed, i as u64));
-                *slot = Some((d.merged, l.merged));
-            }
-        } else {
-            let per = n.div_ceil(jobs);
-            let tasks: Vec<soteria_pool::ScopedTask<'_>> = slots
-                .chunks_mut(per)
-                .enumerate()
-                .map(|(t, chunk)| {
-                    Box::new(move || {
-                        let _worker = soteria_telemetry::span("features.fit.worker");
-                        for (j, slot) in chunk.iter_mut().enumerate() {
-                            let i = t * per + j;
-                            let (d, l) = Self::both_grams(
-                                config,
-                                train[i].borrow(),
-                                derive_seed(seed, i as u64),
-                            );
-                            *slot = Some((d.merged, l.merged));
-                        }
-                    }) as soteria_pool::ScopedTask<'_>
-                })
-                .collect();
-            soteria_pool::run_scoped(tasks);
-        }
-        let mut dbl_docs = Vec::with_capacity(n);
-        let mut lbl_docs = Vec::with_capacity(n);
-        for slot in slots {
-            let (d, l) = slot.expect("every training sample walked");
-            dbl_docs.push(d);
-            lbl_docs.push(l);
-        }
-        (dbl_docs, lbl_docs)
+        soteria_pool::map(train, |i, graph| {
+            let (d, l) = Self::both_grams(config, graph.borrow(), derive_seed(seed, i as u64));
+            (d.merged, l.merged)
+        })
+        .into_iter()
+        .unzip()
     }
 
     /// Rebuilds a fitted extractor from its configuration and fitted
@@ -438,53 +405,18 @@ impl FeatureExtractor {
             return Vec::new();
         }
         soteria_pool::warm();
-        let jobs = (soteria_pool::pool_threads() + 1).min(graphs.len());
-        let mut out: Vec<Option<Result<SampleFeatures, FaultKind>>> = vec![None; graphs.len()];
-        let run_one = |i: usize, slot: &mut Option<Result<SampleFeatures, FaultKind>>| {
+        soteria_pool::map(graphs, |i, graph| {
             // try_extract already confines faults per sample; this outer
-            // net only catches panics from the dispatch plumbing itself, so
-            // one bad sample can never poison its chunk-mates.
-            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                self.try_extract(graphs[i].borrow(), derive_seed(seed, i as u64), guards)
-            }));
-            *slot = Some(caught.unwrap_or_else(|payload| {
+            // net turns a panic outside its isolation into this sample's
+            // fault, where `map` would re-raise it for the whole batch.
+            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                self.try_extract(graph.borrow(), derive_seed(seed, i as u64), guards)
+            }))
+            .unwrap_or_else(|payload| {
                 soteria_telemetry::counter("features.extract_batch.worker_deaths", 1);
                 Err(FaultKind::from_panic(payload))
-            }));
-        };
-        if jobs <= 1 {
-            for (i, slot) in out.iter_mut().enumerate() {
-                run_one(i, slot);
-            }
-        } else {
-            let chunk = graphs.len().div_ceil(jobs);
-            let run_one = &run_one;
-            let tasks: Vec<soteria_pool::ScopedTask<'_>> = out
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(t, slot_chunk)| {
-                    let start = t * chunk;
-                    Box::new(move || {
-                        // Per-worker span: the spread between workers shows
-                        // chunking imbalance in the summary table.
-                        let _worker = soteria_telemetry::span("features.extract_batch.worker");
-                        for (j, slot) in slot_chunk.iter_mut().enumerate() {
-                            run_one(start + j, slot);
-                        }
-                    }) as soteria_pool::ScopedTask<'_>
-                })
-                .collect();
-            soteria_pool::run_scoped(tasks);
-        }
-        out.into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    Err(FaultKind::Panic {
-                        message: "extraction worker died before reaching this sample".to_owned(),
-                    })
-                })
             })
-            .collect()
+        })
     }
 }
 

@@ -29,7 +29,7 @@
 //! deadlock-free by construction.
 
 pub use soteria_pool::{
-    chunk_rows, effective_threads, ensure_threads, pool_threads, run_scoped, warm, ScopedTask,
+    chunk_rows, effective_threads, ensure_threads, map, pool_threads, run_scoped, warm, ScopedTask,
 };
 
 use crate::simd;

@@ -11,11 +11,12 @@
 //! # Determinism contract
 //!
 //! The pool itself never touches data — callers submit borrowed closures
-//! through [`run_scoped`] and are responsible for partitioning work over
-//! *output* units only (rows, samples, walks), never over a reduction
-//! axis. Under that discipline, results are bit-identical across 1..N
-//! worker threads because each output element is owned by exactly one
-//! task. See the determinism contract in DESIGN.md.
+//! through [`run_scoped`] (or fan samples out through [`map`]) and are
+//! responsible for partitioning work over *output* units only (rows,
+//! samples, walks), never over a reduction axis. Under that discipline,
+//! results are bit-identical across 1..N worker threads because each
+//! output element is owned by exactly one task. See the determinism
+//! contract in DESIGN.md.
 //!
 //! # Scheduling
 //!
@@ -288,6 +289,55 @@ pub fn chunk_rows(rows: usize, jobs: usize) -> usize {
     rows.div_ceil(jobs.max(1))
 }
 
+/// Applies `f(index, item)` to every item, in parallel on the pool, and
+/// returns the results in input order — the per-sample fan-out every
+/// batch path in the workspace uses.
+///
+/// The items are split into contiguous chunks over `pool_threads() + 1`
+/// threads, the calling thread running one of them. The pool is not
+/// warmed here: without workers (or with a single item) everything runs
+/// inline on the caller. Each item owns its output slot, so results are
+/// bit-identical at any pool size.
+///
+/// # Panics
+///
+/// If `f` panics on an item, the remaining items still run; the panic of
+/// the lowest-indexed failing item is re-raised once every item has run.
+pub fn map<T, R, F>(items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    if items.is_empty() {
+        return Vec::new();
+    }
+    let chunk = chunk_rows(items.len(), pool_threads() + 1);
+    let mut slots: Vec<Option<std::thread::Result<R>>> = Vec::new();
+    slots.resize_with(items.len(), || None);
+    let f = &f;
+    let tasks: Vec<ScopedTask<'_>> = items
+        .chunks(chunk)
+        .zip(slots.chunks_mut(chunk))
+        .enumerate()
+        .map(|(t, (item_chunk, slot_chunk))| {
+            Box::new(move || {
+                for (j, (item, slot)) in item_chunk.iter().zip(slot_chunk).enumerate() {
+                    *slot = Some(catch_unwind(AssertUnwindSafe(|| f(t * chunk + j, item))));
+                }
+            }) as ScopedTask<'_>
+        })
+        .collect();
+    run_scoped(tasks);
+    slots
+        .into_iter()
+        .map(|slot| match slot.expect("every chunk fills its slots") {
+            Ok(r) => r,
+            Err(payload) => resume_unwind(payload),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,6 +398,26 @@ mod tests {
             .collect();
         run_scoped(outer);
         assert_eq!(total.load(Ordering::SeqCst), 16);
+    }
+
+    #[test]
+    fn map_reraises_a_panic_only_after_every_item_ran() {
+        ensure_threads(2);
+        let ran = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..12).collect();
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            map(&items, |i, _| {
+                if i == 1 || i == 7 {
+                    panic!("item {i} boom");
+                }
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
+        }))
+        .unwrap_err();
+        // Item 1's chunk-mates after it still ran, and the lowest-indexed
+        // panic is the one re-raised.
+        assert_eq!(ran.load(Ordering::SeqCst), 10);
+        assert_eq!(err.downcast_ref::<String>().unwrap(), "item 1 boom");
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! 2. **AE-only brownout** — under pressure, the request is admitted but
 //!    screened by the detector alone. Detector-flagged samples get the
 //!    *bit-identical* `Adversarial` verdict the full path would produce
-//!    (the classifier is never consulted past the detector — see
-//!    `Soteria::screen_features_batch_ae_only`); detector-passed samples
-//!    degrade with `FaultKind::Overload` instead of queueing behind the
-//!    heavy classifier.
+//!    (both tiers run the same screen stage, and the brownout tier's
+//!    detector-only flag stops it where a flagged sample stops anyway —
+//!    see `Soteria::screen_features_batch_ae_only`); detector-passed
+//!    samples degrade with `FaultKind::Overload` instead of queueing
+//!    behind the heavy classifier.
 //! 3. **Reject** — a typed [`RejectReason`] plus a `retry_after` hint, so
 //!    callers can back off instead of hammering a saturated queue.
 //!

@@ -74,12 +74,12 @@
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, RejectReason};
 use crate::cache::{fnv1a64, CacheStats, VerdictCache};
 use crate::deadline::Deadline;
+use soteria::pipeline::extract_binary;
 use soteria::{Soteria, SoteriaState, StateError, Verdict};
 use soteria_features::{FeatureExtractor, SampleFeatures};
 use soteria_resilience::{FaultKind, ResourceGuards};
 use soteria_telemetry::TraceBuilder;
 use std::collections::{BTreeMap, VecDeque};
-use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
@@ -731,7 +731,14 @@ fn worker_loop(
             let slot = slot.lock().unwrap_or_else(|e| e.into_inner());
             (slot.0, Arc::clone(&slot.1))
         };
-        let features = extract_features(&extractor, guards, &job.bytes, job.seed);
+        // Serving-path chaos gate: lets the overload harness inject worker
+        // faults (and exercise the breaker) deterministically per content
+        // seed. A no-op unless chaos is armed.
+        let seed = job.seed;
+        let features = soteria_resilience::isolate(move || {
+            soteria_resilience::chaos_point("serve.extract", seed);
+        })
+        .and_then(|()| extract_binary(&extractor, &job.bytes, seed, guards));
         match &features {
             Ok(_) => admission.record_success(dequeued),
             Err(fault) => admission.record_fault(fault, Instant::now()),
@@ -787,30 +794,6 @@ fn resolve_expired(job: Job, now: Instant, shared: &SharedCounters, in_flight: &
     let _ = job.reply.send(Verdict::Degraded {
         reason: job.deadline.fault(now),
     });
-}
-
-/// Parse → lift → extract with every failure confined to the sample —
-/// exactly the front half of `Soteria::screen_binary`, so verdicts stay
-/// bit-identical to the sequential path.
-fn extract_features(
-    extractor: &FeatureExtractor,
-    guards: &ResourceGuards,
-    bytes: &[u8],
-    seed: u64,
-) -> Result<SampleFeatures, FaultKind> {
-    let lifted = soteria_resilience::isolate(AssertUnwindSafe(|| {
-        // Serving-path chaos gate: lets the overload harness inject
-        // worker faults (and exercise the breaker) deterministically per
-        // content seed. A no-op unless chaos is armed.
-        soteria_resilience::chaos_point("serve.extract", seed);
-        let binary = soteria_corpus::Binary::parse(bytes).map_err(FaultKind::from)?;
-        let lifted = soteria_corpus::disasm::lift(&binary).map_err(FaultKind::from)?;
-        Ok(lifted.cfg)
-    }));
-    match lifted {
-        Ok(Ok(cfg)) => extractor.try_extract(&cfg, seed, guards),
-        Ok(Err(fault)) | Err(fault) => Err(fault),
-    }
 }
 
 /// The batcher's view of the model fleet: one live model per epoch seen

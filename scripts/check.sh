@@ -13,6 +13,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# The end-to-end benchmark is a standalone package that builds the
+# workspace crates through path dependencies: building it and running its
+# tests catches a public-API break here rather than in a benchmark run,
+# and --locked fails if a crate's dependency list would rewrite its
+# lockfile.
+echo "==> cargo test --release --locked --manifest-path e2e_bench/Cargo.toml"
+cargo test --release --locked --manifest-path e2e_bench/Cargo.toml
+
 # Chaos smoke gate: corrupted binaries + injected faults through the full
 # serving path must yield a verdict per sample and zero process aborts,
 # then 500 artifact-aware corruptions of the trained model's v3 binary

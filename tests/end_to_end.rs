@@ -113,9 +113,9 @@ fn feature_reuse_between_detector_and_classifier() {
     let (mut soteria, corpus, test) = setup();
     let g = corpus.samples()[test[0]].graph();
     let features = soteria.features(g, 77);
-    let via_reuse = soteria.analyze_features(&features);
+    let via_reuse = soteria.screen_features_batch(&[(features, 77)]);
     let via_full = soteria.analyze(g, 77);
-    assert_eq!(via_reuse, via_full);
+    assert_eq!(via_reuse, [via_full]);
 }
 
 #[test]
