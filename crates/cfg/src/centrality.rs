@@ -19,7 +19,9 @@ use crate::block::BlockId;
 use crate::graph::Cfg;
 use crate::traversal;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+
+#[cfg(test)]
+mod reference;
 
 /// Per-node centrality values for a graph.
 ///
@@ -54,14 +56,113 @@ pub struct CentralityFactors {
 impl CentralityFactors {
     /// Computes betweenness and closeness for every node of `cfg`.
     ///
-    /// Runs Brandes' algorithm (with an absolute-count accumulator for the
-    /// paper's `Δ(v)/Δ(m)` ratio) in `O(V·E)` plus one BFS per node for
-    /// closeness.
+    /// One breadth-first search per source over the cached
+    /// [`Cfg::csr_adjacency`] yields both. The forward sweep counts
+    /// shortest paths `σ` (Brandes) and records each node's
+    /// shortest-path-DAG children; closeness comes from the same search's
+    /// integer distance sum; the dependency sweep then walks the recorded
+    /// children in reverse BFS order. `O(V·E)` time, with one set of
+    /// `O(V + E)` scratch buffers shared by every source.
+    ///
+    /// Every floating-point chain runs in the order of the plain two-pass
+    /// algorithm (BFS queue order, ascending neighbor order), so the values
+    /// are bit-identical to it even where path counts exceed 2^53 and each
+    /// addition rounds (DESIGN.md §5). If the path total overflows to
+    /// infinity (about 1024 or more if/else diamonds in series),
+    /// betweenness is all zeros and the factor falls back to closeness,
+    /// which is always finite.
     pub fn compute(cfg: &Cfg) -> Self {
         let _span = soteria_telemetry::span("cfg.centrality");
+        let adj = cfg.csr_adjacency();
+        let n = adj.node_count();
+        let mut betweenness = vec![0.0f64; n];
+        let mut closeness = vec![0.0f64; n];
+        let mut total_paths = 0.0f64;
+
+        // Scratch shared by every source. `order[..reached]` is the BFS
+        // queue and, once drained, the visit order; the DAG children of
+        // `order[i]` are `kids[kid_end[i - 1]..kid_end[i]]`, in ascending
+        // index order. A source records at most one child per adjacency
+        // entry. Only `dist` needs resetting: `sigma` is zeroed when a node
+        // is discovered and `p` is written before it is read.
+        let entries = (0..n).map(|v| adj.degree(v)).sum();
+        let mut dist = vec![UNSEEN; n];
+        let mut sigma = vec![0.0f64; n];
+        let mut p = vec![0.0f64; n];
+        let mut order = vec![0u32; n];
+        let mut kid_end = vec![0usize; n];
+        let mut kids = vec![0u32; entries];
+        let mut reached = 0;
+
+        for s in 0..n {
+            for &v in &order[..reached] {
+                dist[v as usize] = UNSEEN;
+            }
+            dist[s] = 0;
+            sigma[s] = 1.0;
+            order[0] = s as u32;
+            reached = 1;
+            let mut nkids = 0;
+            let mut dist_sum = 0u64;
+            let mut head = 0;
+            while head < reached {
+                let v = order[head] as usize;
+                // Every DAG parent of v was dequeued before it, so sigma[v]
+                // is final here.
+                let sv = sigma[v];
+                if head > 0 {
+                    total_paths += sv;
+                }
+                let next = dist[v] + 1;
+                for &w in adj.neighbors(v) {
+                    let wi = w as usize;
+                    if dist[wi] == UNSEEN {
+                        dist[wi] = next;
+                        sigma[wi] = 0.0;
+                        dist_sum += u64::from(next);
+                        order[reached] = w;
+                        reached += 1;
+                    }
+                    if dist[wi] == next {
+                        sigma[wi] += sv;
+                        kids[nkids] = w;
+                        nkids += 1;
+                    }
+                }
+                kid_end[head] = nkids;
+                head += 1;
+            }
+
+            // p[v] = number of DAG paths from v to any node strictly below
+            // it. Each of the sigma[v] paths reaching v from s extends into
+            // p[v] of them, every one a shortest s->t path with v interior.
+            for i in (1..reached).rev() {
+                let v = order[i] as usize;
+                let mut pv = 0.0f64;
+                for &w in &kids[kid_end[i - 1]..kid_end[i]] {
+                    pv += 1.0 + p[w as usize];
+                }
+                p[v] = pv;
+                betweenness[v] += sigma[v] * pv;
+            }
+
+            // Wasserman–Faust closeness over the nodes s reaches.
+            if dist_sum > 0 {
+                let r = (reached - 1) as f64;
+                closeness[s] = (r / (n as f64 - 1.0)) * (r / dist_sum as f64);
+            }
+        }
+
+        if !total_paths.is_finite() {
+            betweenness.fill(0.0);
+        } else if total_paths > 0.0 {
+            for b in &mut betweenness {
+                *b /= total_paths;
+            }
+        }
         CentralityFactors {
-            betweenness: betweenness_ratio(cfg),
-            closeness: closeness(cfg),
+            betweenness,
+            closeness,
         }
     }
 
@@ -91,109 +192,8 @@ impl CentralityFactors {
     }
 }
 
-/// The paper's betweenness: for each node `v`, the number of shortest paths
-/// between ordered pairs `(s, t)` with `s ≠ v ≠ t` that pass through `v`,
-/// divided by the total number of shortest paths between all ordered pairs
-/// `(s, t)`, `s ≠ t` — all over the undirected view of the graph.
-///
-/// Returns all zeros for graphs with fewer than 3 nodes (no interior nodes
-/// possible) or no paths.
-pub fn betweenness_ratio(cfg: &Cfg) -> Vec<f64> {
-    let n = cfg.node_count();
-    let adj = cfg.undirected_adjacency();
-    let mut through = vec![0.0f64; n];
-    let mut total_paths = 0.0f64;
-
-    // Scratch buffers reused across sources.
-    let mut dist: Vec<i64> = vec![-1; n];
-    let mut sigma: Vec<f64> = vec![0.0; n];
-    let mut order: Vec<BlockId> = Vec::with_capacity(n);
-
-    for s in cfg.block_ids() {
-        dist.fill(-1);
-        sigma.fill(0.0);
-        order.clear();
-
-        dist[s.index()] = 0;
-        sigma[s.index()] = 1.0;
-        let mut queue = VecDeque::new();
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            let dv = dist[v.index()];
-            for &w in &adj[v.index()] {
-                if dist[w.index()] < 0 {
-                    dist[w.index()] = dv + 1;
-                    queue.push_back(w);
-                }
-                if dist[w.index()] == dv + 1 {
-                    sigma[w.index()] += sigma[v.index()];
-                }
-            }
-        }
-
-        // P(v) = total number of shortest-path-DAG paths from v to any node
-        // strictly below it; reverse BFS order is a reverse topological
-        // order of the DAG.
-        let mut p = vec![0.0f64; n];
-        for &v in order.iter().rev() {
-            let dv = dist[v.index()];
-            for &w in &adj[v.index()] {
-                if dist[w.index()] == dv + 1 {
-                    p[v.index()] += 1.0 + p[w.index()];
-                }
-            }
-        }
-
-        for &v in &order {
-            if v != s {
-                // sigma[v] shortest paths reach v from s; each extends into
-                // p[v] suffix paths, every one a shortest s->t path with v
-                // interior (t is strictly below v, so t != v and t != s).
-                through[v.index()] += sigma[v.index()] * p[v.index()];
-                total_paths += sigma[v.index()];
-            }
-        }
-    }
-
-    if total_paths > 0.0 {
-        for t in &mut through {
-            *t /= total_paths;
-        }
-    }
-    through
-}
-
-/// Normalized closeness centrality over the undirected view, with the
-/// Wasserman–Faust correction for disconnected graphs:
-/// `C(v) = (r_v / (n-1)) · (r_v / Σ_u d(v, u))` where `r_v` is the number of
-/// nodes reachable from `v` (excluding `v`). Isolated nodes get 0.
-pub fn closeness(cfg: &Cfg) -> Vec<f64> {
-    let n = cfg.node_count();
-    let mut out = vec![0.0f64; n];
-    if n <= 1 {
-        return out;
-    }
-    let adj = cfg.undirected_adjacency();
-    for v in cfg.block_ids() {
-        let dist = traversal::bfs_adjacency(&adj, v);
-        let mut sum = 0usize;
-        let mut reach = 0usize;
-        for (u, d) in dist.iter().enumerate() {
-            if u != v.index() {
-                if let Some(d) = d {
-                    sum += d;
-                    reach += 1;
-                }
-            }
-        }
-        if sum > 0 {
-            let r = reach as f64;
-            out[v.index()] = (r / (n as f64 - 1.0)) * (r / sum as f64);
-        }
-    }
-    out
-}
+/// `dist` marker for a node the current search has not reached.
+const UNSEEN: u32 = u32::MAX;
 
 /// The literal quantity named in the paper's footnote: the average
 /// shortest-path distance from `v` to the nodes it can reach (undirected).
@@ -235,7 +235,7 @@ mod tests {
     #[test]
     fn path_midpoint_betweenness() {
         let (g, [a, m, c]) = path3();
-        let b = betweenness_ratio(&g);
+        let b = CentralityFactors::compute(&g).betweenness;
         // Ordered pairs and their shortest paths: (a,m) 1, (a,c) 1, (m,a) 1,
         // (m,c) 1, (c,a) 1, (c,m) 1 -> total 6. Through m: the 2 a<->c
         // paths. B(m) = 2/6.
@@ -256,7 +256,7 @@ mod tests {
             bld.add_edge(h, l).unwrap();
         }
         let g = bld.build(h).unwrap();
-        let b = betweenness_ratio(&g);
+        let b = CentralityFactors::compute(&g).betweenness;
         assert!((b[h.index()] - 12.0 / 20.0).abs() < 1e-12);
         for &l in &leaves {
             assert_eq!(b[l.index()], 0.0);
@@ -277,7 +277,7 @@ mod tests {
         bld.add_edge(x, b2).unwrap();
         bld.add_edge(y, b2).unwrap();
         let g = bld.build(a).unwrap();
-        let b = betweenness_ratio(&g);
+        let b = CentralityFactors::compute(&g).betweenness;
         // By symmetry x and y have equal betweenness.
         assert!((b[x.index()] - b[y.index()]).abs() < 1e-12);
         assert!(b[x.index()] > 0.0);
@@ -290,7 +290,7 @@ mod tests {
     #[test]
     fn closeness_is_higher_for_central_nodes() {
         let (g, [a, m, c]) = path3();
-        let cl = closeness(&g);
+        let cl = CentralityFactors::compute(&g).closeness;
         assert!(cl[m.index()] > cl[a.index()]);
         assert!((cl[a.index()] - cl[c.index()]).abs() < 1e-12);
         // m is at distance 1 from both others: C = (2/2)*(2/2) = 1.
@@ -305,7 +305,7 @@ mod tests {
         let e = b.add_block(0, 1);
         let _iso = b.add_block(1, 1);
         let g = b.build(e).unwrap();
-        let cl = closeness(&g);
+        let cl = CentralityFactors::compute(&g).closeness;
         assert_eq!(cl, vec![0.0, 0.0]);
     }
 
@@ -321,7 +321,7 @@ mod tests {
         b.add_edge(a, a2).unwrap();
         b.add_edge(c, c2).unwrap();
         let g = b.build(a).unwrap();
-        let cl = closeness(&g);
+        let cl = CentralityFactors::compute(&g).closeness;
         for v in cl {
             assert!((v - 1.0 / 3.0).abs() < 1e-12);
         }
@@ -358,5 +358,36 @@ mod tests {
         let cf = CentralityFactors::compute(&g);
         assert_eq!(cf.betweenness(e), 0.0);
         assert_eq!(cf.closeness(e), 0.0);
+    }
+
+    /// `k` if/else diamonds in series: `3k + 1` blocks and `2^k` shortest
+    /// paths from the first block to the last.
+    fn diamond_chain(k: usize) -> Cfg {
+        let mut b = CfgBuilder::new();
+        let entry = b.add_block(0, 1);
+        let mut top = entry;
+        for i in 0..k as u64 {
+            let then = b.add_block(3 * i + 1, 1);
+            let other = b.add_block(3 * i + 2, 1);
+            let join = b.add_block(3 * i + 3, 1);
+            for (f, t) in [(top, then), (top, other), (then, join), (other, join)] {
+                b.add_edge(f, t).unwrap();
+            }
+            top = join;
+        }
+        b.build(entry).unwrap()
+    }
+
+    #[test]
+    fn overflowing_path_total_falls_back_to_closeness() {
+        // 2^1100 paths end to end: sigma overflows to +inf, and inf * 0 and
+        // inf / inf would make every betweenness value NaN.
+        let g = diamond_chain(1100);
+        let cf = CentralityFactors::compute(&g);
+        assert!(cf.betweenness_values().iter().all(|&b| b == 0.0));
+        assert_eq!(cf.closeness_values(), reference::closeness(&g).as_slice());
+        for v in g.block_ids() {
+            assert!(cf.factor(v) > 0.0 && cf.factor(v) == cf.closeness(v));
+        }
     }
 }

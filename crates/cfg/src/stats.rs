@@ -7,7 +7,7 @@
 //! lengths, closeness centrality, betweenness centrality, and degree
 //! centrality.
 
-use crate::centrality;
+use crate::centrality::CentralityFactors;
 use crate::density;
 use crate::graph::Cfg;
 use crate::traversal;
@@ -116,8 +116,7 @@ impl GraphStats {
             }
         }
 
-        let closeness = centrality::closeness(cfg);
-        let betweenness = centrality::betweenness_ratio(cfg);
+        let centrality = CentralityFactors::compute(cfg);
         let degree: Vec<f64> = cfg
             .block_ids()
             .map(|v| {
@@ -134,8 +133,8 @@ impl GraphStats {
             edge_count: cfg.edge_count(),
             density: density::graph_density(cfg),
             shortest_paths: Summary::of(&path_lengths),
-            closeness: Summary::of(&closeness),
-            betweenness: Summary::of(&betweenness),
+            closeness: Summary::of(centrality.closeness_values()),
+            betweenness: Summary::of(centrality.betweenness_values()),
             degree_centrality: Summary::of(&degree),
         }
     }

@@ -83,25 +83,21 @@ pub fn dfs_preorder(cfg: &Cfg, start: BlockId) -> Vec<BlockId> {
 /// Single-source shortest path lengths over the *undirected* view of the
 /// graph. Returns `None` for nodes in other components.
 ///
-/// Used by closeness centrality and by the whole-graph statistics of the
-/// Alasmary baseline.
+/// Searches the graph's cached [`Cfg::csr_adjacency`], so one call per node
+/// (the whole-graph statistics of the Alasmary baseline) builds the
+/// adjacency once.
 pub fn undirected_distances(cfg: &Cfg, start: BlockId) -> Vec<Option<usize>> {
-    bfs_adjacency(&cfg.undirected_adjacency(), start)
-}
-
-/// BFS distances over a precomputed adjacency table (see
-/// [`Cfg::undirected_adjacency`]); callers running one BFS per node should
-/// build the table once and use this directly.
-pub fn bfs_adjacency(adj: &[Vec<BlockId>], start: BlockId) -> Vec<Option<usize>> {
-    let mut dist = vec![None; adj.len()];
+    let adj = cfg.csr_adjacency();
+    let mut dist = vec![None; adj.node_count()];
     let mut queue = VecDeque::new();
     dist[start.index()] = Some(0);
-    queue.push_back(start);
+    queue.push_back(start.index());
     while let Some(v) = queue.pop_front() {
-        let next = dist[v.index()].expect("queued node has a distance") + 1;
-        for &w in &adj[v.index()] {
-            if dist[w.index()].is_none() {
-                dist[w.index()] = Some(next);
+        let next = dist[v].expect("queued node has a distance") + 1;
+        for &w in adj.neighbors(v) {
+            let w = w as usize;
+            if dist[w].is_none() {
+                dist[w] = Some(next);
                 queue.push_back(w);
             }
         }

@@ -2,32 +2,13 @@
 
 use proptest::prelude::*;
 use soteria_cfg::{
-    centrality, density, dominators, traversal, BlockId, Cfg, CfgBuilder, GraphStats,
+    density, dominators, traversal, BlockId, CentralityFactors, Cfg, CfgBuilder, GraphStats,
 };
 
-/// Strategy: a random connected-ish digraph with `n` in 1..=max_nodes.
-/// Every non-entry node gets at least one incoming edge from an
-/// earlier-indexed node, guaranteeing reachability from the entry; extra
-/// random edges are sprinkled on top.
-fn arb_cfg(max_nodes: usize) -> impl Strategy<Value = Cfg> {
-    (1..=max_nodes).prop_flat_map(move |n| {
-        let backbone = proptest::collection::vec(0..n.max(1), n.saturating_sub(1));
-        let extras = proptest::collection::vec((0..n, 0..n), 0..n * 2);
-        (backbone, extras).prop_map(move |(backbone, extras)| {
-            let mut b = CfgBuilder::new();
-            let ids: Vec<BlockId> = (0..n).map(|i| b.add_block(i as u64 * 16, 1)).collect();
-            for (i, &src) in backbone.iter().enumerate() {
-                let to = ids[i + 1];
-                let from = ids[src.min(i)];
-                let _ = b.add_edge_idempotent(from, to);
-            }
-            for (f, t) in extras {
-                let _ = b.add_edge_idempotent(ids[f], ids[t]);
-            }
-            b.build(ids[0]).expect("non-empty graph builds")
-        })
-    })
-}
+#[path = "support/arb_cfg.rs"]
+mod arb_cfg;
+
+use arb_cfg::arb_cfg;
 
 proptest! {
     #[test]
@@ -61,8 +42,7 @@ proptest! {
         // Each value in [0, 1]; the sum over nodes cannot exceed the longest
         // possible interior count... but at minimum, sum <= n (each path has
         // < n interior nodes). Check range and finiteness.
-        let b = centrality::betweenness_ratio(&g);
-        for v in b {
+        for &v in CentralityFactors::compute(&g).betweenness_values() {
             prop_assert!(v.is_finite());
             prop_assert!(v >= 0.0);
         }
@@ -70,7 +50,7 @@ proptest! {
 
     #[test]
     fn closeness_in_unit_interval(g in arb_cfg(20)) {
-        for c in centrality::closeness(&g) {
+        for &c in CentralityFactors::compute(&g).closeness_values() {
             prop_assert!((0.0..=1.0).contains(&c));
         }
     }

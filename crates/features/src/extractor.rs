@@ -540,6 +540,34 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_path_counts_still_label_and_extract() {
+        // 1100 if/else diamonds in series (3301 blocks) have 2^1100
+        // shortest paths end to end. The f64 path total overflows, which
+        // used to make every betweenness value NaN and panic the labeling
+        // sort, so the sample escaped screening as Degraded.
+        let mut b = soteria_cfg::CfgBuilder::new();
+        let entry = b.add_block(0, 1);
+        let mut top = entry;
+        for i in 0..1100u64 {
+            let then = b.add_block(3 * i + 1, 1);
+            let other = b.add_block(3 * i + 2, 1);
+            let join = b.add_block(3 * i + 3, 1);
+            for (f, t) in [(top, then), (top, other), (then, join), (other, join)] {
+                b.add_edge(f, t).unwrap();
+            }
+            top = join;
+        }
+        let g = b.build(entry).unwrap();
+        for labeling in Labeling::BOTH {
+            let mut labels = labeling::label_nodes(&g, labeling);
+            labels.sort_unstable();
+            assert!(labels.into_iter().eq(0..g.node_count()), "{labeling}");
+        }
+        let (ex, _) = fitted();
+        assert!(ex.try_extract(&g, 1, &ResourceGuards::default()).is_ok());
+    }
+
+    #[test]
     fn different_families_get_different_features() {
         let mut train = graphs(4, Family::Mirai, 5);
         train.extend(graphs(4, Family::Benign, 6));
