@@ -1,262 +1,233 @@
-//! `soteria-exp` — regenerate any table or figure of the Soteria paper.
+//! `soteria-exp` — regenerate any table or figure of the Soteria paper, and
+//! run the bench and gate commands that measure the pipeline's parts.
 //!
-//! ```text
-//! soteria-exp [--preset quick|standard|paper] [--seed N] [--scale F]
-//!             [--out DIR] [--metrics PATH] <experiment>...
-//! soteria-exp bench [--seed N] [--scale F] [--out DIR]
-//! soteria-exp nn-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]
-//! soteria-exp extract-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]
-//! soteria-exp robustness-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]
-//! soteria-exp serve-bench [--seed N] [--scale F] [--out DIR] [--baseline PATH]
-//! soteria-exp serve-smoke [--seed N] [--scale F]
-//! soteria-exp overload-bench [--seed N] [--scale F] [--out DIR] [--baseline PATH] [--smoke]
-//! soteria-exp artifact-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]
-//! soteria-exp chaos [--seed N] [--samples N] [--artifact-cases N] [--scale F] [--metrics PATH]
+//! `soteria-exp --help` lists every command with its flags. The help text
+//! is generated from the command table below, so it cannot drift from the
+//! parser.
 //!
-//! experiments: table2 table3 table4 table6 table7 table8
-//!              fig8 fig9_11 fig12 fig13 adaptive robustness
-//!              | all (paper artifacts) | ext (everything)
-//! ```
+//! The experiment runner prints tables to stdout; with `--out DIR`, each
+//! table is also written as CSV for plotting, plus a
+//! `<experiment>_metrics.json` telemetry snapshot. `--metrics PATH` writes
+//! the whole-run snapshot, and `SOTERIA_METRICS=summary` prints a timing
+//! table to stderr on exit, for every command.
 //!
-//! `chaos` is the resilience gate: it trains the tiny preset, arms the
-//! deterministic chaos hook, feeds hundreds of systematically corrupted
-//! binaries (bit flips, truncations, garbage, splices) through the full
-//! parse → lift → extract → screen pipeline, and fails unless every single
-//! sample came back with a verdict — no panic may escape, no abort may
-//! occur. A second phase sweeps artifact-aware corruptions over the
-//! trained model's v3 binary artifact (`--artifact-cases`, default 500):
-//! every mutated artifact must be rejected with a typed error or load into
-//! a verdict-identical model — a panic or a silently different verdict
-//! fails the gate.
-//!
-//! `artifact-bench` measures the instant-start story: cold-load wall time
-//! of the same trained state from the v2 JSON envelope vs the v3 binary
-//! artifact, HARD-FAILING if the two loads are not verdict-identical or
-//! if any corrupted artifact panics the loader. The speedup is recorded in
-//! `BENCH_artifact.json`; drift against a committed baseline is noted, not
-//! fatal (wall clock is hardware-bound).
-//!
-//! Tables print to stdout; with `--out DIR`, each table is also written as
-//! CSV for plotting, plus a `<experiment>_metrics.json` telemetry snapshot.
-//! `--metrics PATH` writes the whole-run snapshot, and
-//! `SOTERIA_METRICS=summary` prints a timing table to stderr on exit.
-//!
-//! `bench` trains the tiny preset and batch-analyzes the test split purely
-//! to measure the pipeline, writing stage wall times and throughput to
-//! `BENCH_pipeline.json`.
+//! Each bench command writes its report as `BENCH_<name>.json` under
+//! `--out DIR` (default `.`). With `--baseline PATH` it compares the run
+//! against a committed report: wall-clock drift is only a note, because
+//! wall clock is hardware-bound, while the correctness gates each command
+//! documents fail the run.
 
+use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
-use soteria::{
-    PipelineMetrics, Soteria, SoteriaConfig, SoteriaState, StageTime, StateImage, Verdict,
-};
+use soteria::{Soteria, SoteriaConfig, SoteriaState, StateImage, Verdict};
 use soteria_cfg::Cfg;
-use soteria_corpus::{Corpus, CorpusConfig};
+use soteria_corpus::{Corpus, CorpusConfig, Split};
 use soteria_eval::experiments::{self, ALL_EXPERIMENTS, PAPER_EXPERIMENTS};
 use soteria_eval::{EvalConfig, ExperimentContext};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-#[derive(Debug)]
-struct Args {
-    preset: String,
-    seed: u64,
+/// One command of the harness.
+struct Command {
+    /// The word that selects the command; empty for the experiment runner,
+    /// which takes experiment ids as positional words instead.
+    name: &'static str,
+    /// The flags it accepts, as usage prints them: the flag, then the
+    /// placeholder of its value if it takes one.
+    flags: &'static [&'static str],
+    run: fn(&Flags) -> Result<(), String>,
+}
+
+/// What runs when the first word names no command.
+static RUNNER: Command = Command {
+    name: "",
+    flags: &[
+        "--preset quick|standard|paper",
+        "--seed N",
+        "--scale F",
+        "--out DIR",
+        "--metrics PATH",
+    ],
+    run: run_experiments,
+};
+
+/// The flags four of the bench commands share.
+const BENCH_FLAGS: &[&str] = &["--seed N", "--out DIR", "--baseline PATH", "--smoke"];
+
+static COMMANDS: [Command; 7] = [
+    Command {
+        name: "nn-bench",
+        flags: BENCH_FLAGS,
+        run: run_nn_bench,
+    },
+    Command {
+        name: "extract-bench",
+        flags: BENCH_FLAGS,
+        run: run_extract_bench,
+    },
+    Command {
+        name: "robustness-bench",
+        flags: BENCH_FLAGS,
+        run: run_robustness_bench,
+    },
+    Command {
+        name: "overload-bench",
+        flags: &[
+            "--seed N",
+            "--scale F",
+            "--out DIR",
+            "--baseline PATH",
+            "--smoke",
+        ],
+        run: run_overload_bench,
+    },
+    Command {
+        name: "telemetry-bench",
+        flags: &["--out DIR", "--baseline PATH", "--smoke"],
+        run: run_telemetry_bench,
+    },
+    Command {
+        name: "artifact-bench",
+        flags: BENCH_FLAGS,
+        run: run_artifact_bench,
+    },
+    Command {
+        name: "chaos",
+        flags: &[
+            "--seed N",
+            "--samples N",
+            "--artifact-cases N",
+            "--scale F",
+            "--metrics PATH",
+        ],
+        run: run_chaos,
+    },
+];
+
+/// The help text, generated from the command table.
+fn usage() -> String {
+    let synopsis = |c: &Command| {
+        let flags: String = c.flags.iter().map(|f| format!(" [{f}]")).collect();
+        if c.name.is_empty() {
+            format!("soteria-exp{flags} <experiment>...")
+        } else {
+            format!("soteria-exp {}{flags}", c.name)
+        }
+    };
+    let commands: String = COMMANDS
+        .iter()
+        .map(|c| format!("       {}\n", synopsis(c)))
+        .collect();
+    format!(
+        "usage: {}\n{commands}       experiments: {} | all | ext\n\n       \
+         chaos corrupts binaries and injects deterministic faults, asserting the\n       \
+         pipeline degrades per-sample instead of aborting.\n       \
+         --metrics PATH writes the run's telemetry snapshot (counters + span timings) as JSON.\n       \
+         SOTERIA_METRICS=summary prints a timing summary table to stderr on exit.",
+        synopsis(&RUNNER),
+        ALL_EXPERIMENTS.join(" ")
+    )
+}
+
+/// One parsed command line. Each command applies its own defaults to the
+/// flags left unset.
+#[derive(Debug, Default)]
+struct Flags {
+    preset: Option<String>,
+    seed: Option<u64>,
     scale: Option<f64>,
+    samples: Option<usize>,
+    artifact_cases: Option<usize>,
     out: Option<PathBuf>,
+    baseline: Option<PathBuf>,
     metrics: Option<PathBuf>,
+    smoke: bool,
+    /// The experiment runner's positional words.
     experiments: Vec<String>,
 }
 
-fn usage() -> &'static str {
-    "usage: soteria-exp [--preset quick|standard|paper] [--seed N] [--scale F] \
-     [--out DIR] [--metrics PATH] <experiment>...\n       \
-     soteria-exp bench [--seed N] [--scale F] [--out DIR]\n       \
-     soteria-exp nn-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]\n       \
-     soteria-exp extract-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]\n       \
-     soteria-exp robustness-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]\n       \
-     soteria-exp serve-bench [--seed N] [--scale F] [--out DIR] [--baseline PATH]\n       \
-     soteria-exp serve-smoke [--seed N] [--scale F] [--trace F]\n       \
-     soteria-exp overload-bench [--seed N] [--scale F] [--out DIR] [--baseline PATH] [--smoke]\n       \
-     soteria-exp telemetry-bench [--out DIR] [--baseline PATH] [--smoke]\n       \
-     soteria-exp artifact-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]\n       \
-     soteria-exp chaos [--seed N] [--samples N] [--artifact-cases N] [--scale F] [--metrics PATH]\n       \
-     experiments: table2 table3 table4 table6 \
-     table7 table8 fig8 fig9_11 fig12 fig13 adaptive robustness ablation | all | ext\n\n       \
-     chaos corrupts binaries and injects deterministic faults, asserting the\n       \
-     pipeline degrades per-sample instead of aborting.\n       \
-     --metrics PATH writes the run's telemetry snapshot (counters + span timings) as JSON.\n       \
-     SOTERIA_METRICS=summary prints a timing summary table to stderr on exit."
-}
+impl Flags {
+    /// Parses the words after the command's name, accepting only the flags
+    /// `command` lists.
+    fn parse(command: &Command, argv: &[String]) -> Result<Flags, String> {
+        let mut flags = Flags::default();
+        let mut it = argv.iter();
+        while let Some(arg) = it.next() {
+            let listed = command
+                .flags
+                .iter()
+                .any(|f| f.split(' ').next() == Some(arg.as_str()));
+            if !listed {
+                if command.name.is_empty() && !arg.starts_with('-') {
+                    flags.experiments.push(arg.clone());
+                    continue;
+                }
+                let name = if command.name.is_empty() {
+                    String::new()
+                } else {
+                    format!("{} ", command.name)
+                };
+                return Err(format!("unknown {name}flag {arg}\n{}", usage()));
+            }
+            match arg.as_str() {
+                "--smoke" => flags.smoke = true,
+                "--preset" => flags.preset = Some(value(&mut it, arg)?),
+                "--seed" => flags.seed = Some(value(&mut it, arg)?),
+                "--scale" => flags.scale = Some(value(&mut it, arg)?),
+                "--samples" => flags.samples = Some(value(&mut it, arg)?),
+                "--artifact-cases" => flags.artifact_cases = Some(value(&mut it, arg)?),
+                "--out" => flags.out = Some(value(&mut it, arg)?),
+                "--baseline" => flags.baseline = Some(value(&mut it, arg)?),
+                "--metrics" => flags.metrics = Some(value(&mut it, arg)?),
+                other => unreachable!("{other} is in a command table but has no parser"),
+            }
+        }
+        Ok(flags)
+    }
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        preset: "standard".into(),
-        seed: 7,
-        scale: None,
-        out: None,
-        metrics: None,
-        experiments: Vec::new(),
-    };
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--preset" => {
-                args.preset = it.next().ok_or("--preset needs a value")?.clone();
-            }
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--scale" => {
-                args.scale = Some(
-                    it.next()
-                        .ok_or("--scale needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad scale: {e}"))?,
+    /// Writes `report` as pretty JSON to `file` under `--out` (default `.`).
+    fn write_report<T: Serialize>(&self, file: &str, report: &T) -> Result<(), String> {
+        let out = self.out.as_deref().unwrap_or(Path::new("."));
+        std::fs::create_dir_all(out)
+            .map_err(|e| format!("cannot create {}: {e}", out.display()))?;
+        let path = out.join(file);
+        let json = serde_json::to_string_pretty(report).map_err(|e| e.to_string())?;
+        std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
+        println!("wrote {}", path.display());
+        Ok(())
+    }
+
+    /// The committed report `--baseline` names, with its path. A file that
+    /// cannot be read or parsed only prints a note: a baseline informs a
+    /// run, it never stops one.
+    fn baseline<T: DeserializeOwned>(&self) -> Option<(&Path, T)> {
+        let path = self.baseline.as_deref()?;
+        match std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|s| serde_json::from_str::<T>(&s).map_err(|e| e.to_string()))
+        {
+            Ok(report) => Some((path, report)),
+            Err(e) => {
+                eprintln!(
+                    "note: cannot compare against baseline {}: {e}",
+                    path.display()
                 );
+                None
             }
-            "--out" => {
-                args.out = Some(PathBuf::from(it.next().ok_or("--out needs a value")?));
-            }
-            "--metrics" => {
-                args.metrics = Some(PathBuf::from(it.next().ok_or("--metrics needs a value")?));
-            }
-            exp if !exp.starts_with('-') => args.experiments.push(exp.to_string()),
-            other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }
-    if args.experiments.is_empty() {
-        return Err(format!("no experiment given\n{}", usage()));
-    }
-    if args.experiments.iter().any(|e| e == "all") {
-        args.experiments = PAPER_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
-    }
-    if args.experiments.iter().any(|e| e == "ext") {
-        args.experiments = ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
-    }
-    for e in &args.experiments {
-        if !ALL_EXPERIMENTS.contains(&e.as_str()) {
-            return Err(format!("unknown experiment {e}\n{}", usage()));
-        }
-    }
-    Ok(args)
 }
 
-/// Stage-time + throughput report of one `bench` run, serialized to
-/// `BENCH_pipeline.json`.
-#[derive(Debug, Serialize)]
-struct BenchReport {
-    seed: u64,
-    corpus_scale: f64,
-    train_samples: usize,
-    analyze_samples: usize,
-    train: PipelineMetrics,
-    analyze: PipelineMetrics,
-    train_samples_per_sec: f64,
-    analyze_samples_per_sec: f64,
-    verdicts_adversarial: usize,
-    verdicts_clean: usize,
-}
-
-/// `bench [--seed N] [--scale F] [--out DIR]` — train the tiny preset and
-/// batch-analyze the held-out split purely to time the pipeline.
-fn run_bench(argv: &[String]) -> Result<(), String> {
-    let mut seed = 7u64;
-    let mut scale = 0.01f64;
-    let mut out = PathBuf::from(".");
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--scale" => {
-                scale = it
-                    .next()
-                    .ok_or("--scale needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad scale: {e}"))?;
-            }
-            "--out" => out = PathBuf::from(it.next().ok_or("--out needs a value")?),
-            other => return Err(format!("unknown bench flag {other}\n{}", usage())),
-        }
-    }
-
-    let corpus = Corpus::generate(&CorpusConfig::scaled(scale, seed));
-    let split = corpus.split(0.8, seed);
-    eprintln!(
-        "[bench] corpus scale {scale} -> {} samples ({} train / {} test)",
-        corpus.len(),
-        split.train.len(),
-        split.test.len()
-    );
-    let (mut system, train) =
-        Soteria::train_with_metrics(&SoteriaConfig::tiny(), &corpus, &split.train, seed)
-            .map_err(|e| format!("bench training failed: {e}"))?;
-    // The analyze half is one batch-path call over the test split's bytes,
-    // timed as a single stage; e2e_bench's traced ledger splits it by layer.
-    let binaries: Vec<Vec<u8>> = split
-        .test
-        .iter()
-        .map(|&i| corpus.samples()[i].binary().to_bytes())
-        .collect();
-    let items: Vec<(&[u8], u64)> = binaries
-        .iter()
-        .enumerate()
-        .map(|(i, b)| (b.as_slice(), (seed ^ 0xBE7C).wrapping_add(i as u64)))
-        .collect();
-    let start = std::time::Instant::now();
-    let verdicts = system.screen_many_seeded(&items);
-    let ms = start.elapsed().as_secs_f64() * 1e3;
-    let analyze = PipelineMetrics {
-        samples: items.len(),
-        stages: vec![StageTime {
-            name: "screen_many_seeded".to_owned(),
-            ms,
-        }],
-        total_ms: ms,
-    };
-    let adversarial = verdicts.iter().filter(|v| v.is_adversarial()).count();
-
-    let report = BenchReport {
-        seed,
-        corpus_scale: scale,
-        train_samples: split.train.len(),
-        analyze_samples: items.len(),
-        train_samples_per_sec: train.samples_per_sec(),
-        analyze_samples_per_sec: analyze.samples_per_sec(),
-        verdicts_adversarial: adversarial,
-        verdicts_clean: verdicts.len() - adversarial,
-        train,
-        analyze,
-    };
-
-    println!("bench (seed {seed}, scale {scale}):");
-    for (run, metrics, per_sec) in [
-        ("train", &report.train, report.train_samples_per_sec),
-        ("analyze", &report.analyze, report.analyze_samples_per_sec),
-    ] {
-        println!(
-            "  {run:<8} {:>4} samples  {:>9.1} ms total  {per_sec:>8.1} samples/s",
-            metrics.samples, metrics.total_ms
-        );
-        for stage in &metrics.stages {
-            println!("    {:<12} {:>9.1} ms", stage.name, stage.ms);
-        }
-    }
-
-    std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
-    let path = out.join("BENCH_pipeline.json");
-    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
-    println!("wrote {}", path.display());
-    Ok(())
+/// The value after `flag`, parsed as `T`.
+fn value<T>(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    it.next()
+        .ok_or_else(|| format!("{flag} needs a value"))?
+        .parse()
+        .map_err(|e| format!("bad {}: {e}", flag.trim_start_matches('-')))
 }
 
 /// Compute-kernel throughput report, serialized to `BENCH_nn.json`.
@@ -313,42 +284,20 @@ struct ClassifierBench {
     final_loss: f32,
 }
 
-/// `nn-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]` — time
-/// the soteria-nn compute backend in isolation: blocked-GEMM throughput by
-/// shape, im2col Conv1d forward/backward throughput, and epochs/sec of a
-/// small end-to-end classifier training loop, plus a bit-identity
-/// re-check of a detector-shaped dense stack. `--smoke` shrinks every
-/// dimension for the CI gate. With `--baseline PATH`, drift against a
-/// committed report is *noted* (never fatal: wall-clock numbers are
-/// hardware-dependent).
-fn run_nn_bench(argv: &[String]) -> Result<(), String> {
+/// `nn-bench` — time the soteria-nn compute backend in isolation:
+/// blocked-GEMM throughput by shape, im2col Conv1d forward/backward
+/// throughput, and epochs/sec of a small end-to-end classifier training
+/// loop, plus a bit-identity re-check of a detector-shaped dense stack.
+/// `--smoke` shrinks every dimension for the CI gate. With `--baseline
+/// PATH`, drift against a committed report is *noted* (never fatal:
+/// wall-clock numbers are hardware-dependent).
+fn run_nn_bench(flags: &Flags) -> Result<(), String> {
     use soteria_nn::{
         Activation, Conv1d, Dense, Layer, Loss, Matrix, MaxPool1d, Sequential, TrainConfig, Trainer,
     };
 
-    let mut seed = 7u64;
-    let mut out = PathBuf::from(".");
-    let mut baseline: Option<PathBuf> = None;
-    let mut smoke = false;
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--out" => out = PathBuf::from(it.next().ok_or("--out needs a value")?),
-            "--baseline" => {
-                baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?))
-            }
-            "--smoke" => smoke = true,
-            other => return Err(format!("unknown nn-bench flag {other}\n{}", usage())),
-        }
-    }
-
+    let seed = flags.seed.unwrap_or(7);
+    let smoke = flags.smoke;
     soteria_nn::backend::warm();
     let effective_threads = soteria_pool::effective_threads();
 
@@ -573,50 +522,34 @@ fn run_nn_bench(argv: &[String]) -> Result<(), String> {
         report.classifier.final_loss
     );
 
-    if let Some(path) = &baseline {
-        match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str::<NnBenchReport>(&s).map_err(|e| e.to_string()))
-        {
-            Ok(committed) => {
-                for old in committed.matmul.iter().chain(&committed.gemv) {
-                    let Some(new) = report
-                        .matmul
-                        .iter()
-                        .chain(&report.gemv)
-                        .find(|b| (b.m, b.k, b.n) == (old.m, old.k, old.n))
-                    else {
-                        continue;
-                    };
-                    let ratio = new.gflops / old.gflops.max(1e-9);
-                    if ratio < 0.7 {
-                        eprintln!(
-                            "note: nn-bench drift at {}x{}x{}: {:.2} GFLOP/s vs baseline {:.2} \
-                             ({:.0}% of baseline) — wall-clock numbers are hardware-dependent, \
-                             refresh results/BENCH_nn.json if this host is the reference",
-                            new.m,
-                            new.k,
-                            new.n,
-                            new.gflops,
-                            old.gflops,
-                            ratio * 100.0
-                        );
-                    }
-                }
+    if let Some((_, committed)) = flags.baseline::<NnBenchReport>() {
+        for old in committed.matmul.iter().chain(&committed.gemv) {
+            let Some(new) = report
+                .matmul
+                .iter()
+                .chain(&report.gemv)
+                .find(|b| (b.m, b.k, b.n) == (old.m, old.k, old.n))
+            else {
+                continue;
+            };
+            let ratio = new.gflops / old.gflops.max(1e-9);
+            if ratio < 0.7 {
+                eprintln!(
+                    "note: nn-bench drift at {}x{}x{}: {:.2} GFLOP/s vs baseline {:.2} \
+                     ({:.0}% of baseline) — wall-clock numbers are hardware-dependent, \
+                     refresh results/BENCH_nn.json if this host is the reference",
+                    new.m,
+                    new.k,
+                    new.n,
+                    new.gflops,
+                    old.gflops,
+                    ratio * 100.0
+                );
             }
-            Err(e) => eprintln!(
-                "note: cannot compare against baseline {}: {e}",
-                path.display()
-            ),
         }
     }
 
-    std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
-    let path = out.join("BENCH_nn.json");
-    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
-    println!("wrote {}", path.display());
-    Ok(())
+    flags.write_report("BENCH_nn.json", &report)
 }
 
 /// Feature-extraction benchmark report, serialized to `BENCH_extract.json`.
@@ -646,40 +579,18 @@ struct ExtractBenchReport {
     bit_identical: bool,
 }
 
-/// `extract-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]` —
-/// time the feature-extraction stage in isolation: the sequential
-/// reference implementation against the parallel fast path (per-walk RNG
-/// streams + interned gram counting + scratch arenas) at an 8-worker pool,
-/// asserting bit-identical output while measuring. `--smoke` shrinks the
-/// corpus and config for the CI gate. With `--baseline PATH`, drift
-/// against a committed report is *noted* (never fatal: wall-clock numbers
-/// are hardware-dependent).
-fn run_extract_bench(argv: &[String]) -> Result<(), String> {
+/// `extract-bench` — time the feature-extraction stage in isolation: the
+/// sequential reference implementation against the parallel fast path
+/// (per-walk RNG streams + interned gram counting + scratch arenas) at an
+/// 8-worker pool, asserting bit-identical output while measuring. `--smoke`
+/// shrinks the corpus and config for the CI gate. With `--baseline PATH`,
+/// drift against a committed report is *noted* (never fatal: wall-clock
+/// numbers are hardware-dependent).
+fn run_extract_bench(flags: &Flags) -> Result<(), String> {
     use soteria_features::{ExtractorConfig, FeatureExtractor};
 
-    let mut seed = 7u64;
-    let mut out = PathBuf::from(".");
-    let mut baseline: Option<PathBuf> = None;
-    let mut smoke = false;
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--out" => out = PathBuf::from(it.next().ok_or("--out needs a value")?),
-            "--baseline" => {
-                baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?))
-            }
-            "--smoke" => smoke = true,
-            other => return Err(format!("unknown extract-bench flag {other}\n{}", usage())),
-        }
-    }
-
+    let seed = flags.seed.unwrap_or(7);
+    let smoke = flags.smoke;
     // The acceptance target is quoted at an 8-worker pool; the fast path
     // must produce the same bytes at any size (the pool only grows, so
     // this also covers every smaller size for later subcommands).
@@ -782,37 +693,21 @@ fn run_extract_bench(argv: &[String]) -> Result<(), String> {
         return Err("extract-bench: fast path diverged from the reference output".into());
     }
 
-    if let Some(path) = &baseline {
-        match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str::<ExtractBenchReport>(&s).map_err(|e| e.to_string()))
-        {
-            Ok(committed) => {
-                let ratio = report.speedup / committed.speedup.max(1e-9);
-                if ratio < 0.7 {
-                    eprintln!(
-                        "note: extract-bench drift: speedup {:.2}x vs baseline {:.2}x ({:.0}% of \
-                         baseline) — wall-clock numbers are hardware-dependent, refresh \
-                         results/BENCH_extract.json if this host is the reference",
-                        report.speedup,
-                        committed.speedup,
-                        ratio * 100.0
-                    );
-                }
-            }
-            Err(e) => eprintln!(
-                "note: cannot compare against baseline {}: {e}",
-                path.display()
-            ),
+    if let Some((_, committed)) = flags.baseline::<ExtractBenchReport>() {
+        let ratio = report.speedup / committed.speedup.max(1e-9);
+        if ratio < 0.7 {
+            eprintln!(
+                "note: extract-bench drift: speedup {:.2}x vs baseline {:.2}x ({:.0}% of \
+                 baseline) — wall-clock numbers are hardware-dependent, refresh \
+                 results/BENCH_extract.json if this host is the reference",
+                report.speedup,
+                committed.speedup,
+                ratio * 100.0
+            );
         }
     }
 
-    std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
-    let path = out.join("BENCH_extract.json");
-    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
-    println!("wrote {}", path.display());
-    Ok(())
+    flags.write_report("BENCH_extract.json", &report)
 }
 
 /// One attack × strength × direction cell of the robustness matrix.
@@ -858,40 +753,14 @@ struct RobustnessBenchReport {
     cells: Vec<RobustnessCell>,
 }
 
-fn run_robustness_bench(argv: &[String]) -> Result<(), String> {
+fn run_robustness_bench(flags: &Flags) -> Result<(), String> {
     use soteria::AeDetector;
     use soteria_attacks::{batch_seed, craft_batch, standard_zoo, validate, ZooBuild};
     use soteria_corpus::corpus::Sample;
     use soteria_gea::TargetSelection;
 
-    let mut seed = 7u64;
-    let mut out = PathBuf::from(".");
-    let mut baseline: Option<PathBuf> = None;
-    let mut smoke = false;
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--out" => out = PathBuf::from(it.next().ok_or("--out needs a value")?),
-            "--baseline" => {
-                baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?))
-            }
-            "--smoke" => smoke = true,
-            other => {
-                return Err(format!(
-                    "unknown robustness-bench flag {other}\n{}",
-                    usage()
-                ))
-            }
-        }
-    }
-
+    let seed = flags.seed.unwrap_or(7);
+    let smoke = flags.smoke;
     // Pin the pool: crafting and screening are bit-identical at any size
     // (enforced by tests/attack_validity.rs), so this only fixes timing.
     soteria_pool::ensure_threads(8);
@@ -1107,415 +976,57 @@ fn run_robustness_bench(argv: &[String]) -> Result<(), String> {
         report.overall_detection_rate * 100.0
     );
 
-    if let Some(path) = &baseline {
-        match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| {
-                serde_json::from_str::<RobustnessBenchReport>(&s).map_err(|e| e.to_string())
-            }) {
-            Ok(committed) if committed.smoke == report.smoke && committed.seed == report.seed => {
-                // The run is fully deterministic under (seed, smoke), so the
-                // committed detection rates are a floor, not a noisy estimate:
-                // any drop is a real robustness regression and fails the gate.
-                for old in &committed.cells {
-                    let Some(new) = report.cells.iter().find(|c| {
-                        c.kind == old.kind
-                            && c.strength == old.strength
-                            && c.direction == old.direction
-                    }) else {
-                        return Err(format!(
-                            "robustness-bench: baseline cell {} ({}, {}) missing from this run",
-                            old.name, old.strength, old.direction
-                        ));
-                    };
-                    if new.detection_rate < old.detection_rate - 1e-9 {
-                        return Err(format!(
-                            "robustness-bench: detection rate for {} ({}) dropped below the \
-                             baseline floor: {:.3} < {:.3}",
-                            new.name, new.direction, new.detection_rate, old.detection_rate
-                        ));
-                    }
-                    if new.detection_rate > old.detection_rate + 1e-9 {
-                        eprintln!(
-                            "note: robustness-bench drift: {} ({}) detection rate {:.3} vs \
-                             baseline {:.3} — refresh results/BENCH_robustness.json to ratchet \
-                             the floor",
-                            new.name, new.direction, new.detection_rate, old.detection_rate
-                        );
-                    }
-                }
-                println!(
-                    "  baseline floor held across {} cells ({})",
-                    committed.cells.len(),
-                    path.display()
-                );
-            }
-            Ok(committed) => eprintln!(
-                "note: baseline {} was recorded with seed {} smoke {}, this run is seed {} \
-                 smoke {} — floor not comparable, skipping",
-                path.display(),
-                committed.seed,
-                committed.smoke,
-                report.seed,
-                report.smoke
-            ),
-            Err(e) => eprintln!(
-                "note: cannot compare against baseline {}: {e}",
-                path.display()
-            ),
-        }
-    }
-
-    std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
-    let path = out.join("BENCH_robustness.json");
-    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
-    println!("wrote {}", path.display());
-    Ok(())
-}
-
-/// Serving throughput/latency report, serialized to `BENCH_serve.json`.
-#[derive(Debug, Serialize, Deserialize)]
-struct ServeBenchReport {
-    seed: u64,
-    corpus_scale: f64,
-    /// Pool workers plus the calling thread during the runs (never 0).
-    #[serde(default)]
-    effective_threads: usize,
-    requests: usize,
-    unique_binaries: usize,
-    /// Sequential `screen_binary` replay of the same request list — the
-    /// baseline every service run is compared against.
-    sequential: ServeBenchRun,
-    /// Service runs at increasing submitter concurrency.
-    runs: Vec<ServeBenchRun>,
-}
-
-/// One replay of the request list (sequential, or through the service at a
-/// given submitter concurrency).
-#[derive(Debug, Serialize, Deserialize)]
-struct ServeBenchRun {
-    concurrency: usize,
-    workers: usize,
-    total_ms: f64,
-    throughput_per_sec: f64,
-    p50_ms: f64,
-    p95_ms: f64,
-    p99_ms: f64,
-    cache_hit_rate: f64,
-    speedup_vs_sequential: f64,
-    bit_identical: bool,
-    /// Per-stage latency attribution from the run's `serve.stage.*`
-    /// histograms (empty for the sequential baseline and for reports
-    /// written before the service emitted stage timings).
-    #[serde(default)]
-    stages: Vec<StageAttribution>,
-}
-
-/// Where one service run's latency went: the aggregate of one
-/// `serve.stage.*` histogram over every request in the run.
-#[derive(Debug, Serialize, Deserialize)]
-struct StageAttribution {
-    stage: String,
-    count: u64,
-    mean_ms: f64,
-    p95_ms: f64,
-    total_ms: f64,
-}
-
-/// Pulls the `serve.stage.*` histograms out of a run's metrics snapshot,
-/// in pipeline order.
-fn stage_attribution(report: &soteria_telemetry::MetricsReport) -> Vec<StageAttribution> {
-    [
-        "queue_wait",
-        "extract",
-        "batch_wait",
-        "infer",
-        "total",
-        "cache_hit",
-    ]
-    .iter()
-    .filter_map(|stage| {
-        report
-            .span(&format!("serve.stage.{stage}"))
-            .map(|s| StageAttribution {
-                stage: (*stage).to_owned(),
-                count: s.count,
-                mean_ms: s.mean_ms,
-                p95_ms: s.p95_ms,
-                total_ms: s.total_ms,
-            })
-    })
-    .collect()
-}
-
-/// Nearest-rank percentile of an unsorted latency sample.
-fn percentile_ms(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// `serve-bench [--seed N] [--scale F] [--out DIR] [--baseline PATH]` —
-/// replay the synthetic corpus through the screening service at varying
-/// submitter concurrency, comparing throughput and verdicts against a
-/// sequential `screen_binary` replay of the identical request list.
-///
-/// Every request's walk seed is derived from its content
-/// (`request_seed`), so all runs — sequential, any concurrency, cache hit
-/// or miss — must produce bit-identical verdicts; the run fails if any
-/// differ. With `--baseline PATH` the fresh numbers are compared against a
-/// committed report and drift is *noted* (never fatal: wall-clock numbers
-/// are hardware-dependent).
-fn run_serve_bench(argv: &[String]) -> Result<(), String> {
-    use soteria_serve::{request_seed, ScreeningService, ServeConfig, Submit};
-
-    let mut seed = 7u64;
-    let mut scale = 0.01f64;
-    let mut out = PathBuf::from(".");
-    let mut baseline: Option<PathBuf> = None;
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--scale" => {
-                scale = it
-                    .next()
-                    .ok_or("--scale needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad scale: {e}"))?;
-            }
-            "--out" => out = PathBuf::from(it.next().ok_or("--out needs a value")?),
-            "--baseline" => {
-                baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?))
-            }
-            other => return Err(format!("unknown serve-bench flag {other}\n{}", usage())),
-        }
-    }
-
-    let corpus = Corpus::generate(&CorpusConfig::scaled(scale, seed));
-    let split = corpus.split(0.8, seed);
-    eprintln!(
-        "[serve-bench] corpus scale {scale} -> {} samples; training tiny system...",
-        corpus.len()
-    );
-    let mut system = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, seed)
-        .map_err(|e| format!("serve-bench training failed: {e}"))?;
-
-    // Request list: every held-out binary three times. Repeat passes model
-    // a realistic screening stream (the same binaries resurface) and give
-    // the content-addressed cache real work without making the comparison
-    // trivial — the sequential baseline replays the identical list.
-    let unique: Vec<Vec<u8>> = split
-        .test
-        .iter()
-        .map(|&i| corpus.samples()[i].binary().to_bytes())
-        .collect();
-    let requests: Vec<&[u8]> = unique
-        .iter()
-        .chain(unique.iter())
-        .chain(unique.iter())
-        .map(Vec::as_slice)
-        .collect();
-
-    // Sequential baseline: plain screen_binary replay, content-derived
-    // seeds, no cache, no batching.
-    let mut latencies = Vec::with_capacity(requests.len());
-    let started = std::time::Instant::now();
-    let expected: Vec<Verdict> = requests
-        .iter()
-        .map(|bytes| {
-            let t = std::time::Instant::now();
-            let verdict = system.screen_binary(bytes, request_seed(seed, bytes));
-            latencies.push(t.elapsed().as_secs_f64() * 1e3);
-            verdict
-        })
-        .collect();
-    let total_ms = started.elapsed().as_secs_f64() * 1e3;
-    latencies.sort_by(|a, b| a.total_cmp(b));
-    let sequential = ServeBenchRun {
-        concurrency: 1,
-        workers: 0,
-        total_ms,
-        throughput_per_sec: requests.len() as f64 / (total_ms / 1e3),
-        p50_ms: percentile_ms(&latencies, 50.0),
-        p95_ms: percentile_ms(&latencies, 95.0),
-        p99_ms: percentile_ms(&latencies, 99.0),
-        cache_hit_rate: 0.0,
-        speedup_vs_sequential: 1.0,
-        bit_identical: true,
-        stages: Vec::new(),
-    };
-
-    let mut runs = Vec::new();
-    for concurrency in [1usize, 2, 4, 8] {
-        // Each concurrency level records into its own scoped registry so
-        // the stage attribution is per-run, not cumulative.
-        let scope = soteria_telemetry::scoped();
-        let telemetry = scope.handle();
-        let config = ServeConfig {
-            workers: concurrency,
-            queue_capacity: requests.len().max(1),
-            cache_capacity: requests.len().max(1),
-            cache_shards: 8,
-            batch_window: std::time::Duration::ZERO,
-            max_batch: 32,
-            seed,
-            trace_sampling: 1.0,
-            ..ServeConfig::default()
-        };
-        let service = ScreeningService::start(system, &config);
-        let started = std::time::Instant::now();
-        // Closed-loop submitters: each thread owns an interleaved slice of
-        // the request list and drives submit → wait back to back.
-        let measured: Vec<(usize, f64, Verdict)> = std::thread::scope(|s| {
-            let service = &service;
-            let requests = &requests;
-            let handles: Vec<_> = (0..concurrency)
-                .map(|t| {
-                    let telemetry = telemetry.clone();
-                    s.spawn(move || {
-                        // Cache-hit stage timings record on the
-                        // submitting thread, so it joins the registry too.
-                        let _telemetry = telemetry.attach();
-                        let mut mine = Vec::new();
-                        for i in (t..requests.len()).step_by(concurrency) {
-                            let clock = std::time::Instant::now();
-                            let verdict = match service.submit(requests[i].to_vec()) {
-                                Submit::Accepted(ticket) => ticket.wait(),
-                                Submit::Rejected { .. } => {
-                                    unreachable!("queue sized to request count")
-                                }
-                            };
-                            mine.push((i, clock.elapsed().as_secs_f64() * 1e3, verdict));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("submitter thread"))
-                .collect()
-        });
-        let total_ms = started.elapsed().as_secs_f64() * 1e3;
-        let stats = service.stats();
-        system = service.shutdown();
-        let run_metrics = soteria_telemetry::snapshot();
-        let traces = soteria_telemetry::recent_traces(usize::MAX);
-        if traces.is_empty() {
-            return Err(format!(
-                "serve-bench c={concurrency}: tracing at 1.0 captured no traces"
-            ));
-        }
-
-        let bit_identical = measured.iter().all(|(i, _, v)| *v == expected[*i]);
-        let mut latencies: Vec<f64> = measured.iter().map(|&(_, ms, _)| ms).collect();
-        latencies.sort_by(|a, b| a.total_cmp(b));
-        let throughput = requests.len() as f64 / (total_ms / 1e3);
-        runs.push(ServeBenchRun {
-            concurrency,
-            workers: concurrency,
-            total_ms,
-            throughput_per_sec: throughput,
-            p50_ms: percentile_ms(&latencies, 50.0),
-            p95_ms: percentile_ms(&latencies, 95.0),
-            p99_ms: percentile_ms(&latencies, 99.0),
-            cache_hit_rate: stats.cache.hit_rate(),
-            speedup_vs_sequential: throughput / sequential.throughput_per_sec,
-            bit_identical,
-            stages: stage_attribution(&run_metrics),
-        });
-    }
-
-    let report = ServeBenchReport {
-        seed,
-        corpus_scale: scale,
-        effective_threads: soteria_pool::effective_threads(),
-        requests: requests.len(),
-        unique_binaries: unique.len(),
-        sequential,
-        runs,
-    };
-
-    println!(
-        "serve-bench (seed {seed}, scale {scale}, {} effective threads, {} requests over {} \
-         unique binaries):",
-        report.effective_threads, report.requests, report.unique_binaries
-    );
-    println!("  mode            req/s    p50ms    p95ms    p99ms  hit%  speedup  identical");
-    let row = |label: &str, run: &ServeBenchRun| {
-        println!(
-            "  {label:<12} {:>8.1} {:>8.2} {:>8.2} {:>8.2} {:>5.0} {:>7.2}x  {}",
-            run.throughput_per_sec,
-            run.p50_ms,
-            run.p95_ms,
-            run.p99_ms,
-            run.cache_hit_rate * 100.0,
-            run.speedup_vs_sequential,
-            if run.bit_identical { "yes" } else { "NO" }
-        );
-    };
-    row("sequential", &report.sequential);
-    for run in &report.runs {
-        row(&format!("service c={}", run.concurrency), run);
-    }
-    println!("  stage attribution (mean ms / p95 ms per request):");
-    for run in &report.runs {
-        let breakdown: Vec<String> = run
-            .stages
-            .iter()
-            .map(|s| format!("{} {:.2}/{:.2}", s.stage, s.mean_ms, s.p95_ms))
-            .collect();
-        println!("    c={}: {}", run.concurrency, breakdown.join(" | "));
-    }
-
-    if report.runs.iter().any(|r| !r.bit_identical) {
-        return Err("serve-bench: service verdicts diverged from sequential replay".into());
-    }
-
-    if let Some(path) = &baseline {
-        match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str::<ServeBenchReport>(&s).map_err(|e| e.to_string()))
+    match flags.baseline::<RobustnessBenchReport>() {
+        Some((path, committed))
+            if committed.smoke == report.smoke && committed.seed == report.seed =>
         {
-            Ok(committed) => {
-                for (old, new) in committed.runs.iter().zip(&report.runs) {
-                    let ratio = new.throughput_per_sec / old.throughput_per_sec.max(1e-9);
-                    if ratio < 0.7 {
-                        eprintln!(
-                            "note: serve-bench drift at c={}: {:.1} req/s vs baseline {:.1} \
-                             ({:.0}% of baseline) — wall-clock numbers are hardware-dependent, \
-                             refresh results/BENCH_serve.json if this host is the reference",
-                            new.concurrency,
-                            new.throughput_per_sec,
-                            old.throughput_per_sec,
-                            ratio * 100.0
-                        );
-                    }
+            // The run is fully deterministic under (seed, smoke), so the
+            // committed detection rates are a floor, not a noisy estimate:
+            // any drop is a real robustness regression and fails the gate.
+            for old in &committed.cells {
+                let Some(new) = report.cells.iter().find(|c| {
+                    c.kind == old.kind && c.strength == old.strength && c.direction == old.direction
+                }) else {
+                    return Err(format!(
+                        "robustness-bench: baseline cell {} ({}, {}) missing from this run",
+                        old.name, old.strength, old.direction
+                    ));
+                };
+                if new.detection_rate < old.detection_rate - 1e-9 {
+                    return Err(format!(
+                        "robustness-bench: detection rate for {} ({}) dropped below the \
+                         baseline floor: {:.3} < {:.3}",
+                        new.name, new.direction, new.detection_rate, old.detection_rate
+                    ));
+                }
+                if new.detection_rate > old.detection_rate + 1e-9 {
+                    eprintln!(
+                        "note: robustness-bench drift: {} ({}) detection rate {:.3} vs \
+                         baseline {:.3} — refresh results/BENCH_robustness.json to ratchet \
+                         the floor",
+                        new.name, new.direction, new.detection_rate, old.detection_rate
+                    );
                 }
             }
-            Err(e) => eprintln!(
-                "note: cannot compare against baseline {}: {e}",
+            println!(
+                "  baseline floor held across {} cells ({})",
+                committed.cells.len(),
                 path.display()
-            ),
+            );
         }
+        Some((path, committed)) => eprintln!(
+            "note: baseline {} was recorded with seed {} smoke {}, this run is seed {} \
+             smoke {} — floor not comparable, skipping",
+            path.display(),
+            committed.seed,
+            committed.smoke,
+            report.seed,
+            report.smoke
+        ),
+        None => {}
     }
 
-    std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
-    let path = out.join("BENCH_serve.json");
-    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
-    println!("wrote {}", path.display());
-    Ok(())
+    flags.write_report("BENCH_robustness.json", &report)
 }
 
 /// Telemetry hot-path overhead report, serialized to
@@ -1588,28 +1099,15 @@ fn synthetic_screen_work(i: u64) -> u64 {
     h
 }
 
-/// `telemetry-bench [--out DIR] [--baseline PATH] [--smoke]` — measure
-/// the hot-path cost of every telemetry primitive (enabled and disabled,
-/// single-threaded and contended) plus the end-to-end overhead on a
-/// screening-shaped workload, and write `BENCH_telemetry.json`.
+/// `telemetry-bench` — measure the hot-path cost of every telemetry
+/// primitive (enabled and disabled, single-threaded and contended) plus the
+/// end-to-end overhead on a screening-shaped workload, and write
+/// `BENCH_telemetry.json`.
 ///
 /// Overhead above the 2% budget and drift against `--baseline` are
 /// *noted*, never fatal: wall-clock numbers are hardware-dependent.
-fn run_telemetry_bench(argv: &[String]) -> Result<(), String> {
-    let mut out = PathBuf::from(".");
-    let mut baseline: Option<PathBuf> = None;
-    let mut smoke = false;
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = PathBuf::from(it.next().ok_or("--out needs a value")?),
-            "--baseline" => {
-                baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?))
-            }
-            "--smoke" => smoke = true,
-            other => return Err(format!("unknown telemetry-bench flag {other}\n{}", usage())),
-        }
-    }
+fn run_telemetry_bench(flags: &Flags) -> Result<(), String> {
+    let smoke = flags.smoke;
     let iters: u64 = if smoke { 200_000 } else { 2_000_000 };
     let items: u64 = if smoke { 5_000 } else { 50_000 };
 
@@ -1712,37 +1210,26 @@ fn run_telemetry_bench(argv: &[String]) -> Result<(), String> {
         );
     }
 
-    if let Some(path) = &baseline {
-        match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| {
-                serde_json::from_str::<TelemetryBenchReport>(&s).map_err(|e| e.to_string())
-            }) {
-            Ok(committed) => {
-                for old in &committed.runs {
-                    let Some(new) = runs.iter().find(|r| {
-                        r.op == old.op && r.threads == old.threads && r.enabled == old.enabled
-                    }) else {
-                        continue;
-                    };
-                    if new.ns_per_op > old.ns_per_op.max(1.0) * 1.5 {
-                        eprintln!(
-                            "note: telemetry-bench drift: {} (threads {}, {}) {:.1} ns/op vs \
-                             baseline {:.1} — refresh results/BENCH_telemetry.json if this host \
-                             is the reference",
-                            new.op,
-                            new.threads,
-                            if new.enabled { "on" } else { "off" },
-                            new.ns_per_op,
-                            old.ns_per_op
-                        );
-                    }
-                }
+    if let Some((_, committed)) = flags.baseline::<TelemetryBenchReport>() {
+        for old in &committed.runs {
+            let Some(new) = runs
+                .iter()
+                .find(|r| r.op == old.op && r.threads == old.threads && r.enabled == old.enabled)
+            else {
+                continue;
+            };
+            if new.ns_per_op > old.ns_per_op.max(1.0) * 1.5 {
+                eprintln!(
+                    "note: telemetry-bench drift: {} (threads {}, {}) {:.1} ns/op vs \
+                     baseline {:.1} — refresh results/BENCH_telemetry.json if this host \
+                     is the reference",
+                    new.op,
+                    new.threads,
+                    if new.enabled { "on" } else { "off" },
+                    new.ns_per_op,
+                    old.ns_per_op
+                );
             }
-            Err(e) => eprintln!(
-                "note: cannot compare against baseline {}: {e}",
-                path.display()
-            ),
         }
     }
 
@@ -1751,153 +1238,7 @@ fn run_telemetry_bench(argv: &[String]) -> Result<(), String> {
         runs,
         workload,
     };
-    std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
-    let path = out.join("BENCH_telemetry.json");
-    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
-    println!("wrote {}", path.display());
-    Ok(())
-}
-
-/// `serve-smoke [--seed N] [--scale F] [--trace F]` — the serving gate
-/// for CI: train the tiny preset, start the service, screen a small mixed
-/// batch (clean binaries plus one corrupted), and assert clean shutdown
-/// with exactly the corrupted sample degraded and consistent cache
-/// accounting. With `--trace` above zero the run also fails if the
-/// sampled requests produced no (or empty) stage timelines.
-fn run_serve_smoke(argv: &[String]) -> Result<(), String> {
-    use soteria_serve::{ScreeningService, ServeConfig, Submit};
-
-    let mut seed = 11u64;
-    let mut scale = 0.004f64;
-    let mut trace_sampling = 0.0f64;
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--scale" => {
-                scale = it
-                    .next()
-                    .ok_or("--scale needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad scale: {e}"))?;
-            }
-            "--trace" => {
-                trace_sampling = it
-                    .next()
-                    .ok_or("--trace needs a rate in [0, 1]")?
-                    .parse()
-                    .map_err(|e| format!("bad trace rate: {e}"))?;
-            }
-            other => return Err(format!("unknown serve-smoke flag {other}\n{}", usage())),
-        }
-    }
-
-    let corpus = Corpus::generate(&CorpusConfig::scaled(scale, seed));
-    let split = corpus.split(0.8, seed);
-    eprintln!(
-        "[serve-smoke] corpus scale {scale} -> {} samples; training tiny system...",
-        corpus.len()
-    );
-    let system = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, seed)
-        .map_err(|e| format!("serve-smoke training failed: {e}"))?;
-
-    let config = ServeConfig {
-        workers: 2,
-        queue_capacity: 32,
-        cache_capacity: 32,
-        cache_shards: 4,
-        batch_window: std::time::Duration::from_millis(1),
-        max_batch: 8,
-        seed,
-        trace_sampling,
-        ..ServeConfig::default()
-    };
-    let service = ScreeningService::start(system, &config);
-
-    // 20 samples: 19 genuine binaries plus one pile of garbage in the
-    // middle, which must degrade — alone.
-    const GARBAGE_AT: usize = 7;
-    let mut requests: Vec<Vec<u8>> = (0..19)
-        .map(|i| {
-            corpus.samples()[split.test[i % split.test.len()]]
-                .binary()
-                .to_bytes()
-        })
-        .collect();
-    requests.insert(GARBAGE_AT, vec![0xA5u8; 64]);
-
-    let tickets: Vec<_> = requests
-        .iter()
-        .map(|bytes| match service.submit(bytes.clone()) {
-            Submit::Accepted(ticket) => Ok(ticket),
-            Submit::Rejected { .. } => {
-                Err("smoke queue rejected a sample (sized for 32)".to_string())
-            }
-        })
-        .collect::<Result<_, _>>()?;
-    let verdicts: Vec<Verdict> = tickets.into_iter().map(|t| t.wait()).collect();
-    let stats = service.stats();
-    let _system = service.shutdown(); // must not panic: clean drain
-
-    let degraded: Vec<usize> = verdicts
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.is_degraded())
-        .map(|(i, _)| i)
-        .collect();
-    println!(
-        "serve-smoke: {} verdicts, degraded at {:?}, cache {}/{} hits",
-        verdicts.len(),
-        degraded,
-        stats.cache.hits,
-        stats.cache.lookups
-    );
-    if degraded != vec![GARBAGE_AT] {
-        return Err(format!(
-            "expected exactly the corrupted sample (index {GARBAGE_AT}) to degrade, got {degraded:?}"
-        ));
-    }
-    if stats.cache.hits + stats.cache.misses != stats.cache.lookups {
-        return Err(format!(
-            "cache accounting broken: {} hits + {} misses != {} lookups",
-            stats.cache.hits, stats.cache.misses, stats.cache.lookups
-        ));
-    }
-    if stats.submitted != requests.len() as u64 || stats.rejected != 0 {
-        return Err(format!(
-            "submit accounting broken: {} submitted, {} rejected",
-            stats.submitted, stats.rejected
-        ));
-    }
-    if trace_sampling > 0.0 {
-        let traces = soteria_telemetry::recent_traces(usize::MAX);
-        if traces.is_empty() {
-            return Err(format!(
-                "tracing at {trace_sampling} produced no traces for {} requests",
-                requests.len()
-            ));
-        }
-        if let Some(empty) = traces.iter().find(|t| t.stages.is_empty()) {
-            return Err(format!(
-                "trace {:016x} has an empty stage timeline",
-                empty.id
-            ));
-        }
-        println!(
-            "serve-smoke: {} traces captured; flame view:\n{}",
-            traces.len(),
-            soteria_telemetry::flame_view(&traces)
-        );
-    }
-    println!("ok: serve smoke passed (clean shutdown, fault isolated)");
-    Ok(())
+    flags.write_report("BENCH_telemetry.json", &report)
 }
 
 /// Overload harness report, serialized to `BENCH_overload.json`.
@@ -1947,8 +1288,32 @@ struct OverloadRun {
     breaker_trips: u64,
 }
 
-/// `overload-bench [--seed N] [--scale F] [--out DIR] [--baseline PATH]
-/// [--smoke]` — the chaos-driven overload harness. Trains the tiny
+/// Trains the tiny preset on the 80% split of a corpus at `scale`, with
+/// chaos disarmed: the gates that call this exercise serving, not
+/// training.
+fn train_tiny(command: &str, scale: f64, seed: u64) -> Result<(Corpus, Split, Soteria), String> {
+    soteria_resilience::set_chaos_seed(None);
+    let corpus = Corpus::generate(&CorpusConfig::scaled(scale, seed));
+    let split = corpus.split(0.8, seed);
+    eprintln!(
+        "[{command}] corpus scale {scale} -> {} samples; training tiny system...",
+        corpus.len()
+    );
+    let system = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, seed)
+        .map_err(|e| format!("{command} training failed: {e}"))?;
+    Ok((corpus, split, system))
+}
+
+/// Nearest-rank percentile of an ascending-sorted latency sample.
+fn percentile_ms(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// `overload-bench` — the chaos-driven overload harness. Trains the tiny
 /// preset, calibrates the service's closed-loop saturation rate, then
 /// replays open-loop arrival schedules at 0.5x/1x/2x/4x saturation with
 /// deterministic chaos armed (slow workers + extraction panics) and the
@@ -1964,7 +1329,7 @@ struct OverloadRun {
 /// The p99-flatness contract (accepted p99 at 4x within 2x of the
 /// uncontended baseline) is recorded in the report and *noted* when
 /// violated; drift vs `--baseline` is likewise never fatal.
-fn run_overload_bench(argv: &[String]) -> Result<(), String> {
+fn run_overload_bench(flags: &Flags) -> Result<(), String> {
     use soteria_serve::{
         request_seed, AdmissionConfig, BreakerConfig, RateLimit, ScreeningService, ServeConfig,
         Submit, SubmitOptions, Ticket,
@@ -1972,49 +1337,14 @@ fn run_overload_bench(argv: &[String]) -> Result<(), String> {
     use std::collections::BTreeMap;
     use std::time::{Duration, Instant};
 
-    let mut seed = 7u64;
-    let mut scale = 0.01f64;
-    let mut out = PathBuf::from(".");
-    let mut baseline: Option<PathBuf> = None;
-    let mut smoke = false;
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--scale" => {
-                scale = it
-                    .next()
-                    .ok_or("--scale needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad scale: {e}"))?;
-            }
-            "--out" => out = PathBuf::from(it.next().ok_or("--out needs a value")?),
-            "--baseline" => {
-                baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?))
-            }
-            "--smoke" => smoke = true,
-            other => return Err(format!("unknown overload-bench flag {other}\n{}", usage())),
-        }
-    }
+    let seed = flags.seed.unwrap_or(7);
+    let smoke = flags.smoke;
+    let mut scale = flags.scale.unwrap_or(0.01);
     if smoke {
         scale = scale.min(0.004);
     }
 
-    soteria_resilience::set_chaos_seed(None);
-    let corpus = Corpus::generate(&CorpusConfig::scaled(scale, seed));
-    let split = corpus.split(0.8, seed);
-    eprintln!(
-        "[overload-bench] corpus scale {scale} -> {} samples; training tiny system...",
-        corpus.len()
-    );
-    let mut system = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, seed)
-        .map_err(|e| format!("overload-bench training failed: {e}"))?;
+    let (corpus, split, mut system) = train_tiny("overload-bench", scale, seed)?;
 
     // Unique request contents: each held-out binary with a distinct
     // trailing salt, so no request hits the verdict cache and every
@@ -2237,37 +1567,47 @@ fn run_overload_bench(argv: &[String]) -> Result<(), String> {
         );
     }
 
-    if let Some(path) = &baseline {
-        match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| {
-                serde_json::from_str::<OverloadBenchReport>(&s).map_err(|e| e.to_string())
-            }) {
-            Ok(committed) => {
-                let ratio = report.p99_ratio_4x_vs_uncontended
-                    / committed.p99_ratio_4x_vs_uncontended.max(1e-9);
-                if ratio > 1.5 {
-                    eprintln!(
-                        "note: overload-bench drift: p99 ratio {:.2}x vs baseline {:.2}x — \
-                         wall-clock numbers are hardware-dependent, refresh \
-                         results/BENCH_overload.json if this host is the reference",
-                        report.p99_ratio_4x_vs_uncontended, committed.p99_ratio_4x_vs_uncontended
-                    );
-                }
-            }
-            Err(e) => eprintln!(
-                "note: cannot compare against baseline {}: {e}",
-                path.display()
-            ),
+    if let Some((_, committed)) = flags.baseline::<OverloadBenchReport>() {
+        let ratio =
+            report.p99_ratio_4x_vs_uncontended / committed.p99_ratio_4x_vs_uncontended.max(1e-9);
+        if ratio > 1.5 {
+            eprintln!(
+                "note: overload-bench drift: p99 ratio {:.2}x vs baseline {:.2}x — \
+                 wall-clock numbers are hardware-dependent, refresh \
+                 results/BENCH_overload.json if this host is the reference",
+                report.p99_ratio_4x_vs_uncontended, committed.p99_ratio_4x_vs_uncontended
+            );
         }
     }
 
-    std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
-    let path = out.join("BENCH_overload.json");
-    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
-    println!("wrote {}", path.display());
-    Ok(())
+    flags.write_report("BENCH_overload.json", &report)
+}
+
+/// The verdicts `m` gives `probes`, screened with seeds counting up from
+/// `first_seed`, rendered for comparison.
+fn probe_verdicts(m: &mut Soteria, probes: &[Vec<u8>], first_seed: u64) -> String {
+    let items: Vec<(&[u8], u64)> = probes
+        .iter()
+        .enumerate()
+        .map(|(i, b)| (b.as_slice(), first_seed + i as u64))
+        .collect();
+    format!("{:?}", m.screen_many_seeded(&items))
+}
+
+/// What loading one corrupted artifact did: 0 rejected it with a typed
+/// error, 1 loaded a model whose probe verdicts equal `expected`, 2 loaded
+/// one whose verdicts differ, 3 panicked.
+fn load_outcome(corrupted: &[u8], probes: &[Vec<u8>], first_seed: u64, expected: &str) -> usize {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        match StateImage::parse(corrupted).and_then(|img| Soteria::load_image(&img)) {
+            Err(_) => 0,
+            Ok(mut m) => {
+                let differs = probe_verdicts(&mut m, probes, first_seed) != expected;
+                1 + usize::from(differs)
+            }
+        }
+    }))
+    .unwrap_or(3)
 }
 
 /// The cold-start comparison and its correctness gates, committed as
@@ -2297,38 +1637,16 @@ struct ArtifactBenchReport {
     corruption_panics: usize,
 }
 
-/// `artifact-bench [--seed N] [--out DIR] [--baseline PATH] [--smoke]` —
-/// trains one system, saves it as both the v2 JSON envelope and the v3
-/// binary artifact, and measures the cold file → ready-to-serve wall time
-/// of each. HARD-FAILS if the two loads are not verdict-identical, or if
-/// any corrupted artifact panics the loader or loads with different
-/// verdicts. The speedup itself is recorded, and drift against
-/// `--baseline` is noted, not fatal — wall clock is hardware-bound,
+/// `artifact-bench` — trains one system, saves it as both the v2 JSON
+/// envelope and the v3 binary artifact, and measures the cold file →
+/// ready-to-serve wall time of each. HARD-FAILS if the two loads are not
+/// verdict-identical, or if any corrupted artifact panics the loader or
+/// loads with different verdicts. The speedup itself is recorded, and drift
+/// against `--baseline` is noted, not fatal — wall clock is hardware-bound,
 /// correctness is not.
-fn run_artifact_bench(argv: &[String]) -> Result<(), String> {
-    let mut seed = 7u64;
-    let mut out = PathBuf::from(".");
-    let mut baseline: Option<PathBuf> = None;
-    let mut smoke = false;
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--out" => out = PathBuf::from(it.next().ok_or("--out needs a value")?),
-            "--baseline" => {
-                baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?))
-            }
-            "--smoke" => smoke = true,
-            other => return Err(format!("unknown artifact-bench flag {other}\n{}", usage())),
-        }
-    }
-
+fn run_artifact_bench(flags: &Flags) -> Result<(), String> {
+    let seed = flags.seed.unwrap_or(7);
+    let smoke = flags.smoke;
     soteria_pool::ensure_threads(8);
 
     // Wide detector layers make the persisted state serving-sized, so the
@@ -2423,17 +1741,9 @@ fn run_artifact_bench(argv: &[String]) -> Result<(), String> {
         .take(4)
         .map(|&i| corpus.samples()[i].binary().to_bytes())
         .collect();
-    let probe_verdicts = |m: &mut Soteria| -> String {
-        let items: Vec<(&[u8], u64)> = probes
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (b.as_slice(), 3_000 + i as u64))
-            .collect();
-        format!("{:?}", m.screen_many_seeded(&items))
-    };
-    let baseline_verdicts = probe_verdicts(&mut trained);
-    let verdicts_identical = probe_verdicts(&mut json_model) == baseline_verdicts
-        && probe_verdicts(&mut artifact_model) == baseline_verdicts;
+    let baseline_verdicts = probe_verdicts(&mut trained, &probes, 3_000);
+    let verdicts_identical = probe_verdicts(&mut json_model, &probes, 3_000) == baseline_verdicts
+        && probe_verdicts(&mut artifact_model, &probes, 3_000) == baseline_verdicts;
 
     // Gate 2: corruption mini-sweep — typed rejection or identical load,
     // never a panic, never a different verdict.
@@ -2447,20 +1757,7 @@ fn run_artifact_bench(argv: &[String]) -> Result<(), String> {
     std::panic::set_hook(Box::new(|_| {}));
     for i in 0..corruption_cases {
         let (corrupted, _mutation) = injector.corrupt_artifact(&artifact, i as u64);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            match StateImage::parse(&corrupted).and_then(|img| Soteria::load_image(&img)) {
-                Err(_) => 0usize,
-                Ok(mut m) => {
-                    if probe_verdicts(&mut m) == baseline_verdicts {
-                        1
-                    } else {
-                        2
-                    }
-                }
-            }
-        }))
-        .unwrap_or(3);
-        counts[outcome] += 1;
+        counts[load_outcome(&corrupted, &probes, 3_000, &baseline_verdicts)] += 1;
     }
     std::panic::set_hook(prior_hook);
 
@@ -2501,37 +1798,20 @@ fn run_artifact_bench(argv: &[String]) -> Result<(), String> {
         counts[0], counts[1], counts[2], counts[3]
     );
 
-    if let Some(path) = &baseline {
-        match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| {
-                serde_json::from_str::<ArtifactBenchReport>(&s).map_err(|e| e.to_string())
-            }) {
-            Ok(committed) => {
-                let ratio = (report.speedup / committed.speedup.max(1e-9))
-                    .max(committed.speedup / report.speedup.max(1e-9));
-                if ratio > 1.5 {
-                    eprintln!(
-                        "note: artifact-bench drift: speedup {:.0}x vs baseline {:.0}x — \
-                         wall-clock numbers are hardware-dependent, refresh \
-                         results/BENCH_artifact.json if this host is the reference",
-                        report.speedup, committed.speedup
-                    );
-                }
-            }
-            Err(e) => eprintln!(
-                "note: cannot compare against baseline {}: {e}",
-                path.display()
-            ),
+    if let Some((_, committed)) = flags.baseline::<ArtifactBenchReport>() {
+        let ratio = (report.speedup / committed.speedup.max(1e-9))
+            .max(committed.speedup / report.speedup.max(1e-9));
+        if ratio > 1.5 {
+            eprintln!(
+                "note: artifact-bench drift: speedup {:.0}x vs baseline {:.0}x — \
+                 wall-clock numbers are hardware-dependent, refresh \
+                 results/BENCH_artifact.json if this host is the reference",
+                report.speedup, committed.speedup
+            );
         }
     }
 
-    std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
-    let path = out.join("BENCH_artifact.json");
-    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
-    println!("wrote {}", path.display());
-
+    flags.write_report("BENCH_artifact.json", &report)?;
     if !verdicts_identical {
         return Err(
             "artifact-bench: JSON-loaded and artifact-loaded systems are NOT \
@@ -2554,66 +1834,17 @@ fn run_artifact_bench(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `chaos [--seed N] [--samples N] [--artifact-cases N] [--scale F]
-/// [--metrics PATH]` — the fault-injection gate. Returns `Err` (nonzero
-/// exit) if any corrupted sample failed to produce a verdict, or if any
-/// corrupted model artifact panicked the loader or loaded into a model
-/// with different verdicts.
-fn run_chaos(argv: &[String]) -> Result<(), String> {
-    let mut seed = 42u64;
-    let mut samples = 500usize;
-    let mut artifact_cases = 500usize;
-    let mut scale = 0.004f64;
-    let mut metrics: Option<PathBuf> = None;
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--samples" => {
-                samples = it
-                    .next()
-                    .ok_or("--samples needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad samples: {e}"))?;
-            }
-            "--artifact-cases" => {
-                artifact_cases = it
-                    .next()
-                    .ok_or("--artifact-cases needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad artifact-cases: {e}"))?;
-            }
-            "--scale" => {
-                scale = it
-                    .next()
-                    .ok_or("--scale needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad scale: {e}"))?;
-            }
-            "--metrics" => {
-                metrics = Some(PathBuf::from(it.next().ok_or("--metrics needs a value")?))
-            }
-            other => return Err(format!("unknown chaos flag {other}\n{}", usage())),
-        }
-    }
+/// `chaos` — the fault-injection gate. Returns `Err` (nonzero exit) if any
+/// corrupted sample failed to produce a verdict, or if any corrupted model
+/// artifact panicked the loader or loaded into a model with different
+/// verdicts.
+fn run_chaos(flags: &Flags) -> Result<(), String> {
+    let seed = flags.seed.unwrap_or(42);
+    let samples = flags.samples.unwrap_or(500);
+    let artifact_cases = flags.artifact_cases.unwrap_or(500);
+    let scale = flags.scale.unwrap_or(0.004);
 
-    // Train on a pristine corpus with chaos disarmed — the gate exercises
-    // the *serving* path, not training.
-    soteria_resilience::set_chaos_seed(None);
-    let corpus = Corpus::generate(&CorpusConfig::scaled(scale, seed));
-    let split = corpus.split(0.8, seed);
-    eprintln!(
-        "[chaos] corpus scale {scale} -> {} samples; training tiny system...",
-        corpus.len()
-    );
-    let mut system = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, seed)
-        .map_err(|e| format!("baseline training failed: {e}"))?;
+    let (corpus, split, mut system) = train_tiny("chaos", scale, seed)?;
 
     // Arm deterministic chaos and silence the panic hook: hundreds of
     // *caught* panics are about to happen on purpose, and the default hook
@@ -2668,18 +1899,10 @@ fn run_chaos(argv: &[String]) -> Result<(), String> {
                 .to_bytes()
         })
         .collect();
-    let probe_verdicts = |m: &mut Soteria| -> String {
-        let items: Vec<(&[u8], u64)> = probes
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (b.as_slice(), 7_000 + i as u64))
-            .collect();
-        format!("{:?}", m.screen_many_seeded(&items))
-    };
     let baseline_verdicts = {
         let image = StateImage::parse(&artifact).map_err(|e| format!("pristine parse: {e}"))?;
         let mut m = Soteria::load_image(&image).map_err(|e| format!("pristine load: {e}"))?;
-        probe_verdicts(&mut m)
+        probe_verdicts(&mut m, &probes, 7_000)
     };
     // Per mutation kind: [rejected, loaded-identical, diverged, panicked].
     let mut by_artifact_mutation: std::collections::BTreeMap<String, [usize; 4]> =
@@ -2687,19 +1910,7 @@ fn run_chaos(argv: &[String]) -> Result<(), String> {
     let injector = soteria_corpus::FaultInjector::new(seed ^ 0xA27);
     for i in 0..artifact_cases {
         let (corrupted, mutation) = injector.corrupt_artifact(&artifact, i as u64);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            match StateImage::parse(&corrupted).and_then(|img| Soteria::load_image(&img)) {
-                Err(_) => 0usize,
-                Ok(mut m) => {
-                    if probe_verdicts(&mut m) == baseline_verdicts {
-                        1
-                    } else {
-                        2
-                    }
-                }
-            }
-        }))
-        .unwrap_or(3);
+        let outcome = load_outcome(&corrupted, &probes, 7_000, &baseline_verdicts);
         by_artifact_mutation
             .entry(mutation.to_string())
             .or_default()[outcome] += 1;
@@ -2733,7 +1944,7 @@ fn run_chaos(argv: &[String]) -> Result<(), String> {
         }
     }
 
-    if let Some(path) = &metrics {
+    if let Some(path) = &flags.metrics {
         soteria_telemetry::snapshot().write_json(path)?;
         eprintln!("wrote metrics to {}", path.display());
     }
@@ -2779,142 +1990,39 @@ fn run_chaos(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        // Requested help is a successful run and belongs on stdout.
-        println!("{}", usage());
-        return ExitCode::SUCCESS;
+/// The experiment ids a runner command line names, with `all` and `ext`
+/// expanded.
+fn experiment_ids(named: &[String]) -> Result<Vec<String>, String> {
+    if named.is_empty() {
+        return Err(format!("no experiment given\n{}", usage()));
     }
-    if argv.first().map(String::as_str) == Some("chaos") {
-        let result = run_chaos(&argv[1..]);
-        soteria_telemetry::print_summary_if_requested();
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
+    let mut ids = named.to_vec();
+    if ids.iter().any(|e| e == "all") {
+        ids = PAPER_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
-    if argv.first().map(String::as_str) == Some("bench") {
-        let result = run_bench(&argv[1..]);
-        soteria_telemetry::print_summary_if_requested();
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
+    if ids.iter().any(|e| e == "ext") {
+        ids = ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
-    if argv.first().map(String::as_str) == Some("nn-bench") {
-        let result = run_nn_bench(&argv[1..]);
-        soteria_telemetry::print_summary_if_requested();
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("extract-bench") {
-        let result = run_extract_bench(&argv[1..]);
-        soteria_telemetry::print_summary_if_requested();
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("robustness-bench") {
-        let result = run_robustness_bench(&argv[1..]);
-        soteria_telemetry::print_summary_if_requested();
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("serve-bench") {
-        let result = run_serve_bench(&argv[1..]);
-        soteria_telemetry::print_summary_if_requested();
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("telemetry-bench") {
-        let result = run_telemetry_bench(&argv[1..]);
-        soteria_telemetry::print_summary_if_requested();
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("artifact-bench") {
-        let result = run_artifact_bench(&argv[1..]);
-        soteria_telemetry::print_summary_if_requested();
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("overload-bench") {
-        let result = run_overload_bench(&argv[1..]);
-        soteria_telemetry::print_summary_if_requested();
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("serve-smoke") {
-        let result = run_serve_smoke(&argv[1..]);
-        soteria_telemetry::print_summary_if_requested();
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let args = match parse_args(&argv) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
+    for e in &ids {
+        if !ALL_EXPERIMENTS.contains(&e.as_str()) {
+            return Err(format!("unknown experiment {e}\n{}", usage()));
         }
-    };
+    }
+    Ok(ids)
+}
 
-    let mut config = match args.preset.as_str() {
-        "quick" => EvalConfig::quick(args.seed),
-        "standard" => EvalConfig::standard(args.seed),
-        "paper" => EvalConfig::paper(args.seed),
-        other => {
-            eprintln!("unknown preset {other}\n{}", usage());
-            return ExitCode::FAILURE;
-        }
+/// The experiment runner: builds one context and runs each named
+/// experiment on it, in order.
+fn run_experiments(flags: &Flags) -> Result<(), String> {
+    let ids = experiment_ids(&flags.experiments)?;
+    let seed = flags.seed.unwrap_or(7);
+    let mut config = match flags.preset.as_deref().unwrap_or("standard") {
+        "quick" => EvalConfig::quick(seed),
+        "standard" => EvalConfig::standard(seed),
+        "paper" => EvalConfig::paper(seed),
+        other => return Err(format!("unknown preset {other}\n{}", usage())),
     };
-    if let Some(scale) = args.scale {
+    if let Some(scale) = flags.scale {
         config.corpus_scale = scale;
     }
 
@@ -2922,40 +2030,29 @@ fn main() -> ExitCode {
         let _span = soteria_telemetry::span("exp.context_build");
         ExperimentContext::build(config)
     };
-    for id in &args.experiments {
+    for id in &ids {
         let output = {
             let _span = soteria_telemetry::span(&format!("exp.{id}"));
             experiments::run(id, &mut ctx)
         };
         println!("{output}");
-        if let Some(dir) = &args.out {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
+        if let Some(dir) = &flags.out {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
             for (i, table) in output.tables.iter().enumerate() {
                 let path = dir.join(format!("{id}_{i}.csv"));
-                if let Err(e) = std::fs::write(&path, table.to_csv()) {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
+                std::fs::write(&path, table.to_csv())
+                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             }
             // Everything recorded so far in the run, including this
             // experiment's own `exp.<id>` span.
-            let path = dir.join(format!("{id}_metrics.json"));
-            if let Err(e) = soteria_telemetry::snapshot().write_json(&path) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
+            soteria_telemetry::snapshot().write_json(&dir.join(format!("{id}_metrics.json")))?;
         }
     }
 
     let report = soteria_telemetry::snapshot();
-    if let Some(path) = &args.metrics {
-        if let Err(e) = report.write_json(path) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = &flags.metrics {
+        report.write_json(path)?;
         eprintln!("wrote metrics to {}", path.display());
     }
     // Context build + every experiment span, read back from telemetry.
@@ -2967,11 +2064,41 @@ fn main() -> ExitCode {
         .sum();
     eprintln!(
         "[soteria-exp] {} experiment(s) finished in {:.1}s",
-        args.experiments.len(),
+        ids.len(),
         total_ms / 1e3
     );
+    Ok(())
+}
+
+/// The command `argv` selects, and the words left for its flags: a
+/// command's name first, or else the experiment runner over the whole line.
+fn select(argv: &[String]) -> (&'static Command, &[String]) {
+    match argv
+        .first()
+        .and_then(|word| COMMANDS.iter().find(|c| c.name == word))
+    {
+        Some(command) => (command, &argv[1..]),
+        None => (&RUNNER, argv),
+    }
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        // Requested help is a successful run and belongs on stdout.
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let (command, words) = select(&argv);
+    let result = Flags::parse(command, words).and_then(|flags| (command.run)(&flags));
     soteria_telemetry::print_summary_if_requested();
-    ExitCode::SUCCESS
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 #[cfg(test)]
@@ -2982,75 +2109,95 @@ mod tests {
         s.iter().map(|x| x.to_string()).collect()
     }
 
+    fn runner(s: &[&str]) -> Result<(Flags, Vec<String>), String> {
+        let flags = Flags::parse(&RUNNER, &argv(s))?;
+        let ids = experiment_ids(&flags.experiments)?;
+        Ok((flags, ids))
+    }
+
     #[test]
     fn parses_full_command_line() {
-        let a = parse_args(&argv(&[
+        let (f, ids) = runner(&[
             "--preset", "quick", "--seed", "9", "--scale", "0.02", "--out", "/tmp/x", "table4",
             "fig13",
-        ]))
+        ])
         .unwrap();
-        assert_eq!(a.preset, "quick");
-        assert_eq!(a.seed, 9);
-        assert_eq!(a.scale, Some(0.02));
-        assert_eq!(a.experiments, vec!["table4", "fig13"]);
+        assert_eq!(f.preset.as_deref(), Some("quick"));
+        assert_eq!(f.seed, Some(9));
+        assert_eq!(f.scale, Some(0.02));
+        assert_eq!(f.out, Some(PathBuf::from("/tmp/x")));
+        assert_eq!(ids, vec!["table4", "fig13"]);
     }
 
     #[test]
     fn parses_metrics_flag() {
-        let a = parse_args(&argv(&["--metrics", "/tmp/m.json", "table4"])).unwrap();
-        assert_eq!(a.metrics, Some(PathBuf::from("/tmp/m.json")));
+        let (f, _) = runner(&["--metrics", "/tmp/m.json", "table4"]).unwrap();
+        assert_eq!(f.metrics, Some(PathBuf::from("/tmp/m.json")));
     }
 
     #[test]
     fn all_expands_to_the_paper_artifacts() {
-        let a = parse_args(&argv(&["all"])).unwrap();
-        assert_eq!(a.experiments.len(), PAPER_EXPERIMENTS.len());
+        let (_, ids) = runner(&["all"]).unwrap();
+        assert_eq!(ids.len(), PAPER_EXPERIMENTS.len());
     }
 
     #[test]
     fn ext_expands_to_every_experiment() {
-        let a = parse_args(&argv(&["ext"])).unwrap();
-        assert_eq!(a.experiments.len(), ALL_EXPERIMENTS.len());
+        let (_, ids) = runner(&["ext"]).unwrap();
+        assert_eq!(ids.len(), ALL_EXPERIMENTS.len());
     }
 
     #[test]
     fn rejects_unknown_experiment() {
-        assert!(parse_args(&argv(&["table99"])).is_err());
+        assert!(runner(&["table99"]).is_err());
     }
 
     #[test]
     fn rejects_empty_command_line() {
-        assert!(parse_args(&[]).is_err());
+        assert!(runner(&[]).is_err());
     }
 
+    /// Every command accepts each flag it lists and rejects every other
+    /// flag by name; values fail the same way for every command.
     #[test]
-    fn bench_writes_a_pipeline_report() {
-        let dir = std::env::temp_dir().join(format!("soteria-bench-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        run_bench(&argv(&[
-            "--seed",
-            "3",
-            "--scale",
-            "0.004",
-            "--out",
-            dir.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let json = std::fs::read_to_string(dir.join("BENCH_pipeline.json")).unwrap();
-        for key in [
-            "train_samples_per_sec",
-            "analyze_samples_per_sec",
-            "\"extract\"",
-            "\"screen_many_seeded\"",
-            "\"classifier\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+    fn every_command_parses_exactly_its_own_flags() {
+        let commands = || COMMANDS.iter().chain([&RUNNER]);
+        let specs: Vec<&str> = commands().flat_map(|c| c.flags.iter().copied()).collect();
+        for command in commands() {
+            assert_eq!(select(&argv(&[command.name])).0.name, command.name);
+            for spec in specs.iter().chain(&["--bogus"]) {
+                // "3" parses as every kind of value: N, F, DIR, PATH, preset.
+                let mut line: Vec<&str> = spec.split(' ').take(1).collect();
+                line.extend(spec.contains(' ').then_some("3"));
+                match Flags::parse(command, &argv(&line)) {
+                    Ok(_) => assert!(command.flags.contains(spec), "{spec} accepted"),
+                    Err(e) => assert!(
+                        !command.flags.contains(spec)
+                            && e.starts_with("unknown ")
+                            && e.contains(&format!("flag {}\n", line[0])),
+                        "{spec}: {e}"
+                    ),
+                }
+            }
         }
-        std::fs::remove_dir_all(&dir).unwrap();
+        let (nn, _) = select(&argv(&["nn-bench"]));
+        let err = Flags::parse(nn, &argv(&["--scale", "1"])).unwrap_err();
+        assert!(err.starts_with("unknown nn-bench flag --scale\n"), "{err}");
+        let err = Flags::parse(nn, &argv(&["--seed"])).unwrap_err();
+        assert_eq!(err, "--seed needs a value");
+        let err = Flags::parse(nn, &argv(&["--seed", "x"])).unwrap_err();
+        assert!(err.starts_with("bad seed: "), "{err}");
     }
 
     #[test]
-    fn bench_rejects_unknown_flags() {
-        assert!(run_bench(&argv(&["--bogus", "1"])).is_err());
+    fn removed_commands_are_neither_listed_nor_run() {
+        for removed in ["bench", "serve-bench", "serve-smoke"] {
+            assert!(!usage().contains(&format!("soteria-exp {removed} ")));
+            let err = runner(&[removed]).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown experiment {removed}\n")),
+                "{err}"
+            );
+        }
     }
 }

@@ -55,6 +55,10 @@ fn any_worker_count_and_window_is_bit_identical_to_sequential() {
         .iter()
         .map(|b| soteria.screen_binary(b, request_seed(17, b)))
         .collect();
+    let degraded: Vec<usize> = (0..expected.len())
+        .filter(|&i| expected[i].is_degraded())
+        .collect();
+    assert_eq!(degraded, [requests.len() - 1], "only the malformed sample");
 
     for workers in [1usize, 3] {
         for window_ms in [0u64, 5] {
@@ -70,11 +74,31 @@ fn any_worker_count_and_window_is_bit_identical_to_sequential() {
                 })
                 .collect();
             let got: Vec<Verdict> = tickets.into_iter().map(|t| t.wait()).collect();
-            soteria = service.shutdown();
             assert_eq!(
                 got, expected,
                 "service diverged at workers={workers} window={window_ms}ms"
             );
+            // Closed-loop replay: `workers` submitters each drive submit →
+            // wait back to back over an interleaved share of three passes,
+            // so repeats are cache hits racing fresh work.
+            std::thread::scope(|s| {
+                for t in 0..workers {
+                    let (service, requests, expected) = (&service, &requests, &expected);
+                    s.spawn(move || {
+                        for i in (t..3 * requests.len()).step_by(workers) {
+                            let k = i % requests.len();
+                            let ticket = service.submit(requests[k].clone()).into_ticket();
+                            let got = ticket.expect("closed loop never fills the queue").wait();
+                            assert_eq!(
+                                got, expected[k],
+                                "closed-loop request {k} diverged at workers={workers} \
+                                 window={window_ms}ms"
+                            );
+                        }
+                    });
+                }
+            });
+            soteria = service.shutdown();
         }
     }
 }
