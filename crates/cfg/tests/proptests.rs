@@ -1,9 +1,14 @@
 //! Property-based tests for the CFG substrate.
 
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use soteria_cfg::{
-    density, dominators, traversal, BlockId, CentralityFactors, Cfg, CfgBuilder, GraphStats,
+    density, dominators, traversal, BlockId, CentralityFactors, Cfg, CfgBuilder, CfgError,
+    GraphStats,
 };
+use std::collections::HashSet;
 
 #[path = "support/arb_cfg.rs"]
 mod arb_cfg;
@@ -84,6 +89,42 @@ proptest! {
     fn builder_round_trip_preserves_graph(g in arb_cfg(20)) {
         let reopened = CfgBuilder::from(&g).build(g.entry()).expect("rebuild");
         prop_assert_eq!(g, reopened);
+    }
+
+    #[test]
+    fn builder_ignores_edge_insertion_order(g in arb_cfg(24), seed in any::<u64>()) {
+        // Sorted insertion, then the same edges shuffled with repeats: the
+        // sorted successor lists must come out identical, and exactly the
+        // repeats must be reported as duplicates.
+        let blocks = |g: &Cfg| {
+            let mut b = CfgBuilder::new();
+            for id in g.block_ids() {
+                b.push_block(*g.block(id));
+            }
+            b
+        };
+        let mut sorted = blocks(&g);
+        for (f, t) in g.edges() {
+            sorted.add_edge(f, t).expect("edges of a built graph are distinct");
+        }
+        let sorted = sorted.build(g.entry()).expect("rebuild");
+
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut edges: Vec<(BlockId, BlockId)> = g.edges().collect();
+        let repeats: Vec<_> = edges.iter().filter(|_| rng.gen_bool(0.3)).copied().collect();
+        edges.extend(repeats);
+        edges.shuffle(&mut rng);
+        let (mut idempotent, mut strict) = (blocks(&g), blocks(&g));
+        let mut seen = HashSet::new();
+        for (f, t) in edges {
+            let first = seen.insert((f, t));
+            prop_assert_eq!(idempotent.add_edge_idempotent(f, t), Ok(first));
+            let expected = if first { Ok(()) } else { Err(CfgError::DuplicateEdge(f, t)) };
+            prop_assert_eq!(strict.add_edge(f, t), expected);
+        }
+        prop_assert_eq!(&idempotent.build(g.entry()).expect("rebuild"), &sorted);
+        prop_assert_eq!(&strict.build(g.entry()).expect("rebuild"), &sorted);
+        prop_assert_eq!(&g, &sorted);
     }
 
     #[test]

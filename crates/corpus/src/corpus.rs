@@ -68,7 +68,9 @@ impl Sample {
     }
 
     /// Re-lifts the CFG from the binary (the canonical radare2-equivalent
-    /// path; used by tests to check the cache is honest).
+    /// path). Tests use it to check the cache is honest, and
+    /// `soteria_attacks::validate` re-lifts every crafted example with it,
+    /// so it runs in production too.
     ///
     /// # Errors
     ///

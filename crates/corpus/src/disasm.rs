@@ -5,14 +5,21 @@
 //!
 //! 1. **Recursive descent** from the entry point: decode instruction runs,
 //!    queueing every branch target as a *leader*.
-//! 2. **Dead-code sweep**: linear scan over undecoded byte ranges of the
-//!    code section, running the same descent from each decodable gap —
-//!    recovering unreachable code (injected sections, orphaned functions).
-//!    Bytes that do not decode are treated as data and skipped. Trailing
-//!    bytes after the declared code section are never lifted.
+//! 2. **Dead-code sweep**: a walk from offset 0 steps over decoded
+//!    instructions and data ranges and stops at the first *gap*; the same
+//!    descent runs from there, recovering unreachable code (injected
+//!    sections, orphaned functions), and a gap that does not decode becomes
+//!    4 bytes of data. The walk then continues — not from the gap, because
+//!    a descent can decode code behind it, but from the earliest visited
+//!    position whose step changed (DESIGN.md §5, "Determinism contract
+//!    (lift)"). Trailing bytes after the declared code section are never
+//!    lifted.
 //! 3. **Block formation**: blocks start at leaders and end at the first
 //!    terminator or the next leader (jumping into the middle of a block
 //!    splits it, with an implicit continuation edge).
+//!
+//! All bookkeeping lives in tables indexed by code offset, so lifting does
+//! no per-instruction allocation and no tree lookups.
 //!
 //! The resulting [`Cfg`] contains *all* recovered blocks. Soteria's feature
 //! extraction then takes [`Cfg::reachable_subgraph`], which is exactly the
@@ -20,9 +27,12 @@
 
 use crate::binary::Binary;
 use crate::error::CorpusError;
-use crate::isa::Instruction;
+use crate::isa::{Encoded, MAX_ENCODED_LEN};
 use soteria_cfg::{BlockId, Cfg, CfgBuilder};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
+
+#[cfg(test)]
+mod reference;
 
 /// A lifted binary: the full CFG (including dead code) plus bookkeeping
 /// about what was recovered.
@@ -43,63 +53,6 @@ impl Lifted {
     pub fn reachable_cfg(&self) -> Cfg {
         self.cfg.reachable_subgraph().0
     }
-}
-
-/// Decodes instruction runs starting from every offset in `worklist`,
-/// inserting decoded instructions into `insns` and newly found branch
-/// targets into `leaders` + the worklist. Stops a run at a terminator or at
-/// an already-decoded offset. Invalid targets (out of bounds / mid-
-/// instruction garbage) abort the lift of reachable code but are tolerated
-/// (dropped) when `strict` is false, as real disassemblers do for dead code.
-fn descend(
-    code: &[u8],
-    worklist: &mut VecDeque<u32>,
-    insns: &mut BTreeMap<u32, Instruction>,
-    leaders: &mut BTreeSet<u32>,
-    strict: bool,
-) -> Result<(), CorpusError> {
-    while let Some(start) = worklist.pop_front() {
-        if start as usize >= code.len() {
-            if strict {
-                return Err(CorpusError::BadBranchTarget { target: start });
-            }
-            leaders.remove(&start);
-            continue;
-        }
-        let mut off = start;
-        loop {
-            if insns.contains_key(&off) {
-                break; // already decoded from here onward
-            }
-            let insn = match Instruction::decode(code, off as usize) {
-                Ok(i) => i,
-                Err(source) => {
-                    if strict {
-                        return Err(CorpusError::Decode {
-                            offset: off as usize,
-                            source,
-                        });
-                    }
-                    // Dead-code sweep: give up on this run.
-                    break;
-                }
-            };
-            let len = insn.encoded_len() as u32;
-            let terminator = insn.is_terminator();
-            for t in insn.targets() {
-                if !leaders.contains(&t) {
-                    leaders.insert(t);
-                    worklist.push_back(t);
-                }
-            }
-            insns.insert(off, insn);
-            if terminator {
-                break;
-            }
-            off += len;
-        }
-    }
-    Ok(())
 }
 
 /// Lifts `binary` to a CFG.
@@ -130,151 +83,325 @@ pub fn lift(binary: &Binary) -> Result<Lifted, CorpusError> {
     if code.is_empty() {
         return Err(CorpusError::BadImage("empty code section"));
     }
-
-    let mut insns: BTreeMap<u32, Instruction> = BTreeMap::new();
-    let mut leaders: BTreeSet<u32> = BTreeSet::new();
+    let mut t = Tables::new(code);
     let entry = binary.entry();
-    leaders.insert(entry);
-
+    if (entry as usize) < code.len() {
+        t.leaders.set(entry as usize);
+    }
     // Phase 1: reachable code (strict).
-    let mut worklist = VecDeque::from([entry]);
-    descend(code, &mut worklist, &mut insns, &mut leaders, true)?;
-
+    t.descend(&mut VecDeque::from([entry]), true)?;
     // Phase 2: dead-code sweep over gaps (lenient).
-    let mut data_ranges = Vec::new();
-    loop {
-        let gap = next_gap(code.len() as u32, &insns, &data_ranges);
-        let Some(gap_start) = gap else { break };
-        let before = insns.len();
-        let mut wl = VecDeque::from([gap_start]);
-        leaders.insert(gap_start);
-        descend(code, &mut wl, &mut insns, &mut leaders, false)?;
-        if insns.len() == before {
-            // Nothing decoded: mark 4 bytes (one minimal instruction slot)
-            // as data and move on.
-            leaders.remove(&gap_start);
-            let end = (gap_start + 4).min(code.len() as u32);
-            match data_ranges.last_mut() {
-                Some((_, e)) if *e == gap_start => *e = end,
-                _ => data_ranges.push((gap_start, end)),
-            }
+    t.sweep()?;
+    // Phase 3: block formation.
+    t.into_lifted(entry)
+}
+
+/// Set in a [`Tables::meta`] entry for an instruction that ends a block.
+const TERMINATOR: u16 = 0x8000;
+
+/// The lifter's state, every table indexed by code offset.
+struct Tables<'a> {
+    code: &'a [u8],
+    /// Per byte: the encoded length of the instruction decoded there, with
+    /// [`TERMINATOR`] set for block-ending opcodes; 0 if none was.
+    meta: Vec<u16>,
+    /// Offsets where an instruction was decoded.
+    decoded: Bits,
+    /// In-range branch targets, the entry and decoded gap starts.
+    /// Out-of-range targets never enter the set: they are queued, and
+    /// strict mode fails on them when they are popped.
+    leaders: Bits,
+    /// Decoded offsets in decode order.
+    log: Vec<u32>,
+    data_ranges: Vec<(u32, u32)>,
+    /// Per byte: 1 + the index of the first data range covering it, 0 for
+    /// none. Empty until the first range appears.
+    data_index: Vec<u32>,
+}
+
+impl<'a> Tables<'a> {
+    fn new(code: &'a [u8]) -> Self {
+        Tables {
+            code,
+            meta: vec![0; code.len()],
+            decoded: Bits::new(code.len()),
+            leaders: Bits::new(code.len()),
+            log: Vec::new(),
+            data_ranges: Vec::new(),
+            data_index: Vec::new(),
         }
     }
 
-    // Phase 3: block formation.
-    build_cfg(entry, &insns, &leaders, data_ranges)
-}
-
-/// First offset in the code section that is neither covered by a decoded
-/// instruction nor marked as data, if any.
-fn next_gap(code_len: u32, insns: &BTreeMap<u32, Instruction>, data: &[(u32, u32)]) -> Option<u32> {
-    let mut off = 0u32;
-    while off < code_len {
-        if let Some(insn) = insns.get(&off) {
-            off += insn.encoded_len() as u32;
-            continue;
-        }
-        if let Some(&(_, end)) = data.iter().find(|&&(s, e)| s <= off && off < e) {
-            off = end;
-            continue;
-        }
-        // `off` may sit inside an instruction that started earlier (an
-        // overlapping decode from a mid-instruction jump target).
-        if let Some((&at, insn)) = insns.range(..=off).next_back() {
-            let end = at + insn.encoded_len() as u32;
-            if end > off {
-                off = end;
+    /// Decodes instruction runs starting from every offset in `worklist`
+    /// (FIFO), queueing newly found branch targets. Stops a run at a
+    /// terminator or at an already-decoded offset. A malformed run or an
+    /// out-of-range target aborts the lift when `strict` (reachable code)
+    /// and is dropped otherwise, as real disassemblers do for dead code.
+    fn descend(&mut self, worklist: &mut VecDeque<u32>, strict: bool) -> Result<(), CorpusError> {
+        let code = self.code;
+        while let Some(start) = worklist.pop_front() {
+            if start as usize >= code.len() {
+                if strict {
+                    return Err(CorpusError::BadBranchTarget { target: start });
+                }
                 continue;
             }
+            let mut off = start as usize;
+            // `off` can reach `code.len()` after a final non-terminator;
+            // decoding there reports the truncation.
+            while self.meta.get(off).copied().unwrap_or(0) == 0 {
+                let insn = match Encoded::scan(code, off) {
+                    Ok(insn) => insn,
+                    Err(source) if strict => {
+                        return Err(CorpusError::Decode {
+                            offset: off,
+                            source,
+                        })
+                    }
+                    Err(_) => break,
+                };
+                for t in insn.targets() {
+                    if t as usize >= code.len() {
+                        worklist.push_back(t);
+                    } else if !self.leaders.get(t as usize) {
+                        self.leaders.set(t as usize);
+                        worklist.push_back(t);
+                    }
+                }
+                let flag = if insn.is_terminator() { TERMINATOR } else { 0 };
+                self.meta[off] = insn.len() as u16 | flag;
+                self.decoded.set(off);
+                self.log.push(off as u32);
+                if insn.is_terminator() {
+                    break;
+                }
+                off += insn.len();
+            }
         }
-        return Some(off);
+        Ok(())
     }
-    None
+
+    /// Length of the instruction decoded at `off` (0 if none).
+    fn len_at(&self, off: usize) -> usize {
+        usize::from(self.meta[off] & !TERMINATOR)
+    }
+
+    /// Where the sweep's walk goes from `off`: past the instruction decoded
+    /// there, else to the end of the first data range covering it, else
+    /// past the nearest decoded instruction starting below it if that one
+    /// overlaps `off`. `None` means `off` is a gap. Only the *nearest*
+    /// earlier start counts, so a short instruction decoded inside a long
+    /// one uncovers the rest of the long one.
+    fn step(&self, off: u32) -> Option<u32> {
+        let i = off as usize;
+        if self.meta[i] != 0 {
+            return Some(off + self.len_at(i) as u32);
+        }
+        if let Some(&r) = self.data_index.get(i).filter(|&&r| r != 0) {
+            return Some(self.data_ranges[r as usize - 1].1);
+        }
+        // A start further back than one maximal encoding cannot reach `off`.
+        let at = self
+            .decoded
+            .last_in(i.saturating_sub(MAX_ENCODED_LEN - 1), i)?;
+        let end = at + self.len_at(at);
+        (end > i).then_some(end as u32)
+    }
+
+    /// Phase 2. Walks from offset 0 to the next gap, descends from it, and
+    /// repeats until the walk leaves the code section. The reference
+    /// re-walks from offset 0 after every gap; this walk keeps its visited
+    /// positions (`path`, ascending) and resumes from the earliest one
+    /// whose step the descent changed, which is where a re-walk would first
+    /// diverge. A descent changes steps only within [`MAX_ENCODED_LEN`]
+    /// bytes at or after an offset it decoded (that offset's own step, or
+    /// the nearest-start rule of [`step`]), so only those positions are
+    /// re-checked. A gap that becomes data changes no step that matters: a
+    /// position whose range grew over the gap now steps exactly where the
+    /// gap does (DESIGN.md §5, "Determinism contract (lift)").
+    ///
+    /// [`step`]: Tables::step
+    fn sweep(&mut self) -> Result<(), CorpusError> {
+        let len = self.code.len() as u32;
+        let mut path: Vec<u32> = Vec::new();
+        let mut worklist = VecDeque::new();
+        let mut off = 0u32;
+        loop {
+            while off < len {
+                path.push(off);
+                match self.step(off) {
+                    Some(next) => off = next,
+                    None => break,
+                }
+            }
+            if off >= len {
+                return Ok(());
+            }
+            let (gap, k) = (off, path.len() - 1);
+            let logged = self.log.len();
+            self.leaders.set(gap as usize);
+            worklist.push_back(gap);
+            self.descend(&mut worklist, false)?;
+
+            let mut resume = k;
+            if self.meta[gap as usize] == 0 {
+                // Nothing decoded: mark 4 bytes (one minimal instruction
+                // slot) as data and move on.
+                self.leaders.clear(gap as usize);
+                self.mark_data(gap);
+            } else {
+                for &d in self.log[logged..].iter().filter(|&&d| d < gap) {
+                    let reach = d.saturating_add(MAX_ENCODED_LEN as u32);
+                    let mut i = path.partition_point(|&p| p < d);
+                    while i < resume && path[i] < reach {
+                        if self.step(path[i]) != Some(path[i + 1]) {
+                            resume = i;
+                        }
+                        i += 1;
+                    }
+                }
+            }
+            off = path[resume];
+            path.truncate(resume);
+        }
+    }
+
+    /// Marks `[gap, gap + 4)` as data, merging with the last range when it
+    /// ends at `gap`.
+    fn mark_data(&mut self, gap: u32) {
+        let end = gap.saturating_add(4).min(self.code.len() as u32);
+        match self.data_ranges.last_mut() {
+            Some((_, e)) if *e == gap => *e = end,
+            _ => self.data_ranges.push((gap, end)),
+        }
+        if self.data_index.is_empty() {
+            self.data_index = vec![0; self.code.len()];
+        }
+        let id = self.data_ranges.len() as u32;
+        for slot in &mut self.data_index[gap as usize..end as usize] {
+            if *slot == 0 {
+                *slot = id;
+            }
+        }
+    }
+
+    /// Phase 3: one block per decoded leader, in address order.
+    fn into_lifted(self, entry: u32) -> Result<Lifted, CorpusError> {
+        let starts = self.leaders.and(&self.decoded);
+        let block_of = |off: usize| starts.binary_search(&(off as u32)).ok().map(BlockId::new);
+        let mut builder = CfgBuilder::with_capacity(starts.len());
+        let mut edges: Vec<(BlockId, BlockId)> = Vec::new();
+        for (id, &start) in starts.iter().enumerate() {
+            let from = BlockId::new(id);
+            let first = edges.len();
+            let mut off = start as usize;
+            let mut count = 0u32;
+            loop {
+                count += 1;
+                if self.meta[off] & TERMINATOR != 0 {
+                    let insn = Encoded::scan(self.code, off).expect("a decoded offset re-scans");
+                    edges.extend(
+                        insn.targets()
+                            .filter_map(|t| block_of(t as usize))
+                            .map(|to| (from, to)),
+                    );
+                    break;
+                }
+                off += self.len_at(off);
+                if !self.decoded.get(off) {
+                    // Dead-code run that fizzled out mid-stream: no
+                    // successors.
+                    break;
+                }
+                if self.leaders.get(off) {
+                    // Split point: implicit continuation into the next block.
+                    edges.extend(block_of(off).map(|to| (from, to)));
+                    break;
+                }
+            }
+            edges[first..].sort_unstable();
+            builder.add_block(u64::from(start), count);
+        }
+        // Duplicates (a `br` with equal arms) sit next to each other.
+        edges.dedup();
+        for (from, to) in edges {
+            builder.add_edge(from, to)?;
+        }
+
+        let entry_id =
+            block_of(entry as usize).ok_or(CorpusError::BadImage("entry did not decode"))?;
+        let cfg = builder.build(entry_id)?;
+        let dead_block_count = cfg.reachable().iter().filter(|&&r| !r).count();
+        Ok(Lifted {
+            cfg,
+            dead_block_count,
+            data_ranges: self.data_ranges,
+        })
+    }
 }
 
-fn build_cfg(
-    entry: u32,
-    insns: &BTreeMap<u32, Instruction>,
-    leaders: &BTreeSet<u32>,
-    data_ranges: Vec<(u32, u32)>,
-) -> Result<Lifted, CorpusError> {
-    // A block starts at each leader that actually decoded.
-    let starts: Vec<u32> = leaders
-        .iter()
-        .copied()
-        .filter(|l| insns.contains_key(l))
-        .collect();
-    let index_of: BTreeMap<u32, BlockId> = starts
-        .iter()
-        .enumerate()
-        .map(|(i, &a)| (a, BlockId::new(i)))
-        .collect();
+/// A fixed-size bitset over code offsets; reads past the end are `false`.
+struct Bits(Vec<u64>);
 
-    let mut builder = CfgBuilder::with_capacity(starts.len());
-    #[derive(Debug)]
-    struct Pending {
-        from: BlockId,
-        to: u32,
+impl Bits {
+    fn new(len: usize) -> Self {
+        Bits(vec![0; len.div_ceil(64)])
     }
-    let mut pending: Vec<Pending> = Vec::new();
 
-    for &start in &starts {
-        let mut count = 0u32;
-        let mut off = start;
-        let mut succ_offsets: Vec<u32> = Vec::new();
+    fn get(&self, i: usize) -> bool {
+        self.0.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 != 0)
+    }
+
+    fn set(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn clear(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// The greatest set index in `lo..hi`, if any.
+    fn last_in(&self, lo: usize, hi: usize) -> Option<usize> {
+        if lo >= hi {
+            return None;
+        }
+        let (first, mut w) = (lo / 64, (hi - 1) / 64);
+        let mut word = self.0[w] & (u64::MAX >> (63 - (hi - 1) % 64));
         loop {
-            let insn = insns.get(&off).expect("leader run stays decoded");
-            count += 1;
-            if insn.is_terminator() {
-                succ_offsets = insn.targets();
-                break;
+            if w == first {
+                word &= u64::MAX << (lo % 64);
             }
-            off += insn.encoded_len() as u32;
-            if leaders.contains(&off) {
-                // Split point: implicit continuation into the next block.
-                succ_offsets = vec![off];
-                break;
+            if word != 0 {
+                return Some(w * 64 + 63 - word.leading_zeros() as usize);
             }
-            if !insns.contains_key(&off) {
-                // Dead-code run that fizzled out mid-stream: no successors.
-                break;
+            if w == first {
+                return None;
             }
-        }
-        let id = builder.add_block(u64::from(start), count);
-        debug_assert_eq!(id, index_of[&start]);
-        for t in succ_offsets {
-            pending.push(Pending { from: id, to: t });
+            w -= 1;
+            word = self.0[w];
         }
     }
 
-    let mut dropped = 0usize;
-    for p in pending {
-        match index_of.get(&p.to) {
-            Some(&to) => {
-                builder.add_edge_idempotent(p.from, to)?;
+    /// The indices set in both `self` and `other`, ascending.
+    fn and(&self, other: &Bits) -> Vec<u32> {
+        let mut out = Vec::new();
+        for (w, (&a, &b)) in self.0.iter().zip(&other.0).enumerate() {
+            let mut x = a & b;
+            while x != 0 {
+                out.push((w * 64) as u32 + x.trailing_zeros());
+                x &= x - 1;
             }
-            None => dropped += 1, // dangling dead-code target
         }
+        out
     }
-    let _ = dropped;
-
-    let entry_id = *index_of
-        .get(&entry)
-        .ok_or(CorpusError::BadImage("entry did not decode"))?;
-    let cfg = builder.build(entry_id)?;
-    let dead_block_count = cfg.reachable().iter().filter(|&&r| !r).count();
-    Ok(Lifted {
-        cfg,
-        dead_block_count,
-        data_ranges,
-    })
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::lift_checked as lift;
     use super::*;
     use crate::asm;
-    use soteria_cfg::CfgBuilder;
+    use crate::isa::Instruction;
 
     fn roundtrip(cfg: &Cfg) -> Lifted {
         let lowered = asm::assemble(cfg);

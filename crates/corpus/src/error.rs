@@ -23,9 +23,10 @@ pub enum CorpusError {
         /// The invalid destination.
         target: u32,
     },
-    /// CFG construction failed while lifting (duplicate edges are legal in
-    /// the bytecode, e.g. a `br` with equal arms, and are deduplicated, so
-    /// this indicates an internal inconsistency).
+    /// CFG construction failed while lifting. Lifting adds every block
+    /// before any edge and dedups each block's targets itself (a `br` with
+    /// equal arms is legal bytecode), so this indicates an internal
+    /// inconsistency.
     Graph(soteria_cfg::CfgError),
 }
 

@@ -243,42 +243,101 @@ impl Instruction {
     /// [`DecodeError::BadOpcode`] for an unknown opcode byte,
     /// [`DecodeError::Truncated`] if `code` ends mid-instruction.
     pub fn decode(code: &[u8], offset: usize) -> Result<Instruction, DecodeError> {
-        let word = |at: usize| -> Result<u32, DecodeError> {
-            let bytes = code.get(at..at + 4).ok_or(DecodeError::Truncated)?;
-            Ok(u32::from_le_bytes(bytes.try_into().expect("4-byte slice")))
-        };
-        let header = code.get(offset..offset + 4).ok_or(DecodeError::Truncated)?;
-        let (op, a, b) = (
-            header[0],
-            header[1],
-            u16::from_le_bytes([header[2], header[3]]),
-        );
-        match op {
-            0x00 => Ok(Instruction::Nop),
-            0x01 => Ok(Instruction::Alu { func: a, regs: b }),
-            0x02 => Ok(Instruction::Load { reg: a, offset: b }),
-            0x03 => Ok(Instruction::Store { reg: a, offset: b }),
-            0x04 => Ok(Instruction::Syscall { num: a }),
-            0x05 => Ok(Instruction::Call { func_index: b }),
-            0x10 => Ok(Instruction::Jmp {
-                target: word(offset + 4)?,
-            }),
-            0x11 => Ok(Instruction::Br {
+        let enc = Encoded::scan(code, offset)?;
+        let [op, a, lo, hi] = enc.header;
+        let b = u16::from_le_bytes([lo, hi]);
+        Ok(match op {
+            0x00 => Instruction::Nop,
+            0x01 => Instruction::Alu { func: a, regs: b },
+            0x02 => Instruction::Load { reg: a, offset: b },
+            0x03 => Instruction::Store { reg: a, offset: b },
+            0x04 => Instruction::Syscall { num: a },
+            0x05 => Instruction::Call { func_index: b },
+            0x10 => Instruction::Jmp {
+                target: enc.target(0),
+            },
+            0x11 => Instruction::Br {
                 cond: a,
-                taken: word(offset + 4)?,
-                not_taken: word(offset + 8)?,
-            }),
-            0x12 => {
-                let mut targets = Vec::with_capacity(a as usize);
-                for i in 0..a as usize {
-                    targets.push(word(offset + 4 + 4 * i)?);
-                }
-                Ok(Instruction::Switch { targets })
-            }
-            0x20 => Ok(Instruction::Ret),
-            0x21 => Ok(Instruction::Halt),
-            other => Err(DecodeError::BadOpcode(other)),
-        }
+                taken: enc.target(0),
+                not_taken: enc.target(1),
+            },
+            0x12 => Instruction::Switch {
+                targets: enc.targets().collect(),
+            },
+            0x20 => Instruction::Ret,
+            0x21 => Instruction::Halt,
+            other => unreachable!("opcode {other:#04x} passed scan but is not in the table"),
+        })
+    }
+}
+
+/// Longest possible encoding: a `switch` with 255 targets.
+pub(crate) const MAX_ENCODED_LEN: usize = 4 + 4 * u8::MAX as usize;
+
+/// The opcode table: for each known opcode, the number of 4-byte target
+/// words after the 4-byte header (`None`: header byte 1 holds the count,
+/// as for `switch`) and whether the opcode ends a basic block. Both
+/// [`Instruction::decode`] and the lifter read encodings through
+/// [`Encoded::scan`], so this is the only place an opcode's shape lives.
+fn shape(op: u8) -> Option<(Option<u8>, bool)> {
+    match op {
+        0x00..=0x05 => Some((Some(0), false)),
+        0x10 => Some((Some(1), true)),
+        0x11 => Some((Some(2), true)),
+        0x12 => Some((None, true)),
+        0x20 | 0x21 => Some((Some(0), true)),
+        _ => None,
+    }
+}
+
+/// One instruction's encoding, read in place: its length, terminator flag
+/// and branch targets, without building an [`Instruction`] or allocating
+/// a target list.
+#[derive(Debug)]
+pub(crate) struct Encoded<'a> {
+    header: [u8; 4],
+    /// The little-endian target words after the header.
+    words: &'a [u8],
+    terminator: bool,
+}
+
+impl<'a> Encoded<'a> {
+    /// Reads the encoding at `offset`, failing exactly as
+    /// [`Instruction::decode`] does.
+    pub(crate) fn scan(code: &'a [u8], offset: usize) -> Result<Self, DecodeError> {
+        let Some(&[op, a, lo, hi]) = code.get(offset..offset + 4) else {
+            return Err(DecodeError::Truncated);
+        };
+        let (count, terminator) = shape(op).ok_or(DecodeError::BadOpcode(op))?;
+        let end = offset + 4 + 4 * usize::from(count.unwrap_or(a));
+        let words = code.get(offset + 4..end).ok_or(DecodeError::Truncated)?;
+        Ok(Encoded {
+            header: [op, a, lo, hi],
+            words,
+            terminator,
+        })
+    }
+
+    /// Encoded length in bytes.
+    pub(crate) fn len(&self) -> usize {
+        4 + self.words.len()
+    }
+
+    /// Whether this instruction ends a basic block.
+    pub(crate) fn is_terminator(&self) -> bool {
+        self.terminator
+    }
+
+    /// Control-flow successors (byte offsets), in encoding order.
+    pub(crate) fn targets(&self) -> impl Iterator<Item = u32> + 'a {
+        self.words
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+    }
+
+    fn target(&self, i: usize) -> u32 {
+        let w = &self.words[4 * i..4 * i + 4];
+        u32::from_le_bytes([w[0], w[1], w[2], w[3]])
     }
 }
 
