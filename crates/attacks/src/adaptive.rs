@@ -19,11 +19,6 @@ use soteria_cfg::Cfg;
 use soteria_corpus::{asm, corpus::Sample, CorpusError, SampleGenerator};
 use soteria_features::FeatureExtractor;
 use soteria_gea::{adaptive, gea_merge, SizeClass};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Clones a trained detector through its persistence spec (the detector
 /// itself is deliberately not `Clone`; an adversary holding a copy is an
@@ -46,7 +41,7 @@ pub struct AdaptiveAttack {
     target: Sample,
     size: SizeClass,
     extractor: FeatureExtractor,
-    detector: Mutex<AeDetector>,
+    detector: AeDetector,
     budget: usize,
 }
 
@@ -65,17 +60,14 @@ impl AdaptiveAttack {
             target: target.clone(),
             size,
             extractor: extractor.clone(),
-            detector: Mutex::new(clone_detector(detector)),
+            detector: clone_detector(detector),
             budget,
         }
     }
 
     fn reconstruction_error(&self, g: &Cfg, seed: u64) -> f64 {
         let f = self.extractor.extract(g, seed);
-        // The mutex only serializes access to the detector's forward-pass
-        // scratch; the error is a pure function of the feature vector, so
-        // lock order cannot change any output bit.
-        lock(&self.detector).reconstruction_error(f.combined())
+        self.detector.reconstruction_error(f.combined())
     }
 }
 
@@ -240,7 +232,7 @@ mod tests {
 
     #[test]
     fn adaptive_attack_respects_its_budget_and_never_raises_re() {
-        let (extractor, mut detector, target, original) = setup();
+        let (extractor, detector, target, original) = setup();
         let attack = AdaptiveAttack::new(&target, SizeClass::Small, &extractor, &detector, 3);
         let crafted = attack.craft(&original, 11).unwrap();
         assert!(crafted.cost().refinement_edits <= 3);

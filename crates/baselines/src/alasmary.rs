@@ -145,7 +145,7 @@ impl AlasmaryClassifier {
     }
 
     /// Classifies one graph.
-    pub fn predict(&mut self, cfg: &Cfg) -> Family {
+    pub fn predict(&self, cfg: &Cfg) -> Family {
         let row = self.standardizer.apply(&Self::features(cfg));
         let x = Matrix::from_rows(std::slice::from_ref(&row));
         Family::from_index(argmax_rows(&self.model.predict(&x))[0])
@@ -184,7 +184,7 @@ mod tests {
         let c = corpus();
         let graphs: Vec<&Cfg> = c.samples().iter().map(|s| s.graph()).collect();
         let labels: Vec<usize> = c.samples().iter().map(|s| s.family().index()).collect();
-        let mut clf = AlasmaryClassifier::train(&AlasmaryConfig::default(), &graphs, &labels, 4, 5);
+        let clf = AlasmaryClassifier::train(&AlasmaryConfig::default(), &graphs, &labels, 4, 5);
         let correct = graphs
             .iter()
             .zip(&labels)

@@ -180,7 +180,7 @@ impl CuiClassifier {
     }
 
     /// Classifies one sample.
-    pub fn predict(&mut self, sample: &Sample) -> Family {
+    pub fn predict(&self, sample: &Sample) -> Family {
         let row = binary_to_image(sample, self.size);
         let x = Matrix::from_rows(std::slice::from_ref(&row));
         Family::from_index(argmax_rows(&self.model.predict(&x))[0])
@@ -240,7 +240,7 @@ mod tests {
         let c = corpus();
         let samples: Vec<&Sample> = c.samples().iter().collect();
         let labels: Vec<usize> = c.samples().iter().map(|s| s.family().index()).collect();
-        let mut clf = CuiClassifier::train(&CuiConfig::at(ImageSize::S24), &samples, &labels, 4, 3);
+        let clf = CuiClassifier::train(&CuiConfig::at(ImageSize::S24), &samples, &labels, 4, 3);
         let correct = samples
             .iter()
             .zip(&labels)

@@ -244,11 +244,11 @@ fn train_on_dir(corpus_dir: &str, seed: u64) -> Result<Soteria, String> {
     let corpus = Corpus::from_samples(samples, seed);
     let split = corpus.split(0.8, seed);
     eprintln!("training Soteria on {} samples...", split.train.len());
-    let mut system = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, seed)
+    let system = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, seed)
         .map_err(|e| e.to_string())?;
     eprintln!(
         "trained (threshold {:.4})",
-        system.detector_mut().stats().threshold()
+        system.detector_ref().stats().threshold()
     );
     Ok(system)
 }
@@ -289,7 +289,7 @@ pub fn train(args: &[String]) -> Result<(), String> {
     eprintln!("training Soteria on {} samples...", split.train.len());
 
     let train_config = SoteriaConfig::tiny();
-    let mut system = if checkpoint_every > 0 || resume.is_some() {
+    let system = if checkpoint_every > 0 || resume.is_some() {
         let ckpt_file = PathBuf::from(&ckpt_path);
         Soteria::train_resumable(
             &train_config,
@@ -310,7 +310,7 @@ pub fn train(args: &[String]) -> Result<(), String> {
     };
     eprintln!(
         "trained (threshold {:.4})",
-        system.detector_mut().stats().threshold()
+        system.detector_ref().stats().threshold()
     );
     system
         .save_state()?
@@ -389,7 +389,7 @@ pub fn analyze(args: &[String]) -> Result<(), String> {
         return Err("analyze needs at least one FILE".into());
     }
 
-    let mut system = if let Some(model_path) = flags.get("model") {
+    let system = if let Some(model_path) = flags.get("model") {
         let state =
             SoteriaState::load_from_path(&PathBuf::from(model_path)).map_err(|e| e.to_string())?;
         eprintln!("loaded model from {model_path}");

@@ -858,10 +858,10 @@ mod tests {
 
     #[test]
     fn artifact_round_trips_with_identical_verdicts() {
-        let (mut original, corpus, test) = small_trained();
+        let (original, corpus, test) = small_trained();
         let bytes = original.save_state().unwrap().to_artifact().unwrap();
         let image = StateImage::parse(&bytes).unwrap();
-        let mut restored = Soteria::load_image(&image).unwrap();
+        let restored = Soteria::load_image(&image).unwrap();
         for (i, &idx) in test.iter().enumerate() {
             let g = corpus.samples()[idx].graph();
             assert_eq!(
@@ -979,7 +979,7 @@ mod tests {
 
     #[test]
     fn artifact_files_round_trip_through_disk() {
-        let (mut original, corpus, test) = small_trained();
+        let (original, corpus, test) = small_trained();
         let dir = std::env::temp_dir().join(format!("soteria-artifact-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.soteria3");
@@ -987,9 +987,9 @@ mod tests {
         state.save_artifact_to_path(&path).unwrap();
 
         // The direct image path.
-        let mut a = Soteria::load_image(&StateImage::open(&path).unwrap()).unwrap();
+        let a = Soteria::load_image(&StateImage::open(&path).unwrap()).unwrap();
         // The sniffing loader sees the magic and takes the artifact path.
-        let mut b = Soteria::from_state(SoteriaState::load_from_path(&path).unwrap());
+        let b = Soteria::from_state(SoteriaState::load_from_path(&path).unwrap());
         let g = corpus.samples()[test[0]].graph();
         assert_eq!(a.analyze(g, 5), original.analyze(g, 5));
         assert_eq!(b.analyze(g, 5), original.analyze(g, 5));

@@ -238,10 +238,10 @@ impl FamilyClassifier {
     }
 
     /// The CNN for one labeling.
-    fn cnn(&mut self, labeling: Labeling) -> &mut Sequential {
+    fn cnn(&self, labeling: Labeling) -> &Sequential {
         match labeling {
-            Labeling::Density => &mut self.dbl_cnn,
-            Labeling::Level => &mut self.lbl_cnn,
+            Labeling::Density => &self.dbl_cnn,
+            Labeling::Level => &self.lbl_cnn,
         }
     }
 
@@ -261,7 +261,7 @@ impl FamilyClassifier {
     }
 
     /// Classifies one sample's features, returning the full report.
-    pub fn classify(&mut self, features: &SampleFeatures) -> ClassifierReport {
+    pub fn classify(&self, features: &SampleFeatures) -> ClassifierReport {
         let dbl_preds = self.predict_walks(Labeling::Density, features.dbl_walks());
         let lbl_preds = self.predict_walks(Labeling::Level, features.lbl_walks());
 
@@ -284,7 +284,7 @@ impl FamilyClassifier {
     /// [`classify`](FamilyClassifier::classify) on the same features —
     /// every layer's forward pass is row-independent, so batching is purely
     /// a throughput optimization.
-    pub fn classify_batch(&mut self, features: &[&SampleFeatures]) -> Vec<ClassifierReport> {
+    pub fn classify_batch(&self, features: &[&SampleFeatures]) -> Vec<ClassifierReport> {
         if features.is_empty() {
             return Vec::new();
         }
@@ -313,7 +313,7 @@ impl FamilyClassifier {
             .collect()
     }
 
-    fn predict_walks(&mut self, labeling: Labeling, walks: &[Vec<f64>]) -> Vec<usize> {
+    fn predict_walks(&self, labeling: Labeling, walks: &[Vec<f64>]) -> Vec<usize> {
         let x = Matrix::from_rows(walks);
         argmax_rows(&self.cnn(labeling).predict(&x))
     }
@@ -369,7 +369,7 @@ mod tests {
 
     #[test]
     fn learns_to_separate_training_classes() {
-        let (mut clf, features, labels) = setup();
+        let (clf, features, labels) = setup();
         let correct = features
             .iter()
             .zip(&labels)
@@ -384,7 +384,7 @@ mod tests {
 
     #[test]
     fn votes_sum_to_walk_count() {
-        let (mut clf, features, _) = setup();
+        let (clf, features, _) = setup();
         let report = clf.classify(&features[0]);
         let total: usize = report.votes.iter().sum();
         assert_eq!(
@@ -395,7 +395,7 @@ mod tests {
 
     #[test]
     fn voted_label_has_plurality() {
-        let (mut clf, features, _) = setup();
+        let (clf, features, _) = setup();
         let report = clf.classify(&features[1]);
         let max = report.votes.iter().max().copied().unwrap();
         assert_eq!(report.votes[report.voted_label.index()], max);
@@ -403,7 +403,7 @@ mod tests {
 
     #[test]
     fn classify_batch_is_bit_identical_to_classify() {
-        let (mut clf, features, _) = setup();
+        let (clf, features, _) = setup();
         let refs: Vec<&SampleFeatures> = features.iter().collect();
         let batched = clf.classify_batch(&refs);
         assert_eq!(batched.len(), features.len());

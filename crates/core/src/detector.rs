@@ -282,7 +282,7 @@ impl AeDetector {
     }
 
     /// Reconstruction error (RMSE) of one combined feature vector.
-    pub fn reconstruction_error(&mut self, features: &[f64]) -> f64 {
+    pub fn reconstruction_error(&self, features: &[f64]) -> f64 {
         let x = Matrix::from_rows(std::slice::from_ref(&features.to_vec()));
         let y = self.autoencoder.predict(&x);
         rmse_per_row(&y, &x)[0]
@@ -293,7 +293,7 @@ impl AeDetector {
     /// pass). Each result is bit-identical to
     /// [`reconstruction_error`](AeDetector::reconstruction_error) on the
     /// same row: every layer's forward pass is row-independent.
-    pub fn reconstruction_errors_of(&mut self, rows: &[&[f64]]) -> Vec<f64> {
+    pub fn reconstruction_errors_of(&self, rows: &[&[f64]]) -> Vec<f64> {
         if rows.is_empty() {
             return Vec::new();
         }
@@ -355,7 +355,7 @@ mod tests {
     #[test]
     fn clean_samples_reconstruct_below_threshold() {
         let data = clean_data(40, 16, 1);
-        let mut det = AeDetector::train(&config(), &data, 3);
+        let det = AeDetector::train(&config(), &data, 3);
         let threshold = det.stats().threshold();
         let flagged = data
             .iter()
@@ -368,7 +368,7 @@ mod tests {
     #[test]
     fn off_manifold_samples_are_flagged() {
         let data = clean_data(40, 16, 2);
-        let mut det = AeDetector::train(&config(), &data, 4);
+        let det = AeDetector::train(&config(), &data, 4);
         let ae = anomaly(16, 99);
         assert!(det.reconstruction_error(&ae) > det.stats().threshold());
     }
@@ -386,22 +386,22 @@ mod tests {
     #[test]
     fn alpha_zero_flags_more_than_alpha_two() {
         let data = clean_data(30, 16, 4);
-        let mut det = AeDetector::train(&config(), &data, 6);
-        let flagged_at = |det: &mut AeDetector, alpha: f64| {
+        let det = AeDetector::train(&config(), &data, 6);
+        let flagged_at = |det: &AeDetector, alpha: f64| {
             let threshold = det.stats().threshold_at(alpha);
             data.iter()
                 .filter(|f| det.reconstruction_error(f) > threshold)
                 .count()
         };
-        let at0 = flagged_at(&mut det, 0.0);
-        let at2 = flagged_at(&mut det, 2.0);
+        let at0 = flagged_at(&det, 0.0);
+        let at2 = flagged_at(&det, 2.0);
         assert!(at0 > at2, "α=0 flagged {at0}, α=2 flagged {at2}");
     }
 
     #[test]
     fn slice_batch_errors_are_bit_identical_to_single() {
         let data = clean_data(9, 8, 8);
-        let mut det = AeDetector::train(&config(), &data, 9);
+        let det = AeDetector::train(&config(), &data, 9);
         let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
         let batch = det.reconstruction_errors_of(&refs);
         for (i, f) in data.iter().enumerate() {

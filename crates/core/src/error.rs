@@ -92,5 +92,7 @@ mod tests {
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<TrainError>();
+        // One trained system screens from any number of threads at once.
+        assert_send_sync::<crate::Soteria>();
     }
 }

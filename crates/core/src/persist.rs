@@ -422,14 +422,14 @@ mod tests {
 
     #[test]
     fn trained_system_round_trips_through_json() {
-        let (mut original, corpus, test) = small_trained();
+        let (original, corpus, test) = small_trained();
 
         let json = original.save_state().unwrap().to_json().unwrap();
-        let mut restored = Soteria::from_state(SoteriaState::from_json(&json).unwrap());
+        let restored = Soteria::from_state(SoteriaState::from_json(&json).unwrap());
 
         assert_eq!(
-            restored.detector_mut().stats(),
-            original.detector_mut().stats()
+            restored.detector_ref().stats(),
+            original.detector_ref().stats()
         );
         // Identical verdicts on every test sample (same walk seeds).
         for (i, &idx) in test.iter().enumerate() {
@@ -448,7 +448,7 @@ mod tests {
         // `backend` config key and three calibrated-weight keys. Struct
         // fields deserialize by name, so those keys are ignored and the
         // state loads as the f32 system it always contained.
-        let (mut original, corpus, test) = small_trained();
+        let (original, corpus, test) = small_trained();
         let payload = original.save_state().unwrap().to_json().unwrap();
         let quant = r#"{"layers":[{"Dense":{"in_dim":2,"out_dim":1,"activation":"Relu","w":[127,-64],"scale":[0.01],"bias":[0.5],"inv_in_scale":42.0}},"Identity",{"MaxPool1d":{"channels":1,"length":2,"window":2}}]}"#;
         let body = payload
@@ -467,7 +467,7 @@ mod tests {
             payload,
             "removed keys leave no trace"
         );
-        let mut restored = Soteria::from_state(state);
+        let restored = Soteria::from_state(state);
         for (i, &idx) in test.iter().enumerate() {
             let g = corpus.samples()[idx].graph();
             assert_eq!(
@@ -589,8 +589,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.soteria");
         original.save_state().unwrap().save_to_path(&path).unwrap();
-        let mut restored = Soteria::from_state(SoteriaState::load_from_path(&path).unwrap());
-        let mut original = original;
+        let restored = Soteria::from_state(SoteriaState::load_from_path(&path).unwrap());
         let g = corpus.samples()[test[0]].graph();
         assert_eq!(restored.analyze(g, 3), original.analyze(g, 3));
         // Loading a missing path is an Io error, not a panic.

@@ -293,22 +293,26 @@ impl Soteria {
         }
     }
 
-    /// Shared access to the detector (model persistence).
+    /// Shared access to the detector: persistence, threshold sweeps, and
+    /// per-stage inference all go through it.
     pub fn detector_ref(&self) -> &AeDetector {
         &self.detector
     }
 
-    /// Shared access to the classifier (model persistence).
+    /// Shared access to the classifier: persistence and per-model
+    /// evaluation.
     pub fn classifier_ref(&self) -> &FamilyClassifier {
         &self.classifier
     }
 
-    /// Mutable access to the detector (threshold sweeps).
+    /// Mutable access to the detector. Inference needs only
+    /// [`detector_ref`](Soteria::detector_ref).
     pub fn detector_mut(&mut self) -> &mut AeDetector {
         &mut self.detector
     }
 
-    /// Mutable access to the classifier (per-model evaluation).
+    /// Mutable access to the classifier. Inference needs only
+    /// [`classifier_ref`](Soteria::classifier_ref).
     pub fn classifier_mut(&mut self) -> &mut FamilyClassifier {
         &mut self.classifier
     }
@@ -326,7 +330,7 @@ impl Soteria {
     /// With [`screen_binary`](Soteria::screen_binary) this is the
     /// sequential reference: one sample, per-sample forward passes, no
     /// fan-out across samples.
-    pub fn analyze(&mut self, cfg: &Cfg, walk_seed: u64) -> Verdict {
+    pub fn analyze(&self, cfg: &Cfg, walk_seed: u64) -> Verdict {
         let _span = soteria_telemetry::span("pipeline.analyze");
         match self
             .extractor
@@ -343,7 +347,7 @@ impl Soteria {
     /// panics — confined to a [`Verdict::Degraded`]. The sequential
     /// reference for untrusted input: one sample, per-sample forward
     /// passes, no fan-out across samples.
-    pub fn screen_binary(&mut self, bytes: &[u8], walk_seed: u64) -> Verdict {
+    pub fn screen_binary(&self, bytes: &[u8], walk_seed: u64) -> Verdict {
         let _span = soteria_telemetry::span("pipeline.screen_binary");
         match extract_binary(&self.extractor, bytes, walk_seed, &self.config.guards) {
             Ok(features) => self.screen_one(&features, walk_seed, false),
@@ -363,7 +367,7 @@ impl Soteria {
     /// optimization. Faults degrade their sample only. The screening
     /// service derives each seed from the sample's content, so verdicts
     /// are a pure function of the bytes.
-    pub fn screen_many_seeded(&mut self, items: &[(&[u8], u64)]) -> Vec<Verdict> {
+    pub fn screen_many_seeded(&self, items: &[(&[u8], u64)]) -> Vec<Verdict> {
         if items.is_empty() {
             return Vec::new();
         }
@@ -406,7 +410,7 @@ impl Soteria {
     /// Bit-identical per item to the per-sample screen behind
     /// [`analyze`](Soteria::analyze) — every layer's forward pass is
     /// row-independent, so stacking rows cannot change any output bit.
-    pub fn screen_features_batch(&mut self, items: &[(SampleFeatures, u64)]) -> Vec<Verdict> {
+    pub fn screen_features_batch(&self, items: &[(SampleFeatures, u64)]) -> Vec<Verdict> {
         self.screen_stage(items, false)
     }
 
@@ -420,16 +424,13 @@ impl Soteria {
     /// detector passes return `Degraded(FaultKind::Overload { tier:
     /// "ae-only" })` instead, which is load-derived and must never be
     /// cached. Faults degrade their sample only, as on the full tier.
-    pub fn screen_features_batch_ae_only(
-        &mut self,
-        items: &[(SampleFeatures, u64)],
-    ) -> Vec<Verdict> {
+    pub fn screen_features_batch_ae_only(&self, items: &[(SampleFeatures, u64)]) -> Vec<Verdict> {
         self.screen_stage(items, true)
     }
 
     /// The one screen stage behind both tiers; `ae_only` stops it after
     /// the detector.
-    fn screen_stage(&mut self, items: &[(SampleFeatures, u64)], ae_only: bool) -> Vec<Verdict> {
+    fn screen_stage(&self, items: &[(SampleFeatures, u64)], ae_only: bool) -> Vec<Verdict> {
         if items.is_empty() {
             return Vec::new();
         }
@@ -500,7 +501,7 @@ impl Soteria {
     /// The per-sample screen: chaos gate, detector, and (unless `ae_only`)
     /// classifier, each forward pass over this sample alone. A panic
     /// (organic or chaos-injected) degrades this sample only.
-    fn screen_one(&mut self, features: &SampleFeatures, key: u64, ae_only: bool) -> Verdict {
+    fn screen_one(&self, features: &SampleFeatures, key: u64, ae_only: bool) -> Verdict {
         let result = soteria_resilience::isolate(AssertUnwindSafe(|| {
             soteria_resilience::chaos_point("pipeline.screen", key);
             let re = self.detector.reconstruction_error(features.combined());
@@ -614,7 +615,7 @@ mod tests {
 
     #[test]
     fn most_clean_test_samples_pass_the_detector() {
-        let (mut soteria, corpus, test) = trained();
+        let (soteria, corpus, test) = trained();
         let passed = test
             .iter()
             .filter(|&&i| {
@@ -632,7 +633,7 @@ mod tests {
 
     #[test]
     fn gea_examples_are_flagged_more_often_than_clean() {
-        let (mut soteria, corpus, test) = trained();
+        let (soteria, corpus, test) = trained();
         let target = gea_target(&corpus);
         let mut flagged_ae = 0;
         let mut flagged_clean = 0;
@@ -663,7 +664,7 @@ mod tests {
 
     #[test]
     fn clean_verdicts_carry_reports() {
-        let (mut soteria, corpus, test) = trained();
+        let (soteria, corpus, test) = trained();
         for &i in &test {
             if let Verdict::Clean {
                 family,
@@ -672,7 +673,7 @@ mod tests {
             } = soteria.analyze(corpus.samples()[i].graph(), i as u64)
             {
                 assert_eq!(family, report.voted_label);
-                assert!(reconstruction_error <= soteria.detector_mut().stats().threshold());
+                assert!(reconstruction_error <= soteria.detector_ref().stats().threshold());
                 return;
             }
         }
@@ -710,7 +711,7 @@ mod tests {
         // Telemetry must be purely observational: toggling it cannot
         // change a single verdict bit. Train once, then compare the batch
         // path's output under both settings.
-        let (mut soteria, corpus, test) = trained();
+        let (soteria, corpus, test) = trained();
         let binaries: Vec<Vec<u8>> = test
             .iter()
             .map(|&i| corpus.samples()[i].binary().to_bytes())
@@ -758,7 +759,7 @@ mod tests {
 
     #[test]
     fn ae_only_tier_is_bit_identical_where_it_answers() {
-        let (mut soteria, corpus, test) = trained();
+        let (soteria, corpus, test) = trained();
         let items = mixed_features(&soteria, &corpus, &test);
         let full = soteria.screen_features_batch(&items);
         let ae_only = soteria.screen_features_batch_ae_only(&items);
@@ -789,7 +790,7 @@ mod tests {
 
     #[test]
     fn a_panic_in_the_batched_math_degrades_only_its_sample() {
-        let (mut soteria, corpus, test) = trained();
+        let (soteria, corpus, test) = trained();
         let mut items = mixed_features(&soteria, &corpus, &test);
         let expected_full = soteria.screen_features_batch(&items);
         let expected_ae_only = soteria.screen_features_batch_ae_only(&items);
@@ -822,7 +823,7 @@ mod tests {
 
     #[test]
     fn empty_batches_screen_to_empty() {
-        let (mut soteria, _, _) = trained();
+        let (soteria, _, _) = trained();
         assert!(soteria.screen_many_seeded(&[]).is_empty());
         assert!(soteria.screen_features_batch(&[]).is_empty());
         assert!(soteria.screen_features_batch_ae_only(&[]).is_empty());
@@ -830,7 +831,7 @@ mod tests {
 
     #[test]
     fn screen_binary_degrades_on_garbage_and_analyzes_real_binaries() {
-        let (mut soteria, corpus, test) = trained();
+        let (soteria, corpus, test) = trained();
         // Arbitrary bytes must never unwind out of the pipeline.
         let garbage = vec![0xA5u8; 64];
         let verdict = soteria.screen_binary(&garbage, 1);

@@ -21,8 +21,7 @@ fn seeded_batch_screening_matches_one_by_one_extraction() {
         lineages: 3,
     });
     let split = corpus.split(0.8, 3);
-    let mut soteria =
-        Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, 5).expect("train");
+    let soteria = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, 5).expect("train");
 
     // Clean binaries, GEA merges of malicious ones, and garbage.
     let selection = TargetSelection::select(&corpus);
@@ -68,6 +67,21 @@ fn seeded_batch_screening_matches_one_by_one_extraction() {
 
     assert_eq!(inline, reference);
     assert_eq!(pooled, reference);
+    // Shared readers: screening takes `&self`, so three threads screen the
+    // same items through one model at once, each bit-identical to the
+    // reference.
+    std::thread::scope(|s| {
+        for _ in 0..3 {
+            s.spawn(|| {
+                let one_by_one: Vec<Verdict> = items
+                    .iter()
+                    .map(|&(bytes, seed)| soteria.screen_binary(bytes, seed))
+                    .collect();
+                assert_eq!(one_by_one, reference);
+                assert_eq!(soteria.screen_many_seeded(&items), reference);
+            });
+        }
+    });
     assert!(reference[3].is_degraded(), "garbage must degrade alone");
     assert!(reference.last().is_some_and(Verdict::is_degraded));
     assert!(reference.iter().any(Verdict::is_adversarial));

@@ -390,7 +390,7 @@ fn run_nn_bench(flags: &Flags) -> Result<(), String> {
     let mut bwd_best = f64::INFINITY;
     for _ in 0..conv_reps {
         let t = std::time::Instant::now();
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         fwd_best = fwd_best.min(t.elapsed().as_secs_f64());
         assert!(y.data()[0].is_finite());
         let t = std::time::Instant::now();
@@ -467,7 +467,7 @@ fn run_nn_bench(flags: &Flags) -> Result<(), String> {
             seed ^ (w[1] as u64),
         )));
     }
-    let mut stack = Sequential::new(layers);
+    let stack = Sequential::new(layers);
     let x = Matrix::from_vec(rows, dims[0], fill(rows * dims[0], seed ^ 0x18));
     let bits = |m: &Matrix| -> Vec<u32> { m.data().iter().map(|v| v.to_bits()).collect() };
     let f32_ref = bits(&stack.predict(&x));
@@ -777,9 +777,9 @@ fn run_robustness_bench(flags: &Flags) -> Result<(), String> {
         lineages: 3,
     });
     let split = corpus.split(0.8, seed ^ 0x5917);
-    let mut soteria = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, seed)
+    let soteria = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, seed)
         .map_err(|e| format!("robustness-bench: training failed: {e}"))?;
-    let threshold = soteria.detector_mut().stats().threshold();
+    let threshold = soteria.detector_ref().stats().threshold();
     let extractor = soteria.extractor().clone();
 
     // Mimicry goal: the mean combined feature vector of the benign
@@ -804,7 +804,7 @@ fn run_robustness_bench(flags: &Flags) -> Result<(), String> {
 
     let selection = TargetSelection::select(&corpus);
     let zoo = {
-        let detector: &AeDetector = soteria.detector_mut();
+        let detector: &AeDetector = soteria.detector_ref();
         standard_zoo(&ZooBuild {
             corpus: &corpus,
             selection: &selection,
@@ -1585,7 +1585,7 @@ fn run_overload_bench(flags: &Flags) -> Result<(), String> {
 
 /// The verdicts `m` gives `probes`, screened with seeds counting up from
 /// `first_seed`, rendered for comparison.
-fn probe_verdicts(m: &mut Soteria, probes: &[Vec<u8>], first_seed: u64) -> String {
+fn probe_verdicts(m: &Soteria, probes: &[Vec<u8>], first_seed: u64) -> String {
     let items: Vec<(&[u8], u64)> = probes
         .iter()
         .enumerate()
@@ -1601,8 +1601,8 @@ fn load_outcome(corrupted: &[u8], probes: &[Vec<u8>], first_seed: u64, expected:
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         match StateImage::parse(corrupted).and_then(|img| Soteria::load_image(&img)) {
             Err(_) => 0,
-            Ok(mut m) => {
-                let differs = probe_verdicts(&mut m, probes, first_seed) != expected;
+            Ok(m) => {
+                let differs = probe_verdicts(&m, probes, first_seed) != expected;
                 1 + usize::from(differs)
             }
         }
@@ -1670,7 +1670,7 @@ fn run_artifact_bench(flags: &Flags) -> Result<(), String> {
         config.detector.hidden,
         corpus.len()
     );
-    let mut trained = Soteria::train(&config, &corpus, &split.train, seed)
+    let trained = Soteria::train(&config, &corpus, &split.train, seed)
         .map_err(|e| format!("artifact-bench: training failed: {e}"))?;
 
     // Both formats on disk, loaded back through the real cold-start paths.
@@ -1729,8 +1729,8 @@ fn run_artifact_bench(flags: &Flags) -> Result<(), String> {
     let json_cold_ms = median(json_ms);
     let artifact_cold_ms = median(artifact_ms);
     let speedup = json_cold_ms / artifact_cold_ms.max(1e-9);
-    let mut json_model = json_model.expect("iters >= 1");
-    let mut artifact_model = artifact_model.expect("iters >= 1");
+    let json_model = json_model.expect("iters >= 1");
+    let artifact_model = artifact_model.expect("iters >= 1");
     let _ = std::fs::remove_dir_all(&dir);
 
     // Gate 1: the three systems (trained, JSON-loaded, artifact-loaded)
@@ -1741,9 +1741,9 @@ fn run_artifact_bench(flags: &Flags) -> Result<(), String> {
         .take(4)
         .map(|&i| corpus.samples()[i].binary().to_bytes())
         .collect();
-    let baseline_verdicts = probe_verdicts(&mut trained, &probes, 3_000);
-    let verdicts_identical = probe_verdicts(&mut json_model, &probes, 3_000) == baseline_verdicts
-        && probe_verdicts(&mut artifact_model, &probes, 3_000) == baseline_verdicts;
+    let baseline_verdicts = probe_verdicts(&trained, &probes, 3_000);
+    let verdicts_identical = probe_verdicts(&json_model, &probes, 3_000) == baseline_verdicts
+        && probe_verdicts(&artifact_model, &probes, 3_000) == baseline_verdicts;
 
     // Gate 2: corruption mini-sweep — typed rejection or identical load,
     // never a panic, never a different verdict.
@@ -1844,7 +1844,7 @@ fn run_chaos(flags: &Flags) -> Result<(), String> {
     let artifact_cases = flags.artifact_cases.unwrap_or(500);
     let scale = flags.scale.unwrap_or(0.004);
 
-    let (corpus, split, mut system) = train_tiny("chaos", scale, seed)?;
+    let (corpus, split, system) = train_tiny("chaos", scale, seed)?;
 
     // Arm deterministic chaos and silence the panic hook: hundreds of
     // *caught* panics are about to happen on purpose, and the default hook
@@ -1901,8 +1901,8 @@ fn run_chaos(flags: &Flags) -> Result<(), String> {
         .collect();
     let baseline_verdicts = {
         let image = StateImage::parse(&artifact).map_err(|e| format!("pristine parse: {e}"))?;
-        let mut m = Soteria::load_image(&image).map_err(|e| format!("pristine load: {e}"))?;
-        probe_verdicts(&mut m, &probes, 7_000)
+        let m = Soteria::load_image(&image).map_err(|e| format!("pristine load: {e}"))?;
+        probe_verdicts(&m, &probes, 7_000)
     };
     // Per mutation kind: [rejected, loaded-identical, diverged, panicked].
     let mut by_artifact_mutation: std::collections::BTreeMap<String, [usize; 4]> =

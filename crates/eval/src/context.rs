@@ -172,7 +172,7 @@ impl ExperimentContext {
                 "[soteria-exp] evaluating {} clean test samples...",
                 self.split.test.len()
             );
-            let threshold = self.soteria.detector_mut().stats().threshold();
+            let threshold = self.soteria.detector_ref().stats().threshold();
             let graphs: Vec<&soteria_cfg::Cfg> = self
                 .split
                 .test
@@ -188,9 +188,9 @@ impl ExperimentContext {
                 let sample = &self.corpus.samples()[idx];
                 let re = self
                     .soteria
-                    .detector_mut()
+                    .detector_ref()
                     .reconstruction_error(f.combined());
-                let report = self.soteria.classifier_mut().classify(f);
+                let report = self.soteria.classifier_ref().classify(f);
                 out.push(CleanResult {
                     corpus_index: idx,
                     family: sample.family(),
@@ -212,7 +212,7 @@ impl ExperimentContext {
     /// and — if it slips through — classified.
     pub fn adversarial_results(&mut self) -> &[TargetEval] {
         if self.adversarial.is_none() {
-            let threshold = self.soteria.detector_mut().stats().threshold();
+            let threshold = self.soteria.detector_ref().stats().threshold();
             let targets: Vec<_> = self.selection.targets().to_vec();
             let mut evals = Vec::with_capacity(targets.len());
             for (ti, target) in targets.iter().enumerate() {
@@ -245,13 +245,13 @@ impl ExperimentContext {
                 for (f, &(idx, family)) in features.iter().zip(&origins) {
                     let re = self
                         .soteria
-                        .detector_mut()
+                        .detector_ref()
                         .reconstruction_error(f.combined());
                     let flagged = re > threshold;
                     let voted_if_missed = if flagged {
                         None
                     } else {
-                        Some(self.soteria.classifier_mut().classify(f).voted_label)
+                        Some(self.soteria.classifier_ref().classify(f).voted_label)
                     };
                     results.push(AeResult {
                         original_index: idx,

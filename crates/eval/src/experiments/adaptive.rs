@@ -17,7 +17,7 @@ use soteria_attacks::{Attack, BlockSplit, LowDensityInsert, Obfuscate};
 
 /// Runs all three adaptive probes over the clean test split.
 pub fn run(ctx: &mut ExperimentContext) -> ExperimentOutput {
-    let threshold = ctx.soteria.detector_mut().stats().threshold();
+    let threshold = ctx.soteria.detector_ref().stats().threshold();
     let test: Vec<usize> = ctx.split.test.clone();
 
     // Probe 1: low-density insertion.
@@ -43,11 +43,11 @@ pub fn run(ctx: &mut ExperimentContext) -> ExperimentOutput {
         let features = ctx.soteria.features(sample.graph(), seed);
         let re = ctx
             .soteria
-            .detector_mut()
+            .detector_ref()
             .reconstruction_error(features.combined());
         if re <= threshold {
             baseline_passed += 1;
-            if ctx.soteria.classifier_mut().classify(&features).voted_label == sample.family() {
+            if ctx.soteria.classifier_ref().classify(&features).voted_label == sample.family() {
                 baseline_correct += 1;
             }
         }
@@ -62,13 +62,13 @@ pub fn run(ctx: &mut ExperimentContext) -> ExperimentOutput {
         let f = ctx.soteria.features(ld.graph(), seed ^ 0x1);
         let re = ctx
             .soteria
-            .detector_mut()
+            .detector_ref()
             .reconstruction_error(f.combined());
         if re > threshold {
             ld_flagged += 1;
         } else {
             ld_passed += 1;
-            if ctx.soteria.classifier_mut().classify(&f).voted_label == sample.family() {
+            if ctx.soteria.classifier_ref().classify(&f).voted_label == sample.family() {
                 ld_correct += 1;
             }
         }
@@ -84,7 +84,7 @@ pub fn run(ctx: &mut ExperimentContext) -> ExperimentOutput {
                 .features(split.graph(), seed ^ (0x30 + si as u64));
             if ctx
                 .soteria
-                .detector_mut()
+                .detector_ref()
                 .reconstruction_error(f.combined())
                 > threshold
             {
@@ -101,11 +101,11 @@ pub fn run(ctx: &mut ExperimentContext) -> ExperimentOutput {
             let f = ctx.soteria.features(obf.graph(), seed ^ (0x50 + oi as u64));
             let re = ctx
                 .soteria
-                .detector_mut()
+                .detector_ref()
                 .reconstruction_error(f.combined());
             if re <= threshold {
                 obf_passed[oi] += 1;
-                if ctx.soteria.classifier_mut().classify(&f).voted_label == sample.family() {
+                if ctx.soteria.classifier_ref().classify(&f).voted_label == sample.family() {
                     obf_correct[oi] += 1;
                 }
             }

@@ -47,7 +47,7 @@ pub fn run(ctx: &mut ExperimentContext) -> ExperimentOutput {
             format!("{:.2}", miss * 100.0),
         ]);
     }
-    let chosen = ctx.soteria.detector_mut().stats().threshold();
+    let chosen = ctx.soteria.detector_ref().stats().threshold();
     let mut info = TextTable::new(vec!["quantity".into(), "value".into()])
         .with_title("Fig. 12 — operating point");
     info.row(vec![

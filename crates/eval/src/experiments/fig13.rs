@@ -18,7 +18,7 @@ pub const ALPHA_MAX: f64 = 2.0;
 pub fn run(ctx: &mut ExperimentContext) -> ExperimentOutput {
     let _ = ctx.clean_results();
     let _ = ctx.adversarial_results();
-    let stats = ctx.soteria.detector_mut().stats();
+    let stats = ctx.soteria.detector_ref().stats();
     let clean_res: Vec<f64> = ctx.clean_results().iter().map(|r| r.re).collect();
     let ae_res: Vec<f64> = ctx
         .adversarial_results()

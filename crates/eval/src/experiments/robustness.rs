@@ -70,7 +70,7 @@ pub fn run(ctx: &mut ExperimentContext) -> ExperimentOutput {
     });
     let _ = trainer.fit(&mut supervised, &x, &t, Loss::SoftmaxCrossEntropy);
 
-    let mut detect_rate = |vectors: &[Vec<f64>]| -> f64 {
+    let detect_rate = |vectors: &[Vec<f64>]| -> f64 {
         if vectors.is_empty() {
             return 0.0;
         }

@@ -44,7 +44,7 @@ pub fn run(ctx: &mut ExperimentContext) -> ExperimentOutput {
         .iter()
         .map(|&i| ctx.corpus.samples()[i].av_label().index())
         .collect();
-    let mut alasmary = AlasmaryClassifier::train(
+    let alasmary = AlasmaryClassifier::train(
         &AlasmaryConfig::default(),
         &train_graphs,
         &labels,
@@ -60,7 +60,7 @@ pub fn run(ctx: &mut ExperimentContext) -> ExperimentOutput {
     let mut cui_rows: Vec<(ImageSize, ConfusionMatrix)> = Vec::new();
     for size in [ImageSize::S24, ImageSize::S48] {
         eprintln!("[soteria-exp] training Cui baseline at {size}...");
-        let mut cui = CuiClassifier::train(
+        let cui = CuiClassifier::train(
             &CuiConfig::at(size),
             &train_samples,
             &labels,

@@ -543,6 +543,30 @@ pub(crate) fn ensure_len(buf: &mut Vec<f32>, len: usize) {
     debug_assert_eq!(buf.len(), len);
 }
 
+/// Splits the first `n` elements off an optional buffer, leaving the rest
+/// in place: how a pass hands each pool task its rows of an optional
+/// training record.
+#[inline]
+pub(crate) fn split_front<'a, T>(rest: &mut Option<&'a mut [T]>, n: usize) -> Option<&'a mut [T]> {
+    let (head, tail) = rest.take()?.split_at_mut(n);
+    *rest = Some(tail);
+    Some(head)
+}
+
+/// Applies ReLU to `y` in place and, when given, records its mask (1 where
+/// the output is positive) for the training backward.
+#[inline]
+pub(crate) fn relu_in_place(y: &mut [f32], mask: Option<&mut [u8]>) {
+    for v in y.iter_mut() {
+        *v = v.max(0.0);
+    }
+    if let Some(mask) = mask {
+        for (m, &v) in mask.iter_mut().zip(y.iter()) {
+            *m = u8::from(v > 0.0);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,9 @@
 //! - **direct** (small patches): shifted-axpy tap loops that vectorize over
 //!   the signal axis `t` — no im2col materialization at all;
 //! - **GEMM** (large patches): im2col + blocked GEMM (see
-//!   [`crate::backend`]) with reusable scratch buffers.
+//!   [`crate::backend`]). The training forward keeps every row's patches
+//!   for backward; inference im2cols one row at a time into task-local
+//!   scratch.
 //!
 //! The naive loops are retained as [`Conv1d::forward_reference`] /
 //! [`Conv1d::backward_reference`] and both fast paths are proven
@@ -44,8 +46,9 @@ pub struct Conv1d {
     grad_weights: Vec<f32>,
     #[serde(skip)]
     grad_bias: Vec<f32>,
-    /// im2col of the last forward batch: per sample, `length` rows of
-    /// `in_c·kernel` patch columns. Reused across steps.
+    /// im2col of the last training batch: per sample, `length` rows of
+    /// `in_c·kernel` patch columns (filled by the GEMM-path forward, or by
+    /// the direct path's backward). Reused across steps.
     #[serde(skip)]
     col: Vec<f32>,
     /// ReLU mask of the last training forward (1 where the output was
@@ -424,8 +427,14 @@ impl Conv1d {
     }
 }
 
-impl Layer for Conv1d {
-    fn forward(&mut self, input: &Matrix, train: bool) -> Matrix {
+impl Conv1d {
+    /// The forward arithmetic behind both passes. `record`, when given,
+    /// receives what `backward` needs: every row's im2col patches on the
+    /// GEMM path (the direct path takes an empty slice) and the ReLU mask
+    /// (empty without a ReLU). Without it nothing but the output is
+    /// written, and the GEMM path im2cols each row into one row of scratch
+    /// per pool task.
+    fn conv(&self, input: &Matrix, record: Option<(&mut [f32], &mut [u8])>) -> Matrix {
         assert_eq!(input.cols(), self.in_width(), "conv1d input width mismatch");
         let rows = input.rows();
         let (l, patch, ow) = (
@@ -435,19 +444,6 @@ impl Layer for Conv1d {
         );
         let direct = self.direct();
         let mut out = Matrix::zeros(rows, ow);
-        if direct {
-            self.col.clear();
-            if train {
-                let len = rows * self.in_channels * l;
-                backend::ensure_len(&mut self.cached_input, len);
-                self.cached_input.copy_from_slice(input.data());
-            }
-        } else {
-            backend::ensure_len(&mut self.col, rows * l * patch);
-        }
-        let with_mask = train && self.relu;
-        self.mask.resize(if with_mask { rows * ow } else { 0 }, 0);
-
         let jobs = backend::job_count(rows * self.out_channels * l * patch.saturating_mul(2), rows);
         let rows_per = rows.div_ceil(jobs.max(1)).max(1);
         let (weights, bias, relu) = (self.weights.as_slice(), self.bias.as_slice(), self.relu);
@@ -458,28 +454,19 @@ impl Layer for Conv1d {
             self.kernel / 2,
         );
         let mut tasks: Vec<backend::ScopedTask<'_>> = Vec::with_capacity(jobs);
-        let mut col_rest: &mut [f32] = &mut self.col;
-        let mut mask_rest: &mut [u8] = &mut self.mask;
+        let (mut col_rest, mut mask_rest) = record.unzip();
         let mut out_rest: &mut [f32] = out.data_mut();
         let mut r0 = 0usize;
         while r0 < rows {
             let nr = rows_per.min(rows - r0);
-            let (col_c, rest) = if direct {
-                (&mut [][..], col_rest)
-            } else {
-                col_rest.split_at_mut(nr * l * patch)
-            };
-            col_rest = rest;
+            let mut col_c =
+                backend::split_front(&mut col_rest, if direct { 0 } else { nr * l * patch });
+            let mut mask_c = backend::split_front(&mut mask_rest, if relu { nr * ow } else { 0 });
             let (out_c, rest) = out_rest.split_at_mut(nr * ow);
             out_rest = rest;
-            let (mask_c, rest) = if with_mask {
-                mask_rest.split_at_mut(nr * ow)
-            } else {
-                (&mut [][..], mask_rest)
-            };
-            mask_rest = rest;
             let base = r0;
             tasks.push(Box::new(move || {
+                let mut scratch = Vec::new();
                 for r in 0..nr {
                     let x = input.row(base + r);
                     let y = &mut out_c[r * ow..(r + 1) * ow];
@@ -523,32 +510,52 @@ impl Layer for Conv1d {
                             }
                         }
                     } else {
-                        let colr = &mut col_c[r * l * patch..(r + 1) * l * patch];
+                        let colr = match col_c.as_deref_mut() {
+                            Some(col) => &mut col[r * l * patch..(r + 1) * l * patch],
+                            None => {
+                                scratch.resize(l * patch, 0.0);
+                                &mut scratch[..]
+                            }
+                        };
                         backend::im2col_1d_fast(x, in_c, l, kernel, colr);
                         backend::gemm_nt_serial(weights, colr, patch, l, Some(bias), y);
                     }
                     if relu {
-                        if with_mask {
-                            let m = &mut mask_c[r * ow..(r + 1) * ow];
-                            for (v, mv) in y.iter_mut().zip(m.iter_mut()) {
-                                let act = v.max(0.0);
-                                *v = act;
-                                *mv = u8::from(act > 0.0);
-                            }
-                        } else {
-                            for v in y.iter_mut() {
-                                *v = v.max(0.0);
-                            }
-                        }
+                        backend::relu_in_place(
+                            y,
+                            mask_c.as_deref_mut().map(|m| &mut m[r * ow..(r + 1) * ow]),
+                        );
                     }
                 }
             }));
             r0 += nr;
         }
         backend::run_scoped(tasks);
-        if train {
-            self.cached_rows = Some(rows);
+        out
+    }
+}
+
+impl Layer for Conv1d {
+    fn infer(&self, input: &Matrix) -> Matrix {
+        self.conv(input, None)
+    }
+
+    fn forward(&mut self, input: &Matrix) -> Matrix {
+        let (rows, patch) = (input.rows(), self.in_channels * self.kernel);
+        let mut col = std::mem::take(&mut self.col);
+        let mut mask = std::mem::take(&mut self.mask);
+        if self.direct() {
+            // Backward im2cols the kept input; the forward needs no patches.
+            backend::ensure_len(&mut self.cached_input, input.data().len());
+            self.cached_input.copy_from_slice(input.data());
+        } else {
+            backend::ensure_len(&mut col, rows * self.length * patch);
         }
+        // A layer without a ReLU keeps no mask.
+        mask.resize(rows * self.out_width() * usize::from(self.relu), 0);
+        let out = self.conv(input, Some((&mut col, &mut mask)));
+        (self.col, self.mask) = (col, mask);
+        self.cached_rows = Some(rows);
         out
     }
 
@@ -585,7 +592,7 @@ impl Conv1d {
         let rows = self
             .cached_rows
             .take()
-            .expect("backward without forward(train=true)");
+            .expect("backward without a training forward");
         let (l, ow, patch) = (
             self.length,
             self.out_width(),
@@ -824,7 +831,7 @@ mod tests {
         conv.weights.copy_from_slice(&[0.0, 1.0, 0.0]);
         conv.bias[0] = 0.0;
         let x = Matrix::from_vec(1, 5, vec![1., 2., 3., 4., 5.]);
-        let y = conv.forward(&x, false);
+        let y = conv.infer(&x);
         assert_eq!(y.data(), x.data());
     }
 
@@ -834,7 +841,7 @@ mod tests {
         let mut conv = Conv1d::new(1, 1, 3, 4, false, 0);
         conv.weights.copy_from_slice(&[1.0, 0.0, 0.0]);
         let x = Matrix::from_vec(1, 4, vec![1., 2., 3., 4.]);
-        let y = conv.forward(&x, false);
+        let y = conv.infer(&x);
         assert_eq!(y.data(), &[0., 1., 2., 3.]);
     }
 
@@ -844,13 +851,13 @@ mod tests {
         let mut conv = Conv1d::new(2, 1, 1, 3, false, 0);
         conv.weights.copy_from_slice(&[1.0, 1.0]);
         let x = Matrix::from_vec(1, 6, vec![1., 2., 3., 10., 20., 30.]);
-        let y = conv.forward(&x, false);
+        let y = conv.infer(&x);
         assert_eq!(y.data(), &[11., 22., 33.]);
     }
 
     #[test]
     fn lowered_forward_is_bit_identical_to_reference() {
-        let mut conv = Conv1d::new(3, 4, 5, 7, true, 11);
+        let conv = Conv1d::new(3, 4, 5, 7, true, 11);
         let x = Matrix::from_vec(
             2,
             21,
@@ -858,7 +865,7 @@ mod tests {
                 .map(|i| ((i * 37 % 19) as f32 - 9.0) / 4.0)
                 .collect(),
         );
-        let fast = conv.forward(&x, false);
+        let fast = conv.infer(&x);
         let reference = conv.forward_reference(&x);
         let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&fast), bits(&reference));
@@ -874,7 +881,7 @@ mod tests {
                 .map(|i| ((i * 29 % 17) as f32 - 8.0) / 4.0)
                 .collect(),
         );
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         let g = Matrix::from_vec(
             2,
             conv.out_width(),
@@ -891,6 +898,29 @@ mod tests {
     }
 
     #[test]
+    fn gemm_path_infer_and_forward_match_the_reference() {
+        // 17 channels × 3 taps = 51 > DIRECT_PATCH_MAX: the im2col path.
+        let mut conv = Conv1d::new(17, 4, 3, 6, true, 3);
+        assert!(!conv.direct());
+        let x = Matrix::from_vec(
+            3,
+            conv.in_width(),
+            (0..3 * conv.in_width())
+                .map(|i| ((i * 41 % 23) as f32 - 11.0) / 8.0)
+                .collect(),
+        );
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let reference = conv.forward_reference(&x);
+        assert_eq!(bits(&conv.infer(&x)), bits(&reference));
+        assert_eq!(bits(&conv.forward(&x)), bits(&reference));
+        let g = Matrix::from_vec(3, conv.out_width(), vec![0.5; 3 * conv.out_width()]);
+        let grad_in = conv.backward(&g);
+        let (ref_gi, ref_gw, _) = conv.backward_reference(&x, &reference, &g);
+        assert_eq!(bits(&grad_in), bits(&ref_gi));
+        assert_eq!(conv.grad_weights, ref_gw);
+    }
+
+    #[test]
     fn gradient_matches_finite_difference() {
         let mut conv = Conv1d::new(2, 3, 3, 4, true, 5);
         let x = Matrix::from_vec(
@@ -900,8 +930,8 @@ mod tests {
                 0.5, -0.3, 0.8, 0.1, -0.2, 0.7, 0.4, -0.6, 0.9, 0.2, -0.5, 0.3, 0.6, -0.1, 0.8, 0.2,
             ],
         );
-        let loss = |c: &mut Conv1d, x: &Matrix| -> f32 { c.forward(x, false).data().iter().sum() };
-        let _ = conv.forward(&x, true);
+        let loss = |c: &Conv1d, x: &Matrix| -> f32 { c.infer(x).data().iter().sum() };
+        let _ = conv.forward(&x);
         let ones = Matrix::from_vec(2, conv.out_width(), vec![1.0; 2 * conv.out_width()]);
         let dx = conv.backward(&ones);
 
@@ -909,9 +939,9 @@ mod tests {
         for idx in [0usize, 5, 11] {
             let orig = conv.weights[idx];
             conv.weights[idx] = orig + eps;
-            let hi = loss(&mut conv, &x);
+            let hi = loss(&conv, &x);
             conv.weights[idx] = orig - eps;
-            let lo = loss(&mut conv, &x);
+            let lo = loss(&conv, &x);
             conv.weights[idx] = orig;
             let numeric = (hi - lo) / (2.0 * eps);
             assert!(
@@ -923,9 +953,9 @@ mod tests {
         for idx in [1usize, 7] {
             let mut xp = x.clone();
             xp.data_mut()[idx] += eps;
-            let hi = loss(&mut conv, &xp);
+            let hi = loss(&conv, &xp);
             xp.data_mut()[idx] -= 2.0 * eps;
-            let lo = loss(&mut conv, &xp);
+            let lo = loss(&conv, &xp);
             let numeric = (hi - lo) / (2.0 * eps);
             assert!(
                 (numeric - dx.data()[idx]).abs() < 3e-2,

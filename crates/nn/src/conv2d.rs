@@ -34,8 +34,8 @@ pub struct Conv2d {
     grad_weights: Vec<f32>,
     #[serde(skip)]
     grad_bias: Vec<f32>,
-    /// im2col of the last forward batch (per sample, `h·w` pixel rows of
-    /// `in_c·kernel²` patch columns). Reused across steps.
+    /// im2col of the last training forward batch (per sample, `h·w` pixel
+    /// rows of `in_c·kernel²` patch columns). Reused across steps.
     #[serde(skip)]
     col: Vec<f32>,
     /// ReLU mask of the last training forward.
@@ -313,18 +313,19 @@ impl Conv2d {
     }
 }
 
-impl Layer for Conv2d {
-    fn forward(&mut self, input: &Matrix, train: bool) -> Matrix {
+impl Conv2d {
+    /// The forward arithmetic behind both passes. `record`, when given,
+    /// receives what `backward` needs: every row's im2col patches and the
+    /// ReLU mask (empty without a ReLU). Without it nothing but the output
+    /// is written, and each row is im2col'd into one row of scratch per
+    /// pool task.
+    fn conv(&self, input: &Matrix, record: Option<(&mut [f32], &mut [u8])>) -> Matrix {
         assert_eq!(input.cols(), self.in_width(), "conv2d input width mismatch");
         let rows = input.rows();
         let plane = self.height * self.width;
         let patch = self.in_channels * self.kernel * self.kernel;
         let ow = self.out_width();
         let mut out = Matrix::zeros(rows, ow);
-        backend::ensure_len(&mut self.col, rows * plane * patch);
-        let with_mask = train && self.relu;
-        self.mask.resize(if with_mask { rows * ow } else { 0 }, 0);
-
         let jobs = backend::job_count(
             rows * self.out_channels * plane * patch.saturating_mul(2),
             rows,
@@ -333,51 +334,59 @@ impl Layer for Conv2d {
         let (weights, bias, relu) = (self.weights.as_slice(), self.bias.as_slice(), self.relu);
         let (in_c, kernel, h, w) = (self.in_channels, self.kernel, self.height, self.width);
         let mut tasks: Vec<backend::ScopedTask<'_>> = Vec::with_capacity(jobs);
-        let mut col_rest: &mut [f32] = &mut self.col;
-        let mut mask_rest: &mut [u8] = &mut self.mask;
+        let (mut col_rest, mut mask_rest) = record.unzip();
         let mut out_rest: &mut [f32] = out.data_mut();
         let mut r0 = 0usize;
         while r0 < rows {
             let nr = rows_per.min(rows - r0);
-            let (col_c, rest) = col_rest.split_at_mut(nr * plane * patch);
-            col_rest = rest;
+            let mut col_c = backend::split_front(&mut col_rest, nr * plane * patch);
+            let mut mask_c = backend::split_front(&mut mask_rest, if relu { nr * ow } else { 0 });
             let (out_c, rest) = out_rest.split_at_mut(nr * ow);
             out_rest = rest;
-            let (mask_c, rest) = if with_mask {
-                mask_rest.split_at_mut(nr * ow)
-            } else {
-                (&mut [][..], mask_rest)
-            };
-            mask_rest = rest;
             let base = r0;
             tasks.push(Box::new(move || {
+                let mut scratch = Vec::new();
                 for r in 0..nr {
-                    let colr = &mut col_c[r * plane * patch..(r + 1) * plane * patch];
+                    let colr = match col_c.as_deref_mut() {
+                        Some(col) => &mut col[r * plane * patch..(r + 1) * plane * patch],
+                        None => {
+                            scratch.resize(plane * patch, 0.0);
+                            &mut scratch[..]
+                        }
+                    };
                     backend::im2col_2d(input.row(base + r), in_c, h, w, kernel, colr);
                     let y = &mut out_c[r * ow..(r + 1) * ow];
                     backend::gemm_nt_serial(weights, colr, patch, plane, Some(bias), y);
                     if relu {
-                        if with_mask {
-                            let m = &mut mask_c[r * ow..(r + 1) * ow];
-                            for (v, mv) in y.iter_mut().zip(m.iter_mut()) {
-                                let act = v.max(0.0);
-                                *v = act;
-                                *mv = u8::from(act > 0.0);
-                            }
-                        } else {
-                            for v in y.iter_mut() {
-                                *v = v.max(0.0);
-                            }
-                        }
+                        backend::relu_in_place(
+                            y,
+                            mask_c.as_deref_mut().map(|m| &mut m[r * ow..(r + 1) * ow]),
+                        );
                     }
                 }
             }));
             r0 += nr;
         }
         backend::run_scoped(tasks);
-        if train {
-            self.cached_rows = Some(rows);
-        }
+        out
+    }
+}
+
+impl Layer for Conv2d {
+    fn infer(&self, input: &Matrix) -> Matrix {
+        self.conv(input, None)
+    }
+
+    fn forward(&mut self, input: &Matrix) -> Matrix {
+        let (rows, patch) = (input.rows(), self.in_channels * self.kernel * self.kernel);
+        let mut col = std::mem::take(&mut self.col);
+        let mut mask = std::mem::take(&mut self.mask);
+        backend::ensure_len(&mut col, rows * self.height * self.width * patch);
+        // A layer without a ReLU keeps no mask.
+        mask.resize(rows * self.out_width() * usize::from(self.relu), 0);
+        let out = self.conv(input, Some((&mut col, &mut mask)));
+        (self.col, self.mask) = (col, mask);
+        self.cached_rows = Some(rows);
         out
     }
 
@@ -386,7 +395,7 @@ impl Layer for Conv2d {
         let rows = self
             .cached_rows
             .take()
-            .expect("backward without forward(train=true)");
+            .expect("backward without a training forward");
         let plane = self.height * self.width;
         let patch = self.in_channels * self.kernel * self.kernel;
         let ow = self.out_width();
@@ -580,15 +589,16 @@ impl MaxPool2d {
     }
 }
 
-impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Matrix, train: bool) -> Matrix {
+impl MaxPool2d {
+    /// The pooling arithmetic behind both passes. `argmax`, when given,
+    /// receives the winning input index of every output element.
+    fn pool(&self, input: &Matrix, mut argmax: Option<&mut [usize]>) -> Matrix {
         assert_eq!(input.cols(), self.in_width(), "pool2d input width mismatch");
         let (oh, ow) = (self.out_height(), self.out_w());
         let plane = self.height * self.width;
         let out_plane = oh * ow;
         let out_w = self.out_width();
         let mut out = Matrix::zeros(input.rows(), out_w);
-        self.argmax.resize(input.rows() * out_w, 0);
         for r in 0..input.rows() {
             let x = input.row(r);
             for c in 0..self.channels {
@@ -610,14 +620,28 @@ impl Layer for MaxPool2d {
                         }
                         let o = c * out_plane + prow * ow + pcol;
                         out.set(r, o, best);
-                        self.argmax[r * out_w + o] = best_i;
+                        if let Some(am) = argmax.as_deref_mut() {
+                            am[r * out_w + o] = best_i;
+                        }
                     }
                 }
             }
         }
-        if train {
-            self.in_shape = Some((input.rows(), input.cols()));
-        }
+        out
+    }
+}
+
+impl Layer for MaxPool2d {
+    fn infer(&self, input: &Matrix) -> Matrix {
+        self.pool(input, None)
+    }
+
+    fn forward(&mut self, input: &Matrix) -> Matrix {
+        let mut argmax = std::mem::take(&mut self.argmax);
+        argmax.resize(input.rows() * self.out_width(), 0);
+        let out = self.pool(input, Some(&mut argmax));
+        self.argmax = argmax;
+        self.in_shape = Some((input.rows(), input.cols()));
         out
     }
 
@@ -625,7 +649,7 @@ impl Layer for MaxPool2d {
         let (rows, cols) = self
             .in_shape
             .take()
-            .expect("backward without forward(train=true)");
+            .expect("backward without a training forward");
         let mut grad_in = Matrix::zeros(rows, cols);
         for r in 0..rows {
             for j in 0..self.out_width() {
@@ -653,7 +677,7 @@ mod tests {
         let center = conv.w_index(0, 0, 1, 1);
         conv.weights[center] = 1.0; // center tap
         let x = Matrix::from_vec(1, 9, (1..=9).map(|v| v as f32).collect());
-        let y = conv.forward(&x, false);
+        let y = conv.infer(&x);
         assert_eq!(y.data(), x.data());
     }
 
@@ -662,14 +686,14 @@ mod tests {
         let mut conv = Conv2d::new(1, 1, 3, 2, 2, false, 0);
         conv.weights.fill(1.0); // sum of 3x3 neighborhood
         let x = Matrix::from_vec(1, 4, vec![1., 1., 1., 1.]);
-        let y = conv.forward(&x, false);
+        let y = conv.infer(&x);
         // Every output = sum of the in-bounds 2x2 = 4.
         assert_eq!(y.data(), &[4., 4., 4., 4.]);
     }
 
     #[test]
     fn lowered_forward_is_bit_identical_to_reference() {
-        let mut conv = Conv2d::new(2, 3, 3, 4, 5, true, 13);
+        let conv = Conv2d::new(2, 3, 3, 4, 5, true, 13);
         let x = Matrix::from_vec(
             2,
             40,
@@ -677,7 +701,7 @@ mod tests {
                 .map(|i| ((i * 31 % 23) as f32 - 11.0) / 4.0)
                 .collect(),
         );
-        let fast = conv.forward(&x, false);
+        let fast = conv.infer(&x);
         let reference = conv.forward_reference(&x);
         let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&fast), bits(&reference));
@@ -693,7 +717,7 @@ mod tests {
                 .map(|i| ((i * 29 % 17) as f32 - 8.0) / 4.0)
                 .collect(),
         );
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         let g = Matrix::from_vec(
             2,
             conv.out_width(),
@@ -719,8 +743,8 @@ mod tests {
                 0.5, -0.3, 0.8, 0.1, -0.2, 0.7, 0.4, -0.6, 0.9, 0.2, -0.5, 0.3,
             ],
         );
-        let loss = |c: &mut Conv2d, x: &Matrix| -> f32 { c.forward(x, false).data().iter().sum() };
-        let _ = conv.forward(&x, true);
+        let loss = |c: &Conv2d, x: &Matrix| -> f32 { c.infer(x).data().iter().sum() };
+        let _ = conv.forward(&x);
         let ones = Matrix::from_vec(1, conv.out_width(), vec![1.0; conv.out_width()]);
         let dx = conv.backward(&ones);
 
@@ -728,9 +752,9 @@ mod tests {
         for idx in [0usize, 4, 10] {
             let orig = conv.weights[idx];
             conv.weights[idx] = orig + eps;
-            let hi = loss(&mut conv, &x);
+            let hi = loss(&conv, &x);
             conv.weights[idx] = orig - eps;
-            let lo = loss(&mut conv, &x);
+            let lo = loss(&conv, &x);
             conv.weights[idx] = orig;
             let numeric = (hi - lo) / (2.0 * eps);
             assert!(
@@ -742,9 +766,9 @@ mod tests {
         for idx in [2usize, 7] {
             let mut xp = x.clone();
             xp.data_mut()[idx] += eps;
-            let hi = loss(&mut conv, &xp);
+            let hi = loss(&conv, &xp);
             xp.data_mut()[idx] -= 2.0 * eps;
-            let lo = loss(&mut conv, &xp);
+            let lo = loss(&conv, &xp);
             let numeric = (hi - lo) / (2.0 * eps);
             assert!(
                 (numeric - dx.data()[idx]).abs() < 3e-2,
@@ -756,7 +780,7 @@ mod tests {
 
     #[test]
     fn pool2d_takes_window_maxima() {
-        let mut pool = MaxPool2d::new(1, 4, 4, 2);
+        let pool = MaxPool2d::new(1, 4, 4, 2);
         #[rustfmt::skip]
         let x = Matrix::from_vec(1, 16, vec![
             1., 2., 5., 6.,
@@ -764,7 +788,7 @@ mod tests {
             9., 10., 13., 14.,
             11., 12., 15., 16.,
         ]);
-        let y = pool.forward(&x, false);
+        let y = pool.infer(&x);
         assert_eq!(y.data(), &[4., 8., 12., 16.]);
     }
 
@@ -772,16 +796,16 @@ mod tests {
     fn pool2d_backward_routes_to_argmax() {
         let mut pool = MaxPool2d::new(1, 2, 2, 2);
         let x = Matrix::from_vec(1, 4, vec![1., 9., 3., 4.]);
-        let _ = pool.forward(&x, true);
+        let _ = pool.forward(&x);
         let g = pool.backward(&Matrix::from_vec(1, 1, vec![5.0]));
         assert_eq!(g.data(), &[0., 5., 0., 0.]);
     }
 
     #[test]
     fn pool2d_channels_are_independent() {
-        let mut pool = MaxPool2d::new(2, 2, 2, 2);
+        let pool = MaxPool2d::new(2, 2, 2, 2);
         let x = Matrix::from_vec(1, 8, vec![1., 2., 3., 4., 8., 7., 6., 5.]);
-        let y = pool.forward(&x, false);
+        let y = pool.infer(&x);
         assert_eq!(y.data(), &[4., 8.]);
     }
 

@@ -1,8 +1,9 @@
 //! Fully connected layers with fused activations.
 //!
-//! Training caches are reused arenas: the layer keeps a copy of its input
-//! (refreshed in place each step) and the activation derivative evaluated
-//! at forward time, instead of cloning both matrices every call.
+//! Training caches are reused arenas: the training forward keeps a copy of
+//! its input (refreshed in place each step) and the activation derivative
+//! evaluated at forward time, instead of cloning both matrices every call.
+//! Inference records neither.
 
 use crate::backend;
 use crate::init;
@@ -179,7 +180,7 @@ impl Dense {
     fn backward_params(&mut self, grad_out: &Matrix) {
         assert!(
             std::mem::take(&mut self.cache_ready),
-            "backward without forward(train=true)"
+            "backward without a training forward"
         );
         self.ensure_grads();
         // δ = grad_out ⊙ act'(y), built in the reused arena.
@@ -208,7 +209,7 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Matrix, train: bool) -> Matrix {
+    fn infer(&self, input: &Matrix) -> Matrix {
         assert_eq!(input.cols(), self.in_dim, "dense input width mismatch");
         let mut out = input.matmul(&self.weights);
         for r in 0..out.rows() {
@@ -217,14 +218,17 @@ impl Layer for Dense {
                 *o = self.activation.apply(*o + b);
             }
         }
-        if train {
-            self.cached_input.copy_from(input);
-            backend::ensure_len(&mut self.act_deriv, out.rows() * out.cols());
-            for (d, &y) in self.act_deriv.iter_mut().zip(out.data()) {
-                *d = self.activation.derivative_from_output(y);
-            }
-            self.cache_ready = true;
+        out
+    }
+
+    fn forward(&mut self, input: &Matrix) -> Matrix {
+        let out = self.infer(input);
+        self.cached_input.copy_from(input);
+        backend::ensure_len(&mut self.act_deriv, out.rows() * out.cols());
+        for (d, &y) in self.act_deriv.iter_mut().zip(out.data()) {
+            *d = self.activation.derivative_from_output(y);
         }
+        self.cache_ready = true;
         out
     }
 
@@ -260,9 +264,8 @@ mod tests {
         let mut layer = Dense::new(3, 2, activation, 9);
         let x = Matrix::from_vec(2, 3, vec![0.5, -0.2, 0.8, -0.1, 0.4, 0.9]);
         // Loss = sum(y); grad_out = ones.
-        let fwd_loss =
-            |layer: &mut Dense, x: &Matrix| -> f32 { layer.forward(x, false).data().iter().sum() };
-        let _ = layer.forward(&x, true);
+        let fwd_loss = |layer: &Dense, x: &Matrix| -> f32 { layer.infer(x).data().iter().sum() };
+        let _ = layer.forward(&x);
         let grad_out = Matrix::from_vec(2, 2, vec![1.0; 4]);
         let dx = layer.backward(&grad_out);
 
@@ -271,9 +274,9 @@ mod tests {
         for idx in [0usize, 2, 5] {
             let orig = layer.weights.data()[idx];
             layer.weights.data_mut()[idx] = orig + eps;
-            let hi = fwd_loss(&mut layer, &x);
+            let hi = fwd_loss(&layer, &x);
             layer.weights.data_mut()[idx] = orig - eps;
-            let lo = fwd_loss(&mut layer, &x);
+            let lo = fwd_loss(&layer, &x);
             layer.weights.data_mut()[idx] = orig;
             let numeric = (hi - lo) / (2.0 * eps);
             assert!(
@@ -286,9 +289,9 @@ mod tests {
         let idx = 1;
         let mut xp = x.clone();
         xp.data_mut()[idx] += eps;
-        let hi = fwd_loss(&mut layer, &xp);
+        let hi = fwd_loss(&layer, &xp);
         xp.data_mut()[idx] -= 2.0 * eps;
-        let lo = fwd_loss(&mut layer, &xp);
+        let lo = fwd_loss(&layer, &xp);
         let numeric = (hi - lo) / (2.0 * eps);
         assert!(
             (numeric - dx.data()[idx]).abs() < 2e-2,
@@ -306,25 +309,25 @@ mod tests {
 
     #[test]
     fn forward_shapes_are_correct() {
-        let mut layer = Dense::new(4, 6, Activation::Relu, 0);
+        let layer = Dense::new(4, 6, Activation::Relu, 0);
         let x = Matrix::zeros(3, 4);
-        let y = layer.forward(&x, false);
+        let y = layer.infer(&x);
         assert_eq!((y.rows(), y.cols()), (3, 6));
     }
 
     #[test]
     fn relu_output_is_nonnegative() {
-        let mut layer = Dense::new(5, 5, Activation::Relu, 1);
+        let layer = Dense::new(5, 5, Activation::Relu, 1);
         let x = Matrix::from_vec(1, 5, vec![-10.0, -1.0, 0.0, 1.0, 10.0]);
-        let y = layer.forward(&x, false);
+        let y = layer.infer(&x);
         assert!(y.data().iter().all(|&v| v >= 0.0));
     }
 
     #[test]
     fn sigmoid_output_in_unit_interval() {
-        let mut layer = Dense::new(3, 3, Activation::Sigmoid, 2);
+        let layer = Dense::new(3, 3, Activation::Sigmoid, 2);
         let x = Matrix::from_vec(1, 3, vec![-100.0, 0.0, 100.0]);
-        let y = layer.forward(&x, false);
+        let y = layer.infer(&x);
         assert!(y.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 
@@ -338,7 +341,7 @@ mod tests {
     fn zero_grads_clears_accumulation() {
         let mut layer = Dense::new(2, 2, Activation::Linear, 4);
         let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let _ = layer.forward(&x, true);
+        let _ = layer.forward(&x);
         let _ = layer.backward(&Matrix::from_vec(1, 2, vec![1.0, 1.0]));
         assert!(layer.grad_weights.iter().any(|&g| g != 0.0));
         layer.zero_grads();
@@ -356,7 +359,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn forward_rejects_wrong_width() {
-        let mut layer = Dense::new(3, 2, Activation::Linear, 0);
-        let _ = layer.forward(&Matrix::zeros(1, 4), false);
+        let layer = Dense::new(3, 2, Activation::Linear, 0);
+        let _ = layer.infer(&Matrix::zeros(1, 4));
     }
 }

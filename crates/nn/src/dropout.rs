@@ -73,8 +73,12 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, input: &Matrix, train: bool) -> Matrix {
-        if !train || self.p == 0.0 {
+    fn infer(&self, input: &Matrix) -> Matrix {
+        input.clone()
+    }
+
+    fn forward(&mut self, input: &Matrix) -> Matrix {
+        if self.p == 0.0 {
             return input.clone();
         }
         // A fresh, deterministic stream per forward pass.
@@ -131,16 +135,16 @@ mod tests {
 
     #[test]
     fn inference_is_identity() {
-        let mut d = Dropout::new(0.5, 0);
+        let d = Dropout::new(0.5, 0);
         let x = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
-        assert_eq!(d.forward(&x, false), x);
+        assert_eq!(d.infer(&x), x);
     }
 
     #[test]
     fn training_zeroes_roughly_p_fraction() {
         let mut d = Dropout::new(0.25, 1);
         let x = Matrix::from_vec(1, 4000, vec![1.0; 4000]);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x);
         let zeros = y.data().iter().filter(|&&v| v == 0.0).count();
         let frac = zeros as f64 / 4000.0;
         assert!((frac - 0.25).abs() < 0.05, "dropped {frac}");
@@ -153,7 +157,7 @@ mod tests {
     fn expected_value_is_preserved() {
         let mut d = Dropout::new(0.5, 2);
         let x = Matrix::from_vec(1, 10_000, vec![1.0; 10_000]);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x);
         let mean: f32 = y.data().iter().sum::<f32>() / 10_000.0;
         assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
     }
@@ -162,7 +166,7 @@ mod tests {
     fn backward_uses_same_mask() {
         let mut d = Dropout::new(0.5, 3);
         let x = Matrix::from_vec(1, 8, vec![1.0; 8]);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x);
         let g = d.backward(&Matrix::from_vec(1, 8, vec![1.0; 8]));
         // The gradient is zero exactly where the output was zero.
         for (gy, gg) in y.data().iter().zip(g.data()) {
@@ -175,7 +179,7 @@ mod tests {
         use rand::Rng;
         let mut d = Dropout::new(0.3, 11);
         let x = Matrix::from_vec(1, 512, vec![1.0; 512]);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x);
         // Replay the draws through `gen_bool` itself: the integer-threshold
         // fast path must produce the identical mask.
         let mut rng = ChaCha8Rng::seed_from_u64(11);
@@ -191,9 +195,9 @@ mod tests {
     fn successive_passes_use_fresh_masks() {
         let mut d = Dropout::new(0.5, 4);
         let x = Matrix::from_vec(1, 64, vec![1.0; 64]);
-        let a = d.forward(&x, true);
+        let a = d.forward(&x);
         let _ = d.backward(&x);
-        let b = d.forward(&x, true);
+        let b = d.forward(&x);
         assert_ne!(a, b);
     }
 
@@ -201,7 +205,7 @@ mod tests {
     fn zero_probability_is_identity_even_in_training() {
         let mut d = Dropout::new(0.0, 5);
         let x = Matrix::from_vec(1, 4, vec![1., 2., 3., 4.]);
-        assert_eq!(d.forward(&x, true), x);
+        assert_eq!(d.forward(&x), x);
     }
 
     #[test]

@@ -4,19 +4,28 @@ use crate::matrix::Matrix;
 
 /// One differentiable network stage.
 ///
-/// The calling convention is stateful reverse-mode autodiff: `forward`
-/// caches whatever it needs, the matching `backward` consumes that cache
-/// and accumulates parameter gradients internally, and
+/// Inference and training are separate entry points.
+/// [`infer`](Layer::infer) takes `&self` and writes nothing into the
+/// layer, so one trained model serves any number of threads at once.
+/// Training is stateful reverse-mode autodiff:
+/// [`forward`](Layer::forward) computes the same output and records what
+/// the matching [`backward`](Layer::backward) needs, `backward` consumes
+/// that record and accumulates parameter gradients internally, and
 /// [`visit_params`](Layer::visit_params) exposes `(param, grad)` pairs to
 /// the optimizer in a stable order.
-pub trait Layer: std::fmt::Debug + Send {
-    /// Computes the layer output for a `[batch × features]` input.
-    /// `train` enables training-only behavior (dropout masks, cache
-    /// retention).
-    fn forward(&mut self, input: &Matrix, train: bool) -> Matrix;
+pub trait Layer: std::fmt::Debug + Send + Sync {
+    /// Computes the inference output for a `[batch × features]` input
+    /// (dropout is the identity). Writes nothing into the layer.
+    fn infer(&self, input: &Matrix) -> Matrix;
+
+    /// The training forward pass: the output for a `[batch × features]`
+    /// input (dropout masks applied), with the state `backward` needs
+    /// recorded in the layer. Every other layer's output is bit-identical
+    /// to [`infer`](Layer::infer)'s.
+    fn forward(&mut self, input: &Matrix) -> Matrix;
 
     /// Propagates `grad_out` (∂loss/∂output) to ∂loss/∂input, accumulating
-    /// parameter gradients. Must follow a `forward(_, true)` call.
+    /// parameter gradients. Must follow a [`forward`](Layer::forward) call.
     fn backward(&mut self, grad_out: &Matrix) -> Matrix;
 
     /// Like [`backward`](Layer::backward), but the caller will discard the

@@ -33,9 +33,9 @@ impl Sequential {
         self.layers.push(layer);
     }
 
-    /// Inference-mode forward pass (dropout disabled, no caches kept).
-    pub fn predict(&mut self, input: &Matrix) -> Matrix {
-        self.forward(input, false)
+    /// Inference (dropout disabled); see [`Layer::infer`].
+    pub fn predict(&self, input: &Matrix) -> Matrix {
+        self.infer(input)
     }
 
     /// Micro-batched inference: stacks every group's rows into one matrix,
@@ -49,7 +49,7 @@ impl Sequential {
     /// # Panics
     ///
     /// Panics if groups have ragged row widths.
-    pub fn predict_stacked(&mut self, groups: &[&[Vec<f64>]]) -> Vec<Matrix> {
+    pub fn predict_stacked(&self, groups: &[&[Vec<f64>]]) -> Vec<Matrix> {
         let rows: Vec<&[f64]> = groups
             .iter()
             .flat_map(|g| g.iter().map(Vec::as_slice))
@@ -70,12 +70,20 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Matrix, train: bool) -> Matrix {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train);
-        }
-        x
+    fn infer(&self, input: &Matrix) -> Matrix {
+        let Some((first, rest)) = self.layers.split_first() else {
+            return input.clone();
+        };
+        rest.iter()
+            .fold(first.infer(input), |x, layer| layer.infer(&x))
+    }
+
+    fn forward(&mut self, input: &Matrix) -> Matrix {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return input.clone();
+        };
+        rest.iter_mut()
+            .fold(first.forward(input), |x, layer| layer.forward(&x))
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
@@ -125,7 +133,7 @@ mod tests {
 
     #[test]
     fn forward_chains_layers() {
-        let mut m = two_layer();
+        let m = two_layer();
         let y = m.predict(&Matrix::zeros(5, 3));
         assert_eq!((y.rows(), y.cols()), (5, 2));
     }
@@ -140,7 +148,7 @@ mod tests {
     fn backward_returns_input_gradient_shape() {
         let mut m = two_layer();
         let x = Matrix::from_vec(2, 3, vec![0.1; 6]);
-        let _ = m.forward(&x, true);
+        let _ = m.forward(&x);
         let g = m.backward(&Matrix::from_vec(2, 2, vec![1.0; 4]));
         assert_eq!((g.rows(), g.cols()), (2, 3));
     }
@@ -149,16 +157,16 @@ mod tests {
     fn whole_model_gradient_check() {
         let mut m = two_layer();
         let x = Matrix::from_vec(1, 3, vec![0.3, -0.7, 0.5]);
-        let loss = |m: &mut Sequential, x: &Matrix| -> f32 { m.predict(x).data().iter().sum() };
-        let _ = m.forward(&x, true);
+        let loss = |m: &Sequential, x: &Matrix| -> f32 { m.predict(x).data().iter().sum() };
+        let _ = m.forward(&x);
         let dx = m.backward(&Matrix::from_vec(1, 2, vec![1.0, 1.0]));
         let eps = 1e-3f32;
         for i in 0..3 {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
-            let hi = loss(&mut m, &xp);
+            let hi = loss(&m, &xp);
             xp.data_mut()[i] -= 2.0 * eps;
-            let lo = loss(&mut m, &xp);
+            let lo = loss(&m, &xp);
             let numeric = (hi - lo) / (2.0 * eps);
             assert!(
                 (numeric - dx.data()[i]).abs() < 2e-2,
@@ -179,7 +187,7 @@ mod tests {
 
     #[test]
     fn predict_stacked_matches_per_group_predict() {
-        let mut m = two_layer();
+        let m = two_layer();
         let g1: Vec<Vec<f64>> = vec![vec![0.1, -0.2, 0.3], vec![0.5, 0.0, -0.1]];
         let g2: Vec<Vec<f64>> = vec![vec![-0.4, 0.7, 0.2]];
         let batched = m.predict_stacked(&[&g1, &g2]);
@@ -190,7 +198,7 @@ mod tests {
 
     #[test]
     fn predict_stacked_handles_empty_input() {
-        let mut m = two_layer();
+        let m = two_layer();
         assert!(m.predict_stacked(&[]).is_empty());
         let empty: Vec<Vec<f64>> = Vec::new();
         let out = m.predict_stacked(&[&empty]);
@@ -200,7 +208,7 @@ mod tests {
 
     #[test]
     fn empty_model_is_identity() {
-        let mut m = Sequential::new(vec![]);
+        let m = Sequential::new(vec![]);
         assert!(m.is_empty());
         let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
         assert_eq!(m.predict(&x), x);

@@ -167,7 +167,7 @@ mod tests {
         let t = Matrix::from_vec(4, 1, vec![1.0; 4]);
         let mut last = f32::MAX;
         for _ in 0..steps {
-            let y = layer.forward(&x, true);
+            let y = layer.forward(&x);
             let (loss, grad) = crate::loss::Loss::Mse.compute(&y, &t);
             let _ = layer.backward(&grad);
             opt.step(&mut layer, lr);
@@ -211,7 +211,7 @@ mod tests {
     fn step_zeroes_gradients() {
         let mut layer = Dense::new(2, 2, Activation::Linear, 1);
         let x = Matrix::from_vec(1, 2, vec![1.0, -1.0]);
-        let y = layer.forward(&x, true);
+        let y = layer.forward(&x);
         let (_, grad) = crate::loss::Loss::Mse.compute(&y, &Matrix::zeros(1, 2));
         let _ = layer.backward(&grad);
         let mut opt = Adam::new();

@@ -258,7 +258,7 @@ mod tests {
             Dense::new(4 * 8, 2, Activation::Linear, 5).into(),
         ]);
         let json = spec.to_json().unwrap();
-        let mut restored = ModelSpec::from_json(&json).unwrap().into_sequential();
+        let restored = ModelSpec::from_json(&json).unwrap().into_sequential();
         let y = restored.predict(&Matrix::zeros(2, 16));
         assert_eq!((y.rows(), y.cols()), (2, 2));
     }
@@ -271,7 +271,7 @@ mod tests {
             Dense::new(2 * 4 * 4, 3, Activation::Linear, 2).into(),
         ]);
         let json = spec.to_json().unwrap();
-        let mut restored = ModelSpec::from_json(&json).unwrap().into_sequential();
+        let restored = ModelSpec::from_json(&json).unwrap().into_sequential();
         let y = restored.predict(&Matrix::zeros(1, 64));
         assert_eq!(y.cols(), 3);
     }
@@ -298,9 +298,9 @@ mod tests {
 
     #[test]
     fn spec_of_round_trips_a_trained_model() {
-        let mut model = trained_model();
+        let model = trained_model();
         let spec = spec_of(&model).unwrap();
-        let mut restored = spec.into_sequential();
+        let restored = spec.into_sequential();
         let probe = Matrix::from_vec(4, 2, vec![0., 0., 0., 1., 1., 0., 1., 1.]);
         assert_eq!(
             restored.predict(&probe).data(),

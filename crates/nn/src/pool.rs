@@ -74,58 +74,51 @@ impl MaxPool1d {
     }
 }
 
-impl Layer for MaxPool1d {
-    fn forward(&mut self, input: &Matrix, train: bool) -> Matrix {
+impl MaxPool1d {
+    /// The pooling arithmetic behind both passes. `argmax`, when given,
+    /// receives the winning input index of every output element.
+    fn pool(&self, input: &Matrix, mut argmax: Option<&mut [usize]>) -> Matrix {
         assert_eq!(input.cols(), self.in_width(), "pool input width mismatch");
-        let out_l = self.out_length();
-        let out_w = self.out_width();
+        let (out_l, out_w, window) = (self.out_length(), self.out_width(), self.window);
         let mut out = Matrix::zeros(input.rows(), out_w);
-        self.argmax.resize(input.rows() * out_w, 0);
         for r in 0..input.rows() {
             let x = input.row(r);
             let o_row = out.row_mut(r);
-            let am_row = &mut self.argmax[r * out_w..(r + 1) * out_w];
             for c in 0..self.channels {
                 let base = c * self.length;
+                let windows = x[base..base + out_l * window].chunks_exact(window);
                 let o_ch = &mut o_row[c * out_l..(c + 1) * out_l];
-                let am_ch = &mut am_row[c * out_l..(c + 1) * out_l];
-                if self.window == 2 {
-                    // Strict `>` keeps the first of tied maxima, matching
-                    // the general scan below.
-                    for ((t, o), am) in o_ch.iter_mut().enumerate().zip(am_ch.iter_mut()) {
-                        let i = base + 2 * t;
-                        let (a, b) = (x[i], x[i + 1]);
-                        if b > a {
-                            *o = b;
-                            *am = i + 1;
-                        } else {
-                            *o = a;
-                            *am = i;
-                        }
-                    }
-                } else {
-                    for (t, (o, am)) in o_ch.iter_mut().zip(am_ch.iter_mut()).enumerate() {
-                        let start = base + t * self.window;
-                        let (mut best_i, mut best) = (start, x[start]);
-                        for (i, &v) in x[start + 1..start + self.window]
-                            .iter()
-                            .enumerate()
-                            .map(|(k, v)| (start + 1 + k, v))
-                        {
-                            if v > best {
-                                best = v;
-                                best_i = i;
-                            }
-                        }
-                        *o = best;
-                        *am = best_i;
+                for (t, (o, w)) in o_ch.iter_mut().zip(windows).enumerate() {
+                    // The window's first maximum (strict `>` keeps the
+                    // first of tied maxima); the paper's window 2 is one
+                    // compare.
+                    let k = if window == 2 {
+                        usize::from(w[1] > w[0])
+                    } else {
+                        (1..window).fold(0, |best, i| if w[i] > w[best] { i } else { best })
+                    };
+                    *o = w[k];
+                    if let Some(am) = argmax.as_deref_mut() {
+                        am[r * out_w + c * out_l + t] = base + t * window + k;
                     }
                 }
             }
         }
-        if train {
-            self.in_shape = Some((input.rows(), input.cols()));
-        }
+        out
+    }
+}
+
+impl Layer for MaxPool1d {
+    fn infer(&self, input: &Matrix) -> Matrix {
+        self.pool(input, None)
+    }
+
+    fn forward(&mut self, input: &Matrix) -> Matrix {
+        let mut argmax = std::mem::take(&mut self.argmax);
+        argmax.resize(input.rows() * self.out_width(), 0);
+        let out = self.pool(input, Some(&mut argmax));
+        self.argmax = argmax;
+        self.in_shape = Some((input.rows(), input.cols()));
         out
     }
 
@@ -133,7 +126,7 @@ impl Layer for MaxPool1d {
         let (rows, cols) = self
             .in_shape
             .take()
-            .expect("backward without forward(train=true)");
+            .expect("backward without a training forward");
         let mut grad_in = Matrix::zeros(rows, cols);
         for r in 0..rows {
             for j in 0..self.out_width() {
@@ -156,26 +149,26 @@ mod tests {
 
     #[test]
     fn pools_maxima_per_window() {
-        let mut pool = MaxPool1d::new(1, 6, 2);
+        let pool = MaxPool1d::new(1, 6, 2);
         let x = Matrix::from_vec(1, 6, vec![1., 5., 2., 2., 9., 0.]);
-        let y = pool.forward(&x, false);
+        let y = pool.infer(&x);
         assert_eq!(y.data(), &[5., 2., 9.]);
     }
 
     #[test]
     fn odd_tail_is_dropped() {
-        let mut pool = MaxPool1d::new(1, 5, 2);
+        let pool = MaxPool1d::new(1, 5, 2);
         let x = Matrix::from_vec(1, 5, vec![1., 2., 3., 4., 99.]);
-        let y = pool.forward(&x, false);
+        let y = pool.infer(&x);
         assert_eq!(y.data(), &[2., 4.]);
         assert_eq!(pool.out_length(), 2);
     }
 
     #[test]
     fn channels_pool_independently() {
-        let mut pool = MaxPool1d::new(2, 4, 2);
+        let pool = MaxPool1d::new(2, 4, 2);
         let x = Matrix::from_vec(1, 8, vec![1., 2., 3., 4., 40., 30., 20., 10.]);
-        let y = pool.forward(&x, false);
+        let y = pool.infer(&x);
         assert_eq!(y.data(), &[2., 4., 40., 20.]);
     }
 
@@ -183,7 +176,7 @@ mod tests {
     fn backward_routes_gradient_to_argmax() {
         let mut pool = MaxPool1d::new(1, 4, 2);
         let x = Matrix::from_vec(1, 4, vec![1., 5., 7., 2.]);
-        let _ = pool.forward(&x, true);
+        let _ = pool.forward(&x);
         let g = pool.backward(&Matrix::from_vec(1, 2, vec![10., 20.]));
         assert_eq!(g.data(), &[0., 10., 20., 0.]);
     }
@@ -192,7 +185,7 @@ mod tests {
     fn backward_ties_pick_first_max() {
         let mut pool = MaxPool1d::new(1, 2, 2);
         let x = Matrix::from_vec(1, 2, vec![3., 3.]);
-        let _ = pool.forward(&x, true);
+        let _ = pool.forward(&x);
         let g = pool.backward(&Matrix::from_vec(1, 1, vec![1.]));
         assert_eq!(g.data(), &[1., 0.]);
     }

@@ -199,7 +199,7 @@ impl Trainer {
             for chunk in order.chunks(self.config.batch_size) {
                 inputs.select_rows_into(chunk, &mut x);
                 targets.select_rows_into(chunk, &mut t);
-                let y = model.forward(&x, true);
+                let y = model.forward(&x);
                 let (batch_loss, grad) = loss.compute(&y, &t);
                 model.backward_discard(&grad);
                 grad_norm_sum += grad_l2_norm(model);
@@ -306,7 +306,7 @@ impl Trainer {
             for chunk in order.chunks(self.config.batch_size) {
                 inputs.select_rows_into(chunk, &mut x);
                 targets.select_rows_into(chunk, &mut t);
-                let y = model.forward(&x, true);
+                let y = model.forward(&x);
                 let (batch_loss, grad) = loss.compute(&y, &t);
                 model.backward_discard(&grad);
                 grad_norm_sum += grad_l2_norm(model);

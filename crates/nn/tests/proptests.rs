@@ -83,8 +83,8 @@ proptest! {
     #[test]
     fn dense_gradcheck(x in arb_matrix(2, 3), seed in 0u64..50) {
         let mut layer = Dense::new(3, 2, Activation::Relu, seed);
-        let loss = |l: &mut Dense, x: &Matrix| -> f32 { l.forward(x, false).data().iter().sum() };
-        let _ = layer.forward(&x, true);
+        let loss = |l: &Dense, x: &Matrix| -> f32 { l.infer(x).data().iter().sum() };
+        let _ = layer.forward(&x);
         let dx = layer.backward(&Matrix::from_vec(2, 2, vec![1.0; 4]));
         let eps = 1e-2f32;
         for idx in 0..x.data().len() {
@@ -92,7 +92,7 @@ proptest! {
             hi.data_mut()[idx] += eps;
             let mut lo = x.clone();
             lo.data_mut()[idx] -= eps;
-            let numeric = (loss(&mut layer, &hi) - loss(&mut layer, &lo)) / (2.0 * eps);
+            let numeric = (loss(&layer, &hi) - loss(&layer, &lo)) / (2.0 * eps);
             // ReLU kinks make exact agreement impossible; accept a loose
             // bound and skip points near the kink.
             let analytic = dx.data()[idx];
@@ -109,10 +109,10 @@ proptest! {
     /// permutes output rows identically.
     #[test]
     fn conv_rows_are_independent(x in arb_matrix(3, 8), seed in 0u64..50) {
-        let mut conv = Conv1d::new(1, 2, 3, 8, true, seed);
-        let y = conv.forward(&x, false);
+        let conv = Conv1d::new(1, 2, 3, 8, true, seed);
+        let y = conv.infer(&x);
         let permuted = x.select_rows(&[2, 0, 1]);
-        let yp = conv.forward(&permuted, false);
+        let yp = conv.infer(&permuted);
         prop_assert_eq!(yp.row(0), y.row(2));
         prop_assert_eq!(yp.row(1), y.row(0));
         prop_assert_eq!(yp.row(2), y.row(1));
@@ -124,13 +124,13 @@ proptest! {
     #[test]
     fn pooling_selects_inputs(data in proptest::collection::vec(0.01f32..1.0, 8)) {
         let x = Matrix::from_vec(1, 8, data.clone());
-        let mut pool = MaxPool1d::new(1, 8, 2);
-        let y = pool.forward(&x, false);
+        let pool = MaxPool1d::new(1, 8, 2);
+        let y = pool.infer(&x);
         for (i, &v) in y.data().iter().enumerate() {
             prop_assert!(v == data[2 * i] || v == data[2 * i + 1]);
         }
         let x2 = Matrix::from_vec(1, 8, data.iter().map(|&v| v * 2.0).collect());
-        let y2 = pool.forward(&x2, false);
+        let y2 = pool.infer(&x2);
         for (a, b) in y.data().iter().zip(y2.data()) {
             prop_assert!((b - 2.0 * a).abs() < 1e-6);
         }
@@ -166,9 +166,10 @@ proptest! {
         set_bias(&mut conv, &fill(out_c, seed ^ 0xB1A5));
         let x = Matrix::from_vec(batch, in_c * length, fill(batch * in_c * length, seed ^ 1));
 
-        let fast = conv.forward(&x, true);
+        let fast = conv.forward(&x);
         let reference = conv.forward_reference(&x);
         prop_assert_eq!(bits(fast.data()), bits(reference.data()));
+        prop_assert_eq!(bits(conv.infer(&x).data()), bits(reference.data()));
 
         let g = Matrix::from_vec(batch, out_c * length, fill(batch * out_c * length, seed ^ 2));
         let grad_in = conv.backward(&g);
@@ -196,9 +197,10 @@ proptest! {
         let plane = height * width;
         let x = Matrix::from_vec(batch, in_c * plane, fill(batch * in_c * plane, seed ^ 1));
 
-        let fast = conv.forward(&x, true);
+        let fast = conv.forward(&x);
         let reference = conv.forward_reference(&x);
         prop_assert_eq!(bits(fast.data()), bits(reference.data()));
+        prop_assert_eq!(bits(conv.infer(&x).data()), bits(reference.data()));
 
         let g = Matrix::from_vec(batch, out_c * plane, fill(batch * out_c * plane, seed ^ 2));
         let grad_in = conv.backward(&g);

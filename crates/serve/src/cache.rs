@@ -10,11 +10,16 @@
 //! The map is split into shards, each behind its own mutex, so concurrent
 //! submitters rarely contend. Within a shard, eviction is LRU by a per-shard
 //! access tick.
+//!
+//! Every insert is stamped with the model epoch that computed the verdict.
+//! [`advance_epoch`](VerdictCache::advance_epoch) drops every entry and
+//! makes the cache refuse inserts stamped with an older epoch, so a hot
+//! swap retires the old model's verdicts in one step.
 
 use soteria::Verdict;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// FNV-1a 64-bit hash over the byte length (little-endian) followed by the
 /// bytes themselves. Folding the length in keeps pathological
@@ -78,6 +83,8 @@ struct Shard {
 pub struct VerdictCache {
     shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
+    /// The oldest model epoch whose verdicts are still accepted.
+    epoch: AtomicU64,
     lookups: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -110,6 +117,7 @@ impl VerdictCache {
         VerdictCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             per_shard_capacity,
+            epoch: AtomicU64::new(0),
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -151,13 +159,21 @@ impl VerdictCache {
         }
     }
 
-    /// Stores a verdict, evicting the shard's least-recently-used entry if
-    /// the shard is full.
-    pub fn insert(&self, key: u64, verdict: Verdict) {
+    /// Stores a verdict computed by the model of `epoch`, evicting the
+    /// shard's least-recently-used entry if the shard is full. A verdict
+    /// from an epoch older than the cache's is dropped: its model has been
+    /// swapped out.
+    pub fn insert(&self, epoch: u64, key: u64, verdict: Verdict) {
         if self.per_shard_capacity == 0 {
             return;
         }
         let mut shard = lock(self.shard(key));
+        // Checked under the shard lock, which `advance_epoch` takes after
+        // raising the epoch: a stale insert either lands before that
+        // shard's clear (and is cleared) or sees the new epoch here.
+        if epoch < self.epoch.load(Ordering::SeqCst) {
+            return;
+        }
         shard.tick += 1;
         let tick = shard.tick;
         if !shard.map.contains_key(&key) && shard.map.len() >= self.per_shard_capacity {
@@ -194,12 +210,20 @@ impl VerdictCache {
         }
     }
 
-    /// Drops every resident entry (counters are preserved). Used by hot
-    /// model swap: a cached verdict must not outlive the model that
-    /// computed it. Shards are cleared one at a time, so a concurrent
-    /// reader may still hit an entry in a not-yet-cleared shard — callers
-    /// that need strict cutover must also guard inserts (the service's
-    /// epoch check).
+    /// Retires every verdict of a model older than `epoch`: later inserts
+    /// stamped with an older epoch are dropped, and every resident entry
+    /// is cleared. Once this returns, no lookup can see an older model's
+    /// verdict. The epoch never moves backwards.
+    pub fn advance_epoch(&self, epoch: u64) {
+        self.epoch.fetch_max(epoch, Ordering::SeqCst);
+        self.clear();
+    }
+
+    /// Drops every resident entry (counters are preserved). Shards are
+    /// cleared one at a time, so a concurrent reader may still hit an entry
+    /// in a not-yet-cleared shard, and a concurrent insert may land after
+    /// its shard was cleared; [`advance_epoch`](VerdictCache::advance_epoch)
+    /// is the strict cutover.
     pub fn clear(&self) {
         let mut dropped = 0i64;
         for shard in &self.shards {
@@ -236,11 +260,12 @@ impl VerdictCache {
     }
 }
 
-/// Locks a shard, recovering from a poisoned mutex: cache state is a plain
-/// map that is valid after any interrupted operation, so a panicking peer
-/// must not wedge every later request.
-fn lock(shard: &Mutex<Shard>) -> std::sync::MutexGuard<'_, Shard> {
-    shard.lock().unwrap_or_else(|e| e.into_inner())
+/// Locks a mutex, recovering from poison. Only for state that is valid
+/// after any interrupted operation — a cache shard's plain map, the
+/// service's queue receiver and model slot — so a panicking peer must not
+/// wedge every later request.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -265,7 +290,7 @@ mod tests {
     fn get_after_insert_round_trips() {
         let cache = VerdictCache::new(8, 2);
         assert_eq!(cache.get(1), None);
-        cache.insert(1, verdict(0.5));
+        cache.insert(0, 1, verdict(0.5));
         assert_eq!(cache.get(1), Some(verdict(0.5)));
         let stats = cache.stats();
         assert_eq!(stats.lookups, 2);
@@ -279,10 +304,10 @@ mod tests {
     fn lru_evicts_the_coldest_entry() {
         // Single shard so eviction order is fully observable.
         let cache = VerdictCache::new(2, 1);
-        cache.insert(1, verdict(1.0));
-        cache.insert(2, verdict(2.0));
+        cache.insert(0, 1, verdict(1.0));
+        cache.insert(0, 2, verdict(2.0));
         assert_eq!(cache.get(1), Some(verdict(1.0))); // refresh 1; 2 is now LRU
-        cache.insert(3, verdict(3.0));
+        cache.insert(0, 3, verdict(3.0));
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.get(2), None, "cold entry should have been evicted");
         assert!(cache.get(1).is_some());
@@ -292,9 +317,9 @@ mod tests {
     #[test]
     fn reinserting_a_resident_key_does_not_evict() {
         let cache = VerdictCache::new(2, 1);
-        cache.insert(1, verdict(1.0));
-        cache.insert(2, verdict(2.0));
-        cache.insert(1, verdict(9.0));
+        cache.insert(0, 1, verdict(1.0));
+        cache.insert(0, 2, verdict(2.0));
+        cache.insert(0, 1, verdict(9.0));
         assert_eq!(cache.stats().evictions, 0);
         assert_eq!(cache.get(1), Some(verdict(9.0)));
         assert_eq!(cache.get(2), Some(verdict(2.0)));
@@ -303,7 +328,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let cache = VerdictCache::new(0, 4);
-        cache.insert(1, verdict(1.0));
+        cache.insert(0, 1, verdict(1.0));
         assert_eq!(cache.get(1), None);
         assert!(cache.is_empty());
         let stats = cache.stats();
@@ -317,7 +342,7 @@ mod tests {
         let cache = VerdictCache::new(16, 4);
         // Shards hash on the high 32 bits; spread the keys across them.
         for k in 0..10u64 {
-            cache.insert(k << 32, verdict(k as f64));
+            cache.insert(0, k << 32, verdict(k as f64));
         }
         assert_eq!(cache.len(), 10);
         cache.clear();
@@ -335,6 +360,26 @@ mod tests {
     }
 
     #[test]
+    fn stale_epoch_inserts_are_dropped_after_the_epoch_advances() {
+        let cache = VerdictCache::new(8, 2);
+        cache.insert(0, 1, verdict(1.0));
+        cache.advance_epoch(1);
+        assert_eq!(cache.get(1), None, "advancing retires resident entries");
+        cache.insert(0, 2, verdict(2.0));
+        assert_eq!(cache.get(2), None, "a retired model's verdict is dropped");
+        cache.insert(1, 3, verdict(3.0));
+        assert_eq!(
+            cache.get(3),
+            Some(verdict(3.0)),
+            "the current epoch is kept"
+        );
+        cache.advance_epoch(0);
+        cache.insert(0, 4, verdict(4.0));
+        assert_eq!(cache.get(4), None, "the epoch never moves backwards");
+        assert_eq!(cache.stats().inserts, 2);
+    }
+
+    #[test]
     fn caches_degraded_verdicts_too() {
         let cache = VerdictCache::new(4, 1);
         let v = Verdict::Degraded {
@@ -342,7 +387,7 @@ mod tests {
                 message: "boom".to_owned(),
             },
         };
-        cache.insert(7, v.clone());
+        cache.insert(0, 7, v.clone());
         assert_eq!(cache.get(7), Some(v));
     }
 
@@ -356,7 +401,7 @@ mod tests {
                     for i in 0..200u64 {
                         let key = (t * 31 + i) % 40;
                         if cache.get(key).is_none() {
-                            cache.insert(key, verdict(key as f64));
+                            cache.insert(0, key, verdict(key as f64));
                         }
                     }
                 });

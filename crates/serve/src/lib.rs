@@ -2,12 +2,15 @@
 //!
 //! Wraps a trained [`Soteria`](soteria::Soteria) behind a bounded work
 //! queue, a worker pool, and a micro-batching inference thread, with a
-//! sharded content-addressed verdict cache in front:
+//! sharded content-addressed verdict cache in front. Screening takes
+//! `&self`, so the threads share one `Arc` of the model per epoch; a hot
+//! swap replaces that `Arc`, and each in-flight job finishes on the model
+//! that extracted it:
 //!
 //! - [`ScreeningService`] — the service itself: `start` → `submit` →
-//!   [`Ticket::wait`] → `shutdown`.
+//!   [`Ticket::wait`] → `swap` → `shutdown`.
 //! - [`VerdictCache`] — FNV-keyed, sharded, LRU-per-shard memoization of
-//!   verdicts by exact binary content.
+//!   verdicts by exact binary content, with epoch-stamped inserts.
 //! - [`protocol`] — the line protocol (path or hex in, JSON verdict out)
 //!   used by `soteria-cli serve`.
 //! - [`admin`] — in-band observability verbs (`METRICS`, `TRACES`,

@@ -15,10 +15,12 @@
 //!
 //! Workers do the embarrassingly parallel front half (container parsing,
 //! lifting, feature extraction) with every fault confined to its sample.
-//! A single batcher thread owns the trained [`Soteria`] and screens queued
-//! samples together — reconstruction errors from one stacked matrix, both
-//! CNNs one forward pass each — so the threaded matmul in `soteria-nn`
-//! amortizes across concurrent requests.
+//! The trained [`Soteria`] is shared as an `Arc`: inference takes `&self`,
+//! so nothing owns the model exclusively. Each job carries the model that
+//! extracted it to a single batcher thread, which screens queued samples
+//! together — reconstruction errors from one stacked matrix, both CNNs one
+//! forward pass each — so the threaded matmul in `soteria-nn` amortizes
+//! across concurrent requests.
 //!
 //! # Determinism
 //!
@@ -31,7 +33,7 @@
 //! # Overload behavior
 //!
 //! Submissions that miss the cache pass through the
-//! [`AdmissionController`](crate::admission::AdmissionController):
+//! [`AdmissionController`]:
 //! per-client token buckets, pressure-tiered shedding (full pipeline /
 //! AE-only brownout / typed reject with `retry_after`), and a circuit
 //! breaker fed by extraction faults. Each admitted request carries a
@@ -60,26 +62,27 @@
 //! # Hot model swap
 //!
 //! [`ScreeningService::swap`] replaces the served model without dropping
-//! a single request. Each swap advances a monotonically increasing
-//! *epoch*: workers stamp every job with the epoch of the extractor they
-//! used, the swap command travels through the same channel as the jobs,
-//! and the batcher keeps every epoch's model alive until shutdown so
-//! stragglers extracted under an old epoch are still screened by *their*
-//! model. Batches never mix epochs, so every verdict during a swap is
-//! bit-identical to either the old model's sequential answer or the new
-//! model's — never a hybrid. The verdict cache is cleared at the swap
-//! point and inserts are epoch-guarded, so a stale verdict can never
-//! outlive the model that produced it.
+//! a single request. The service holds one `(epoch, Arc<Soteria>)` slot;
+//! a swap bumps the epoch and replaces the `Arc` under the slot lock. A
+//! worker snapshots the slot once per job, extracts with that model's
+//! extractor and guards, and hands the job to the batcher together with
+//! the model and its epoch. Batches never mix epochs, so every verdict
+//! during a swap is bit-identical to either the old model's sequential
+//! answer or the new model's — never a hybrid. A retired model is dropped
+//! when its last in-flight job resolves. The swap also advances the
+//! verdict cache's epoch before it returns: that drops every memoized
+//! verdict, and the cache refuses an insert stamped with an older epoch,
+//! so a stale verdict can never outlive the model that produced it.
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, RejectReason};
-use crate::cache::{fnv1a64, CacheStats, VerdictCache};
+use crate::cache::{fnv1a64, lock, CacheStats, VerdictCache};
 use crate::deadline::Deadline;
 use soteria::pipeline::extract_binary;
 use soteria::{Soteria, SoteriaState, StateError, Verdict};
-use soteria_features::{FeatureExtractor, SampleFeatures};
-use soteria_resilience::{FaultKind, ResourceGuards};
+use soteria_features::SampleFeatures;
+use soteria_resilience::FaultKind;
 use soteria_telemetry::TraceBuilder;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
@@ -317,52 +320,34 @@ struct InferJob {
     extracted: Instant,
     deadline: Deadline,
     mode: JobMode,
-    /// Model epoch of the extractor that produced `features`; the batcher
-    /// screens the job with the model of the same epoch, never another.
+    /// The model that extracted `features`, and its epoch: the batcher
+    /// screens the job with this model, never another.
+    model: Arc<Soteria>,
     epoch: u64,
     trace: Option<TraceBuilder>,
 }
 
-/// What travels from the workers (and the swap path) to the batcher.
-/// Routing swaps through the same channel as jobs gives them a
-/// well-defined position in the stream without a second synchronization
-/// primitive.
-// The large variant is the hot one: every job is moved through the
-// channel exactly once, so boxing it to shrink the rare Swap variant
-// would add an allocation per request for nothing.
-#[allow(clippy::large_enum_variant)]
-enum BatchMsg {
-    /// An extracted request awaiting inference.
-    Job(InferJob),
-    /// Install `model` as the serving model for `epoch` and newer jobs.
-    /// Boxed: a trained model is orders of magnitude larger than a job.
-    Swap { epoch: u64, model: Box<Soteria> },
-}
-
-/// The shared (epoch, extractor) slot workers read per job. The mutex is
-/// held only for the copy-out (and, on the swap path, the epoch bump), so
-/// it is never contended for longer than two pointer copies.
-type ExtractorSlot = Arc<Mutex<(u64, Arc<FeatureExtractor>)>>;
+/// The shared (epoch, model) slot workers snapshot once per job. The mutex
+/// is held only to copy the pair out (and, on the swap path, to replace
+/// it), never while a model computes.
+type ModelSlot = Arc<Mutex<(u64, Arc<Soteria>)>>;
 
 /// A running screening service wrapping one trained [`Soteria`].
 ///
 /// Submissions are admitted through a bounded queue, extracted by a worker
-/// pool, screened in micro-batches by a single batcher thread that owns the
-/// model, and memoized in a content-addressed verdict cache. Dropping the
-/// service (or calling [`shutdown`](ScreeningService::shutdown)) drains
-/// every admitted sample before the threads exit.
+/// pool, screened in micro-batches by a single batcher thread, and
+/// memoized in a content-addressed verdict cache. Dropping the service (or
+/// calling [`shutdown`](ScreeningService::shutdown)) drains every admitted
+/// sample before the threads exit.
 #[derive(Debug)]
 pub struct ScreeningService {
     submit_tx: Option<SyncSender<Job>>,
-    /// The service's own sender into the batcher channel, used for swap
-    /// commands. Dropped after the workers join so the batcher drains.
-    infer_tx: Option<Sender<BatchMsg>>,
-    workers: Vec<JoinHandle<()>>,
-    batcher: Option<JoinHandle<Soteria>>,
+    /// The workers, then the batcher.
+    threads: Vec<JoinHandle<()>>,
     cache: Arc<VerdictCache>,
     admission: Arc<AdmissionController>,
     shared: Arc<SharedCounters>,
-    slot: ExtractorSlot,
+    slot: ModelSlot,
     seed: u64,
     trace_sampling: f64,
     submitted: AtomicU64,
@@ -388,10 +373,9 @@ impl ScreeningService {
         ));
         let (submit_tx, submit_rx) = mpsc::sync_channel::<Job>(config.queue_capacity.max(1));
         let submit_rx = Arc::new(Mutex::new(submit_rx));
-        let (infer_tx, infer_rx) = mpsc::channel::<BatchMsg>();
+        let (infer_tx, infer_rx) = mpsc::channel::<InferJob>();
 
-        let slot: ExtractorSlot = Arc::new(Mutex::new((0, Arc::new(soteria.extractor().clone()))));
-        let guards = soteria.config().guards.clone();
+        let slot: ModelSlot = Arc::new(Mutex::new((0, Arc::new(soteria))));
         // Worker and batcher threads inherit the registry that is active
         // on the *starting* thread, so a service started under a scoped
         // registry (tests, benches) records there, not globally.
@@ -403,12 +387,11 @@ impl ScreeningService {
             config.workers.max(1),
         ));
         let shared = Arc::new(SharedCounters::default());
-        let workers = (0..config.workers.max(1))
+        let mut threads: Vec<JoinHandle<()>> = (0..config.workers.max(1))
             .map(|i| {
                 let submit_rx = Arc::clone(&submit_rx);
                 let infer_tx = infer_tx.clone();
                 let slot = Arc::clone(&slot);
-                let guards = guards.clone();
                 let telemetry = telemetry.clone();
                 let admission = Arc::clone(&admission);
                 let shared = Arc::clone(&shared);
@@ -418,40 +401,41 @@ impl ScreeningService {
                     .spawn(move || {
                         let _telemetry = telemetry.attach();
                         worker_loop(
-                            &submit_rx, &infer_tx, &slot, &guards, &admission, &shared, &in_flight,
+                            &submit_rx, &infer_tx, &slot, &admission, &shared, &in_flight,
                         )
                     })
                     .expect("spawn screening worker")
             })
             .collect();
+        // The workers hold the only senders, so the batcher's channel
+        // closes (and the batcher drains and exits) once they have joined.
+        drop(infer_tx);
 
         let batch_window = config.batch_window;
         let max_batch = config.max_batch.max(1);
         let batcher_cache = Arc::clone(&cache);
         let batcher_in_flight = Arc::clone(&in_flight);
-        let batcher_telemetry = telemetry.clone();
         let batcher_shared = Arc::clone(&shared);
-        let batcher = std::thread::Builder::new()
-            .name("soteria-serve-batcher".to_owned())
-            .spawn(move || {
-                let _telemetry = batcher_telemetry.attach();
-                batcher_loop(
-                    soteria,
-                    &infer_rx,
-                    batch_window,
-                    max_batch,
-                    &batcher_cache,
-                    &batcher_in_flight,
-                    &batcher_shared,
-                )
-            })
-            .expect("spawn screening batcher");
+        threads.push(
+            std::thread::Builder::new()
+                .name("soteria-serve-batcher".to_owned())
+                .spawn(move || {
+                    let _telemetry = telemetry.attach();
+                    batcher_loop(
+                        &infer_rx,
+                        batch_window,
+                        max_batch,
+                        &batcher_cache,
+                        &batcher_in_flight,
+                        &batcher_shared,
+                    )
+                })
+                .expect("spawn screening batcher"),
+        );
 
         ScreeningService {
             submit_tx: Some(submit_tx),
-            infer_tx: Some(infer_tx),
-            workers,
-            batcher: Some(batcher),
+            threads,
             cache,
             admission,
             shared,
@@ -471,32 +455,21 @@ impl ScreeningService {
     ///
     /// In-flight requests extracted under the old model are still
     /// screened by it (bit-identical to its sequential answers); requests
-    /// extracted after this call returns are screened by the new model.
-    /// The verdict cache is cleared so no old-model verdict outlives the
-    /// swap, and batches never mix the two models.
+    /// dequeued after this call returns are extracted and screened by the
+    /// new model, under the new model's guards. Before returning, the swap
+    /// drops every memoized verdict and makes the cache refuse the old
+    /// model's late inserts, so no lookup that starts afterwards sees an
+    /// old-model verdict. The old model itself is dropped when its last
+    /// in-flight job resolves.
     pub fn swap(&self, soteria: Soteria) -> u64 {
-        // The slot mutex serializes concurrent swaps: the epoch bump, the
-        // extractor publish, and the command send happen as one unit, so
-        // epochs observed by workers and the batcher are both monotone.
-        let epoch = {
-            let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-            let epoch = slot.0 + 1;
-            *slot = (epoch, Arc::new(soteria.extractor().clone()));
-            let send = self
-                .infer_tx
-                .as_ref()
-                .expect("swap on a running service")
-                .send(BatchMsg::Swap {
-                    epoch,
-                    model: Box::new(soteria),
-                });
-            debug_assert!(send.is_ok(), "batcher outlives the service handle");
-            epoch
-        };
-        // Clear promptly so submit-side lookups stop answering with the
-        // old model; the batcher clears again when it installs the new
-        // model, catching any old-epoch insert that raced this clear.
-        self.cache.clear();
+        let model = Arc::new(soteria);
+        let mut slot = lock(&self.slot);
+        let epoch = slot.0 + 1;
+        let retired = std::mem::replace(&mut *slot, (epoch, model));
+        drop(slot);
+        self.cache.advance_epoch(epoch);
+        // Frees the old model unless a job in flight still holds it.
+        drop(retired);
         self.swaps.fetch_add(1, Ordering::Relaxed);
         soteria_telemetry::counter("serve.swap.requested", 1);
         epoch
@@ -641,7 +614,7 @@ impl ScreeningService {
 
     /// The current model epoch: 0 at start, +1 per hot swap.
     pub fn epoch(&self) -> u64 {
-        self.slot.lock().unwrap_or_else(|e| e.into_inner()).0
+        lock(&self.slot).0
     }
 
     /// The service seed (for deriving [`request_seed`] externally).
@@ -655,35 +628,33 @@ impl ScreeningService {
     ///
     /// # Panics
     ///
-    /// Panics if the batcher thread itself died (per-sample faults never
-    /// kill it; this would indicate a bug in the batching scaffolding).
+    /// Panics if a pipeline thread itself died (per-sample faults never
+    /// kill one; this would indicate a bug in the serving scaffolding).
     pub fn shutdown(mut self) -> Soteria {
-        self.stop_intake();
-        let batcher = self.batcher.take().expect("batcher still attached");
-        match batcher.join() {
-            Ok(soteria) => soteria,
-            Err(_) => panic!("screening batcher thread panicked"),
-        }
+        assert!(self.stop(), "a screening pipeline thread panicked");
+        let model = Arc::clone(&lock(&self.slot).1);
+        // Dropping the service releases the slot's reference; every job
+        // that held another has resolved.
+        drop(self);
+        Arc::into_inner(model).expect("no request outlives the joined pipeline threads")
     }
 
-    /// Closes the queue and joins the workers (queued jobs drain first),
-    /// then drops the service's own batcher sender so the batcher's
-    /// channel closes once the workers' clones are gone too.
-    fn stop_intake(&mut self) {
+    /// Closes the queue and joins the threads: the workers drain the
+    /// queue, then the batcher drains their hand-offs. Returns whether
+    /// every thread exited without panicking.
+    fn stop(&mut self) -> bool {
         drop(self.submit_tx.take());
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        let mut clean = true;
+        for handle in self.threads.drain(..) {
+            clean &= handle.join().is_ok();
         }
-        drop(self.infer_tx.take());
+        clean
     }
 }
 
 impl Drop for ScreeningService {
     fn drop(&mut self) {
-        self.stop_intake();
-        if let Some(batcher) = self.batcher.take() {
-            let _ = batcher.join();
-        }
+        let _ = self.stop();
     }
 }
 
@@ -692,20 +663,16 @@ impl Drop for ScreeningService {
 /// immediately (deadline degrade) without paying for extraction; fault
 /// outcomes feed the admission breaker.
 fn worker_loop(
-    submit_rx: &Arc<Mutex<Receiver<Job>>>,
-    infer_tx: &Sender<BatchMsg>,
-    slot: &ExtractorSlot,
-    guards: &ResourceGuards,
+    submit_rx: &Mutex<Receiver<Job>>,
+    infer_tx: &Sender<InferJob>,
+    slot: &ModelSlot,
     admission: &AdmissionController,
     shared: &SharedCounters,
     in_flight: &AtomicU64,
 ) {
     loop {
         // Hold the lock only for the dequeue, never while working.
-        let job = {
-            let rx = submit_rx.lock().unwrap_or_else(|e| e.into_inner());
-            rx.recv()
-        };
+        let job = lock(submit_rx).recv();
         let Ok(mut job) = job else { break };
         let dequeued = Instant::now();
         admission.depth_add(-1);
@@ -724,11 +691,11 @@ fn worker_loop(
             resolve_expired(job, dequeued, shared, in_flight);
             continue;
         }
-        // Snapshot the current (epoch, extractor) pair: the job is
-        // extracted by this extractor and must be screened by this
-        // epoch's model, even if a swap lands while extraction runs.
-        let (epoch, extractor) = {
-            let slot = slot.lock().unwrap_or_else(|e| e.into_inner());
+        // Snapshot the current (epoch, model) pair: the job is extracted
+        // by this model, under its guards, and screened by it, even if a
+        // swap lands while extraction runs.
+        let (epoch, model) = {
+            let slot = lock(slot);
             (slot.0, Arc::clone(&slot.1))
         };
         // Serving-path chaos gate: lets the overload harness inject worker
@@ -738,7 +705,7 @@ fn worker_loop(
         let features = soteria_resilience::isolate(move || {
             soteria_resilience::chaos_point("serve.extract", seed);
         })
-        .and_then(|()| extract_binary(&extractor, &job.bytes, seed, guards));
+        .and_then(|()| extract_binary(model.extractor(), &job.bytes, seed, &model.config().guards));
         match &features {
             Ok(_) => admission.record_success(dequeued),
             Err(fault) => admission.record_fault(fault, Instant::now()),
@@ -753,7 +720,7 @@ fn worker_loop(
         if let Some(trace) = job.trace.as_mut() {
             trace.stage("extract", Some(TRACE_ROOT), dequeued, extracted);
         }
-        let handoff = infer_tx.send(BatchMsg::Job(InferJob {
+        let handoff = infer_tx.send(InferJob {
             key: job.key,
             seed: job.seed,
             reply: job.reply,
@@ -762,9 +729,10 @@ fn worker_loop(
             extracted,
             deadline: job.deadline,
             mode: job.mode,
+            model,
             epoch,
             trace: job.trace,
-        }));
+        });
         if handoff.is_err() {
             // Batcher gone; the job's reply sender just dropped, so its
             // ticket degrades rather than hangs.
@@ -796,144 +764,40 @@ fn resolve_expired(job: Job, now: Instant, shared: &SharedCounters, in_flight: &
     });
 }
 
-/// The batcher's view of the model fleet: one live model per epoch seen
-/// so far, plus jobs stamped with an epoch whose model has not arrived
-/// yet (a worker published the new extractor before the swap command
-/// reached this thread — the command is in flight and will mature them).
-struct EpochModels {
-    /// Every epoch's model, kept alive until shutdown so a straggler
-    /// extracted under an old epoch is screened by *its* model. Bounded
-    /// by the number of swaps, which are explicit operator actions.
-    models: Vec<(u64, Soteria)>,
-    /// Highest epoch with an installed model.
-    latest: u64,
-    /// Jobs waiting for their epoch's model to arrive.
-    premature: Vec<InferJob>,
-}
-
-impl EpochModels {
-    /// Routes one channel message: jobs with a live epoch go to `ready`
-    /// for batching, future-epoch jobs wait, and a swap installs its
-    /// model, clears the cache, and matures any waiting jobs.
-    fn accept(&mut self, msg: BatchMsg, ready: &mut VecDeque<InferJob>, cache: &VerdictCache) {
-        match msg {
-            BatchMsg::Job(job) => {
-                if job.epoch <= self.latest {
-                    ready.push_back(job);
-                } else {
-                    self.premature.push(job);
-                }
-            }
-            BatchMsg::Swap { epoch, model } => {
-                self.models.push((epoch, *model));
-                self.latest = self.latest.max(epoch);
-                // Drop every memoized verdict: entries inserted by an
-                // old-epoch batch that raced the submit-side clear die
-                // here, and the epoch guard in `process_batch` keeps any
-                // still-running old batch from re-inserting.
-                cache.clear();
-                soteria_telemetry::counter("serve.swap.applied", 1);
-                let latest = self.latest;
-                let (matured, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut self.premature)
-                    .into_iter()
-                    .partition(|j| j.epoch <= latest);
-                self.premature = waiting;
-                ready.extend(matured);
-            }
-        }
-    }
-
-    /// The model for `epoch`, which is guaranteed live for any job that
-    /// reached the ready queue.
-    fn model_mut(&mut self, epoch: u64) -> &mut Soteria {
-        self.models
-            .iter_mut()
-            .find(|(e, _)| *e == epoch)
-            .map(|(_, m)| m)
-            .expect("ready jobs only carry live epochs")
-    }
-
-    /// Hands back the newest model at shutdown.
-    fn into_latest(self) -> Soteria {
-        self.models
-            .into_iter()
-            .max_by_key(|(e, _)| *e)
-            .map(|(_, m)| m)
-            .expect("at least the starting model")
-    }
-}
-
-/// Batcher half: own the model fleet, collect a latency-bounded window of
-/// extracted samples, screen them per epoch in stacked passes, reply and
-/// memoize. Each collected window is partitioned by model epoch — a batch
-/// never mixes two models' samples.
+/// Batcher half: collect a latency-bounded window of extracted samples,
+/// screen them per epoch in stacked passes, reply and memoize. Each
+/// collected window is partitioned by model epoch — a batch never mixes
+/// two models' samples. Returns once every worker has hung up and the
+/// channel is drained.
 fn batcher_loop(
-    soteria: Soteria,
-    infer_rx: &Receiver<BatchMsg>,
+    infer_rx: &Receiver<InferJob>,
     window: Duration,
     max_batch: usize,
     cache: &VerdictCache,
     in_flight: &AtomicU64,
     shared: &SharedCounters,
-) -> Soteria {
-    let mut fleet = EpochModels {
-        models: vec![(0, soteria)],
-        latest: 0,
-        premature: Vec::new(),
-    };
-    let mut ready: VecDeque<InferJob> = VecDeque::new();
-    let mut open = true;
-    loop {
-        // Block for the batch's first sample; queue closed and ready
-        // queue empty means drained.
-        while ready.is_empty() {
-            if !open {
-                break;
-            }
-            match infer_rx.recv() {
-                Ok(msg) => fleet.accept(msg, &mut ready, cache),
-                Err(_) => open = false,
-            }
-        }
-        let Some(first) = ready.pop_front() else {
-            break;
-        };
+) {
+    // Block for the batch's first sample.
+    while let Ok(first) = infer_rx.recv() {
         let mut jobs = vec![first];
         // Whatever is already queued batches for free — amortization with
         // zero added latency, even with a zero window.
         while jobs.len() < max_batch {
-            if let Some(job) = ready.pop_front() {
-                jobs.push(job);
-                continue;
-            }
             match infer_rx.try_recv() {
-                Ok(msg) => fleet.accept(msg, &mut ready, cache),
+                Ok(job) => jobs.push(job),
                 Err(_) => break,
             }
         }
         // Then wait out the remaining window for stragglers.
-        if open && !window.is_zero() && jobs.len() < max_batch {
-            let deadline = Instant::now() + window;
-            loop {
-                if jobs.len() >= max_batch {
-                    break;
-                }
-                if let Some(job) = ready.pop_front() {
-                    jobs.push(job);
-                    continue;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match infer_rx.recv_timeout(deadline - now) {
-                    Ok(msg) => fleet.accept(msg, &mut ready, cache),
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        open = false;
-                        break;
-                    }
-                }
+        let deadline = Instant::now() + window;
+        while jobs.len() < max_batch {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            match infer_rx.recv_timeout(deadline - now) {
+                Ok(job) => jobs.push(job),
+                Err(_) => break,
             }
         }
         // Partition by epoch so every stacked pass runs one model. The
@@ -944,26 +808,10 @@ fn batcher_loop(
             by_epoch.entry(job.epoch).or_default().push(job);
         }
         for (epoch, group) in by_epoch {
-            let current = epoch == fleet.latest;
-            process_batch(
-                fleet.model_mut(epoch),
-                group,
-                cache,
-                in_flight,
-                shared,
-                current,
-            );
+            let model = Arc::clone(&group[0].model);
+            process_batch(&model, epoch, group, cache, in_flight, shared);
         }
     }
-    // Defensive: a premature job whose swap command never arrived cannot
-    // happen while the service holds its sender, but degrade rather than
-    // hang if the invariant is ever broken.
-    for job in fleet.premature.drain(..) {
-        in_flight.fetch_sub(1, Ordering::Relaxed);
-        soteria_telemetry::gauge_add("serve.inflight", -1);
-        let _ = job.reply.send(dropped_verdict());
-    }
-    fleet.into_latest()
 }
 
 /// One batched request awaiting its verdict inside [`process_batch`].
@@ -977,19 +825,19 @@ struct PendingReply {
     inferred: bool,
 }
 
-/// Screens one collected batch (all one model epoch) and resolves its
+/// Screens one collected batch (all one model `epoch`) and resolves its
 /// tickets. Full-tier jobs run detector + classifier; brownout (AE-only)
 /// jobs run the detector alone; jobs whose deadline expired in the queue
-/// degrade uninferred. `current` is whether this epoch is the newest one:
-/// verdicts from superseded models still answer their tickets but must
-/// not enter the cache, where they would outlive their model.
+/// degrade uninferred. Cache inserts carry `epoch`, so a superseded
+/// model's verdicts still answer their tickets but never enter the cache,
+/// where they would outlive their model.
 fn process_batch(
-    soteria: &mut Soteria,
+    soteria: &Soteria,
+    epoch: u64,
     jobs: Vec<InferJob>,
     cache: &VerdictCache,
     in_flight: &AtomicU64,
     shared: &SharedCounters,
-    current: bool,
 ) {
     let batch_start = Instant::now();
     let _span = soteria_telemetry::span("serve.batch");
@@ -1075,16 +923,13 @@ fn process_batch(
         // Memoize only content-derived outcomes: a verdict (or fault)
         // that is a pure function of the bytes answers future identical
         // submissions. Load/timing degrades (deadline, overload) must
-        // not — the same bytes may succeed once pressure passes. And
-        // only the newest epoch inserts: a superseded model's verdict in
-        // the cache would survive the swap that retired it.
-        let cacheable = current
-            && match &verdict {
-                Verdict::Degraded { reason } => reason.content_derived(),
-                _ => true,
-            };
+        // not — the same bytes may succeed once pressure passes.
+        let cacheable = match &verdict {
+            Verdict::Degraded { reason } => reason.content_derived(),
+            _ => true,
+        };
         if cacheable {
-            cache.insert(p.key, verdict.clone());
+            cache.insert(epoch, p.key, verdict.clone());
         }
         let resolve_end = Instant::now();
         soteria_telemetry::record(
@@ -1164,7 +1009,7 @@ mod tests {
             })
             .collect();
         let served: Vec<Verdict> = tickets.into_iter().map(Ticket::wait).collect();
-        let mut soteria = service.shutdown();
+        let soteria = service.shutdown();
         let sequential: Vec<Verdict> = binaries
             .iter()
             .map(|b| soteria.screen_binary(b, request_seed(9, b)))
@@ -1174,7 +1019,7 @@ mod tests {
 
     #[test]
     fn hot_swap_switches_models_and_clears_the_cache() {
-        let (mut old, binaries) = trained();
+        let (old, binaries) = trained();
         let old_oracle: Vec<Verdict> = binaries
             .iter()
             .map(|b| old.screen_binary(b, request_seed(9, b)))
@@ -1237,7 +1082,7 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.swaps, 1);
         assert_eq!(stats.epoch, 1);
-        let mut newest = service.shutdown();
+        let newest = service.shutdown();
         let new_oracle: Vec<Verdict> = binaries
             .iter()
             .map(|b| newest.screen_binary(b, request_seed(9, b)))
@@ -1250,6 +1095,33 @@ mod tests {
             old_oracle, new_oracle,
             "differently seeded training must be observable, or this test proves nothing"
         );
+    }
+
+    #[test]
+    fn a_swap_drops_the_retired_model_once_its_jobs_resolve() {
+        let (soteria, binaries) = trained();
+        let state = soteria.save_state().expect("state");
+        let service = ScreeningService::start(soteria, &config());
+        let retired = Arc::downgrade(&lock(&service.slot).1);
+        let _ = service
+            .submit(binaries[0].clone())
+            .into_ticket()
+            .expect("accepted")
+            .wait();
+        assert!(retired.upgrade().is_some(), "epoch 0 is still serving");
+        assert_eq!(service.swap(Soteria::from_state(state)), 1);
+        // One job through the pipeline after the swap: the batcher has
+        // finished every batch that could still hold the old model.
+        let _ = service
+            .submit(binaries[1].clone())
+            .into_ticket()
+            .expect("accepted")
+            .wait();
+        assert!(
+            retired.upgrade().is_none(),
+            "the retired model outlived its last job"
+        );
+        drop(service);
     }
 
     #[test]
@@ -1282,7 +1154,7 @@ mod tests {
             .into_ticket()
             .expect("accepted")
             .wait();
-        let mut newest = service.shutdown();
+        let newest = service.shutdown();
         assert_eq!(
             v,
             newest.screen_binary(&binaries[0], request_seed(9, &binaries[0]))
@@ -1329,7 +1201,7 @@ mod tests {
             .into_ticket()
             .expect("accepted")
             .wait();
-        let mut soteria = service.shutdown();
+        let soteria = service.shutdown();
         assert_eq!(
             real,
             soteria.screen_binary(&binaries[0], request_seed(9, &binaries[0]))
@@ -1447,7 +1319,7 @@ mod tests {
         assert!(!retry.is_cached(), "deadline degrade leaked into the cache");
         let verdict = retry.wait();
         assert!(!verdict.is_degraded(), "retry must resolve: {verdict:?}");
-        let mut soteria = service.shutdown();
+        let soteria = service.shutdown();
         assert_eq!(
             verdict,
             soteria.screen_binary(&binaries[0], request_seed(9, &binaries[0]))

@@ -218,7 +218,7 @@ impl Registry {
         None
     }
 
-    /// The node at a slot index previously returned by [`intern`].
+    /// The node at a slot index previously returned by [`intern`](Self::intern).
     pub(crate) fn node(&self, slot: usize) -> Option<&Node> {
         self.slots.get(slot).and_then(|s| s.get())
     }
@@ -254,7 +254,7 @@ impl Registry {
         self.intern(name, Kind::Histogram)
     }
 
-    /// Records into a histogram slot returned by [`hist_slot`].
+    /// Records into a histogram slot returned by [`hist_slot`](Self::hist_slot).
     pub(crate) fn record_at(&self, slot: usize, value: f64) {
         if let Some(Node {
             metric: Metric::Histogram(h),

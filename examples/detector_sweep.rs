@@ -12,9 +12,8 @@ use soteria_gea::{gea_merge, SizeClass, TargetSelection};
 fn main() {
     let corpus = Corpus::generate(&CorpusConfig::scaled(0.015, 11));
     let split = corpus.split(0.8, 2);
-    let mut soteria =
-        Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, 3).expect("train");
-    let stats = soteria.detector_mut().stats();
+    let soteria = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, 3).expect("train");
+    let stats = soteria.detector_ref().stats();
     println!(
         "clean-training RE: mu {:.4}, sigma {:.4}",
         stats.mean, stats.std_dev
@@ -27,7 +26,7 @@ fn main() {
         .enumerate()
         .map(|(i, &idx)| {
             let f = soteria.features(corpus.samples()[idx].graph(), 500 + i as u64);
-            soteria.detector_mut().reconstruction_error(f.combined())
+            soteria.detector_ref().reconstruction_error(f.combined())
         })
         .collect();
 
@@ -50,7 +49,7 @@ fn main() {
         .map(|(i, &idx)| {
             let merged = gea_merge(&corpus.samples()[idx], &target).expect("merge");
             let f = soteria.features(merged.sample().graph(), 900 + i as u64);
-            soteria.detector_mut().reconstruction_error(f.combined())
+            soteria.detector_ref().reconstruction_error(f.combined())
         })
         .collect();
 

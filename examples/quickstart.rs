@@ -24,11 +24,10 @@ fn main() {
     // 2. Train the full system: feature extractor (DBL/LBL labeling,
     //    random walks, n-grams, TF-IDF), auto-encoder detector, and the
     //    two-CNN voting classifier.
-    let mut soteria =
-        Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, 7).expect("train");
+    let soteria = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, 7).expect("train");
     println!(
         "trained; detector threshold = {:.4}",
-        soteria.detector_mut().stats().threshold()
+        soteria.detector_ref().stats().threshold()
     );
 
     // 3. Analyze a clean malware sample from the test split.

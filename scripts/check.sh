@@ -10,6 +10,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc gate: a broken or redundant intra-doc link fails here, so a
+# rename cannot leave a dangling link behind (about 6 s warm).
+echo "==> cargo doc --workspace --no-deps --document-private-items (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 

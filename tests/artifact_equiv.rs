@@ -98,7 +98,7 @@ fn build_case(corpus_seed: u64, train_seed: u64) -> TrainedCase {
 /// prints every float at full round-trip precision, so string equality is
 /// bit-for-bit verdict equality, not approximate agreement.
 fn screen_chunked(
-    soteria: &mut Soteria,
+    soteria: &Soteria,
     pool: &[Vec<u8>],
     chunk: usize,
     seed_base: u64,
@@ -133,14 +133,14 @@ proptest! {
             .entry((corpus_seed, train_seed))
             .or_insert_with(|| build_case(corpus_seed, train_seed));
 
-        let mut json_model =
+        let json_model =
             Soteria::from_state(SoteriaState::from_bytes(case.envelope.as_bytes()).expect("v2 load"));
         let image = StateImage::parse(&case.artifact).expect("v3 parse");
-        let mut art_model = Soteria::load_image(&image).expect("v3 load");
+        let art_model = Soteria::load_image(&image).expect("v3 load");
 
         for chunk in POOL_SIZES {
-            let from_json = screen_chunked(&mut json_model, &case.pool, chunk, seed_base);
-            let from_artifact = screen_chunked(&mut art_model, &case.pool, chunk, seed_base);
+            let from_json = screen_chunked(&json_model, &case.pool, chunk, seed_base);
+            let from_artifact = screen_chunked(&art_model, &case.pool, chunk, seed_base);
             prop_assert_eq!(
                 format!("{from_json:?}"),
                 format!("{from_artifact:?}"),

@@ -33,7 +33,7 @@ fn baseline() -> MutexGuard<'static, Baseline> {
             lineages: 2,
         });
         let split = corpus.split(0.8, 1);
-        let mut soteria =
+        let soteria =
             Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, 13).expect("train");
         let artifact = soteria
             .save_state()
@@ -46,7 +46,7 @@ fn baseline() -> MutexGuard<'static, Baseline> {
             .take(3)
             .map(|&i| corpus.samples()[i].binary().to_bytes())
             .collect();
-        let verdicts = probe_verdicts(&mut soteria, &probes);
+        let verdicts = probe_verdicts(&soteria, &probes);
         Mutex::new(Baseline {
             artifact,
             probes,
@@ -57,7 +57,7 @@ fn baseline() -> MutexGuard<'static, Baseline> {
     .expect("baseline lock")
 }
 
-fn probe_verdicts(soteria: &mut Soteria, probes: &[Vec<u8>]) -> Vec<Verdict> {
+fn probe_verdicts(soteria: &Soteria, probes: &[Vec<u8>]) -> Vec<Verdict> {
     let items: Vec<(&[u8], u64)> = probes
         .iter()
         .enumerate()
@@ -89,10 +89,10 @@ fn assert_corruption_is_contained(base: &mut Baseline, corrupted: &[u8], what: &
                 !e.to_string().is_empty(),
                 "{what}: typed error must render a diagnosis"
             ),
-            Ok(mut loaded) => {
+            Ok(loaded) => {
                 // The mutation landed in bytes the format deliberately
                 // does not interpret; the model must be unchanged.
-                let got = probe_verdicts(&mut loaded, &base.probes);
+                let got = probe_verdicts(&loaded, &base.probes);
                 assert_eq!(
                     format!("{got:?}"),
                     format!("{:?}", base.verdicts),

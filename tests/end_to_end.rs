@@ -19,7 +19,7 @@ fn setup() -> (Soteria, Corpus, Vec<usize>) {
 
 #[test]
 fn detector_separates_adversarial_from_clean() {
-    let (mut soteria, corpus, test) = setup();
+    let (soteria, corpus, test) = setup();
     let selection = TargetSelection::select(&corpus);
     let target = selection
         .sample(
@@ -61,7 +61,7 @@ fn detector_separates_adversarial_from_clean() {
 
 #[test]
 fn classifier_beats_chance_by_a_wide_margin() {
-    let (mut soteria, corpus, test) = setup();
+    let (soteria, corpus, test) = setup();
     let mut correct = 0usize;
     let mut classified = 0usize;
     for (i, &idx) in test.iter().enumerate() {
@@ -83,7 +83,7 @@ fn classifier_beats_chance_by_a_wide_margin() {
 
 #[test]
 fn byte_appending_never_changes_the_verdict() {
-    let (mut soteria, corpus, test) = setup();
+    let (soteria, corpus, test) = setup();
     for (i, &idx) in test.iter().take(8).enumerate() {
         let s = &corpus.samples()[idx];
         let seed = 40_000 + i as u64;
@@ -110,7 +110,7 @@ fn byte_appending_never_changes_the_verdict() {
 #[test]
 fn feature_reuse_between_detector_and_classifier() {
     // §III-A: the classifier can reuse the detection-phase features.
-    let (mut soteria, corpus, test) = setup();
+    let (soteria, corpus, test) = setup();
     let g = corpus.samples()[test[0]].graph();
     let features = soteria.features(g, 77);
     let via_reuse = soteria.screen_features_batch(&[(features, 77)]);
@@ -123,7 +123,7 @@ fn targeted_misclassification_is_prevented() {
     // The adversary wants malware classified as benign. Count how often a
     // GEA example both (a) evades the detector and (b) is classified as
     // its target class — the paper's end-to-end attack success metric.
-    let (mut soteria, corpus, test) = setup();
+    let (soteria, corpus, test) = setup();
     let selection = TargetSelection::select(&corpus);
     let target = selection
         .sample(

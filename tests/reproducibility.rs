@@ -55,9 +55,9 @@ fn feature_extraction_is_seed_stable() {
 fn trained_detector_stats_are_reproducible() {
     let corpus = Corpus::generate(&config());
     let split = corpus.split(0.8, 1);
-    let mut a = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, 3).expect("train");
-    let mut b = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, 3).expect("train");
-    assert_eq!(a.detector_mut().stats(), b.detector_mut().stats());
+    let a = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, 3).expect("train");
+    let b = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, 3).expect("train");
+    assert_eq!(a.detector_ref().stats(), b.detector_ref().stats());
 
     // And the verdicts agree sample by sample.
     for (i, &idx) in split.test.iter().enumerate() {

@@ -144,7 +144,7 @@ fn cache_hits_equal_the_cold_path_verdicts() {
 #[test]
 fn hot_swap_mid_load_serves_only_whole_model_verdicts() {
     let (old, corpus, test) = trained();
-    let mut new = Soteria::train(
+    let new = Soteria::train(
         &SoteriaConfig::tiny(),
         &corpus,
         &corpus.split(0.8, 2).train,
@@ -156,7 +156,6 @@ fn hot_swap_mid_load_serves_only_whole_model_verdicts() {
         .take(6)
         .map(|&i| corpus.samples()[i].binary().to_bytes())
         .collect();
-    let mut old = old;
     let old_oracle: Vec<Verdict> = requests
         .iter()
         .map(|b| old.screen_binary(b, request_seed(17, b)))
@@ -227,6 +226,97 @@ fn hot_swap_mid_load_serves_only_whole_model_verdicts() {
         );
     }
     assert_eq!(service.stats().epoch, 1);
+    let _ = service.shutdown();
+}
+
+/// After a hot swap, workers extract under the *new* model's resource
+/// guards, so serve answers exactly as the new model's sequential oracle.
+#[test]
+fn swap_applies_the_new_models_guards() {
+    let (soteria, corpus, test) = trained();
+    let requests: Vec<Vec<u8>> = test
+        .iter()
+        .take(4)
+        .map(|&i| corpus.samples()[i].binary().to_bytes())
+        .collect();
+    // The same weights under guards that admit no real CFG.
+    let mut state = soteria.save_state().expect("state");
+    state.config.guards.max_nodes = Some(2);
+    let capped = Soteria::from_state(state);
+    let oracle: Vec<Verdict> = requests
+        .iter()
+        .map(|b| capped.screen_binary(b, request_seed(17, b)))
+        .collect();
+    assert!(
+        oracle.iter().all(Verdict::is_degraded),
+        "a two-node cap must degrade every real sample: {oracle:?}"
+    );
+
+    let service = ScreeningService::start(soteria, &serve_config(2, Duration::ZERO));
+    assert_eq!(service.swap(capped), 1);
+    let served: Vec<Verdict> = requests
+        .iter()
+        .map(|b| {
+            service
+                .submit(b.clone())
+                .into_ticket()
+                .expect("accepted")
+                .wait()
+        })
+        .collect();
+    assert_eq!(
+        served, oracle,
+        "serve ignored the swapped-in model's guards"
+    );
+    let _ = service.shutdown();
+}
+
+/// Once `swap` returns, no lookup sees a retired model's verdict: every
+/// memoized request, resubmitted at once, is answered by the new model —
+/// no sentinel job needed to let the swap settle.
+#[test]
+fn swap_retires_every_cached_verdict_before_it_returns() {
+    let (soteria, corpus, test) = trained();
+    let new = Soteria::train(
+        &SoteriaConfig::tiny(),
+        &corpus,
+        &corpus.split(0.8, 2).train,
+        11,
+    )
+    .expect("train");
+    let requests: Vec<Vec<u8>> = test
+        .iter()
+        .take(5)
+        .map(|&i| corpus.samples()[i].binary().to_bytes())
+        .collect();
+    let new_oracle: Vec<Verdict> = requests
+        .iter()
+        .map(|b| new.screen_binary(b, request_seed(17, b)))
+        .collect();
+
+    let service = ScreeningService::start(soteria, &serve_config(2, Duration::ZERO));
+    let old: Vec<Verdict> = requests
+        .iter()
+        .map(|b| {
+            service
+                .submit(b.clone())
+                .into_ticket()
+                .expect("accepted")
+                .wait()
+        })
+        .collect();
+    assert_ne!(old, new_oracle, "the swap must be observable");
+    assert!(requests.iter().all(|b| service
+        .submit(b.clone())
+        .into_ticket()
+        .is_some_and(|t| t.is_cached())));
+
+    assert_eq!(service.swap(new), 1);
+    for (idx, b) in requests.iter().enumerate() {
+        let ticket = service.submit(b.clone()).into_ticket().expect("accepted");
+        assert!(!ticket.is_cached(), "request {idx} hit a retired verdict");
+        assert_eq!(ticket.wait(), new_oracle[idx], "request {idx}");
+    }
     let _ = service.shutdown();
 }
 

@@ -126,7 +126,7 @@ fn chaos_overload_reaches_exactly_one_outcome_per_request() {
     });
 
     let stats = service.stats();
-    let mut soteria = service.shutdown();
+    let soteria = service.shutdown();
     let _ = std::panic::take_hook();
     soteria_resilience::set_chaos_seed(None);
 
@@ -193,7 +193,6 @@ fn brownout_preserves_adversarial_verdicts_bit_identically() {
     // proves nothing about brownout. Dedupe by content — distinct malware
     // merged into the same target can collide byte-for-byte, and a repeat
     // submission is a cache hit that never reaches admission.
-    let mut soteria = soteria;
     let mut seen = std::collections::HashSet::new();
     let adversarial: Vec<(Vec<u8>, Verdict)> = merged
         .into_iter()
