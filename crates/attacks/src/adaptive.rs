@@ -22,8 +22,8 @@ use soteria_gea::{adaptive, gea_merge, SizeClass};
 
 /// Clones a trained detector through its persistence spec (the detector
 /// itself is deliberately not `Clone`; an adversary holding a copy is an
-/// explicit modeling decision, so the copy goes through the same
-/// serialization a leaked model file would).
+/// explicit modeling decision, so the copy is made explicitly, layer by
+/// layer, through the spec training checkpoints persist).
 fn clone_detector(detector: &AeDetector) -> AeDetector {
     let spec =
         soteria_nn::persist::spec_of(detector.model()).expect("autoencoder layers are persistable");

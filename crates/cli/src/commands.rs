@@ -1,7 +1,7 @@
 //! CLI subcommand implementations.
 
 use crate::store;
-use soteria::{Soteria, SoteriaConfig, SoteriaState, StateImage, TrainCheckpoint, Verdict};
+use soteria::{Soteria, SoteriaConfig, StateImage, TrainCheckpoint, Verdict};
 use soteria_attacks::{
     Attack, BlockSplit, GeaAttack, LowDensityInsert, Obfuscate, SubCfgInjection,
 };
@@ -15,13 +15,23 @@ use soteria_serve::{
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-/// Parses `--flag value` pairs plus positional arguments.
-fn parse(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>), String> {
+/// Parses `--flag value` pairs plus positional arguments, accepting only
+/// the flag names `command` lists in `accepted` (space-separated): a
+/// misspelled flag is an error that names it, never a silently applied
+/// default.
+fn parse(
+    command: &str,
+    args: &[String],
+    accepted: &str,
+) -> Result<(HashMap<String, String>, Vec<String>), String> {
     let mut flags = HashMap::new();
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
+            if !accepted.split_whitespace().any(|f| f == name) {
+                return Err(format!("unknown {command} flag --{name}"));
+            }
             if name == "dot" {
                 flags.insert("dot".to_string(), "true".to_string());
                 continue;
@@ -61,7 +71,7 @@ fn flag_f64(flags: &HashMap<String, String>, name: &str, default: f64) -> Result
 
 /// `gen --out DIR [--scale F] [--seed N]`
 pub fn gen(args: &[String]) -> Result<(), String> {
-    let (flags, _) = parse(args)?;
+    let (flags, _) = parse("gen", args, "out scale seed")?;
     let out = flags.get("out").ok_or("gen needs --out DIR")?;
     let scale = flag_f64(&flags, "scale", 0.01)?;
     let seed = flag_u64(&flags, "seed", 7)?;
@@ -81,7 +91,7 @@ pub fn gen(args: &[String]) -> Result<(), String> {
 
 /// `inspect FILE [--dot]`
 pub fn inspect(args: &[String]) -> Result<(), String> {
-    let (flags, positional) = parse(args)?;
+    let (flags, positional) = parse("inspect", args, "dot")?;
     let file = positional.first().ok_or("inspect needs a FILE")?;
     let bytes = std::fs::read(file).map_err(|e| format!("read {file}: {e}"))?;
     let binary = soteria_corpus::Binary::parse(&bytes).map_err(|e| e.to_string())?;
@@ -120,7 +130,7 @@ pub fn inspect(args: &[String]) -> Result<(), String> {
 
 /// `disasm FILE` — print an assembly listing with block boundaries.
 pub fn disassemble(args: &[String]) -> Result<(), String> {
-    let (_, positional) = parse(args)?;
+    let (_, positional) = parse("disasm", args, "")?;
     let file = positional.first().ok_or("disasm needs a FILE")?;
     let bytes = std::fs::read(file).map_err(|e| format!("read {file}: {e}"))?;
     let binary = soteria_corpus::Binary::parse(&bytes).map_err(|e| e.to_string())?;
@@ -180,7 +190,11 @@ pub fn disassemble(args: &[String]) -> Result<(), String> {
 /// Model-aware attacks (mimicry, adaptive) need a trained pipeline and
 /// live in `soteria-exp robustness-bench`.
 pub fn attack(args: &[String]) -> Result<(), String> {
-    let (flags, _) = parse(args)?;
+    let (flags, _) = parse(
+        "attack",
+        args,
+        "original out attack target seed blocks count fraction",
+    )?;
     let original_path = flags
         .get("original")
         .ok_or("attack needs --original FILE")?;
@@ -236,9 +250,30 @@ pub fn attack(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Trains a system on a corpus directory (no checkpointing — the
-/// `analyze --corpus` path).
-fn train_on_dir(corpus_dir: &str, seed: u64) -> Result<Soteria, String> {
+/// The system a screening command runs: loaded from the `--model`
+/// artifact, or trained on the `--corpus` directory (no checkpointing).
+fn system_from_flags(
+    command: &str,
+    flags: &HashMap<String, String>,
+    seed: u64,
+) -> Result<Soteria, String> {
+    if let Some(path) = flags.get("model") {
+        // One read into an aligned buffer; every weight tensor is
+        // borrowed from it, so no tensor is parsed or copied.
+        let start = std::time::Instant::now();
+        let image = StateImage::open(&PathBuf::from(path)).map_err(|e| e.to_string())?;
+        let system = Soteria::load_image(&image).map_err(|e| e.to_string())?;
+        eprintln!(
+            "mapped artifact {path} ({} bytes, {} sections, zero-copy) in {:.1}ms",
+            image.len_bytes(),
+            image.sections().len(),
+            start.elapsed().as_secs_f64() * 1e3
+        );
+        return Ok(system);
+    }
+    let corpus_dir = flags
+        .get("corpus")
+        .ok_or_else(|| format!("{command} needs --corpus DIR or --model MODEL"))?;
     eprintln!("loading corpus from {corpus_dir}...");
     let samples = store::read_samples(&PathBuf::from(corpus_dir))?;
     let corpus = Corpus::from_samples(samples, seed);
@@ -256,13 +291,20 @@ fn train_on_dir(corpus_dir: &str, seed: u64) -> Result<Soteria, String> {
 /// `train --corpus DIR --out MODEL [--seed N] [--metrics PATH]
 ///        [--checkpoint-every N] [--checkpoint PATH] [--resume PATH]`
 ///
+/// Writes the trained system to MODEL as a `SOTERIA-STATE v3` artifact,
+/// atomically.
+///
 /// With `--checkpoint-every N` the run snapshots its training state every
 /// N epochs of each network fit (to `--checkpoint PATH`, default
 /// `OUT.ckpt`, written atomically). `--resume PATH` continues a killed run
 /// from its last checkpoint and produces the bit-for-bit identical model
 /// an uninterrupted run would have.
 pub fn train(args: &[String]) -> Result<(), String> {
-    let (flags, _) = parse(args)?;
+    let (flags, _) = parse(
+        "train",
+        args,
+        "corpus out seed metrics checkpoint-every checkpoint resume",
+    )?;
     let corpus_dir = flags.get("corpus").ok_or("train needs --corpus DIR")?;
     let out = flags.get("out").ok_or("train needs --out MODEL")?;
     let seed = flag_u64(&flags, "seed", 7)?;
@@ -320,45 +362,18 @@ pub fn train(args: &[String]) -> Result<(), String> {
     write_metrics_if_requested(&flags)
 }
 
-/// `export-artifact --model STATE --out ARTIFACT`
-///
-/// Converts a saved model (v2 JSON envelope or an existing v3 artifact)
-/// into the `SOTERIA-STATE v3` binary artifact: aligned, checksummed,
-/// and loadable by reference — `serve --artifact` and `SWAP` start from
-/// it without deserializing a single tensor.
-pub fn export_artifact(args: &[String]) -> Result<(), String> {
-    let (flags, _) = parse(args)?;
-    let model = flags
-        .get("model")
-        .ok_or("export-artifact needs --model STATE")?;
-    let out = flags
-        .get("out")
-        .ok_or("export-artifact needs --out ARTIFACT")?;
-    let state = SoteriaState::load_from_path(&PathBuf::from(model)).map_err(|e| e.to_string())?;
-    state
-        .save_artifact_to_path(&PathBuf::from(out))
-        .map_err(|e| e.to_string())?;
-    let image = StateImage::open(&PathBuf::from(out)).map_err(|e| e.to_string())?;
-    println!(
-        "wrote v3 artifact to {out} ({} bytes, {} sections)",
-        image.len_bytes(),
-        image.sections().len()
-    );
-    Ok(())
-}
-
-/// `swap --connect ADDR --model PATH`
+/// `swap --connect ADDR --model MODEL`
 ///
 /// Sends the in-band `SWAP` admin verb to a serving `--listen` address:
-/// the server loads the state file at PATH (a path on the *server's*
-/// filesystem — v3 artifact or v2 JSON) and atomically installs it as
-/// the serving model without dropping a request. Prints the server's
-/// one-line JSON response.
+/// the server loads the `SOTERIA-STATE v3` artifact at PATH (a path on
+/// the *server's* filesystem) and atomically installs it as the serving
+/// model without dropping a request. Prints the server's one-line JSON
+/// response.
 pub fn swap(args: &[String]) -> Result<(), String> {
     use std::io::{BufRead, BufReader, Write};
-    let (flags, _) = parse(args)?;
+    let (flags, _) = parse("swap", args, "connect model")?;
     let addr = flags.get("connect").ok_or("swap needs --connect ADDR")?;
-    let model = flags.get("model").ok_or("swap needs --model PATH")?;
+    let model = flags.get("model").ok_or("swap needs --model MODEL")?;
     if model.chars().any(char::is_whitespace) {
         return Err("the line protocol cannot carry paths with whitespace".into());
     }
@@ -381,24 +396,14 @@ pub fn swap(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `analyze (--corpus DIR | --model MODEL.json) [--seed N] [--metrics PATH] FILE...`
+/// `analyze (--corpus DIR | --model MODEL) [--seed N] [--metrics PATH] FILE...`
 pub fn analyze(args: &[String]) -> Result<(), String> {
-    let (flags, positional) = parse(args)?;
+    let (flags, positional) = parse("analyze", args, "corpus model seed metrics")?;
     let seed = flag_u64(&flags, "seed", 7)?;
     if positional.is_empty() {
         return Err("analyze needs at least one FILE".into());
     }
-
-    let system = if let Some(model_path) = flags.get("model") {
-        let state =
-            SoteriaState::load_from_path(&PathBuf::from(model_path)).map_err(|e| e.to_string())?;
-        eprintln!("loaded model from {model_path}");
-        Soteria::from_state(state)
-    } else if let Some(corpus_dir) = flags.get("corpus") {
-        train_on_dir(corpus_dir, seed)?
-    } else {
-        return Err("analyze needs --corpus DIR or --model MODEL.json".into());
-    };
+    let system = system_from_flags("analyze", &flags, seed)?;
 
     // Read up to the first unreadable file; the files before it still get
     // their verdict lines before the read error ends the command.
@@ -451,7 +456,7 @@ pub fn analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `serve (--corpus DIR | --model MODEL.json) [--seed N] [--workers N]
+/// `serve (--corpus DIR | --model MODEL) [--seed N] [--workers N]
 ///        [--queue N] [--cache N] [--batch-window-ms N] [--max-batch N]
 ///        [--listen ADDR] [--metrics PATH] [--metrics-interval SECS]
 ///        [--trace F] [--deadline-ms N] [--rate-limit R] [--burst B]
@@ -481,32 +486,14 @@ pub fn analyze(args: &[String]) -> Result<(), String> {
 /// rolling window. Rejected requests answer
 /// `{"verdict":"rejected","reason":…[,"retry_after_ms":…]}`.
 pub fn serve(args: &[String]) -> Result<(), String> {
-    let (flags, _) = parse(args)?;
+    let (flags, _) = parse(
+        "serve",
+        args,
+        "corpus model seed workers queue cache batch-window-ms max-batch listen metrics \
+         metrics-interval trace deadline-ms rate-limit burst brownout reject-threshold breaker",
+    )?;
     let seed = flag_u64(&flags, "seed", 7)?;
-    let system = if let Some(path) = flags.get("artifact") {
-        // Instant start: validate once, then borrow every weight matrix
-        // straight out of the mapped buffer — no JSON, no per-tensor
-        // copies.
-        let load_start = std::time::Instant::now();
-        let image = StateImage::open(&PathBuf::from(path)).map_err(|e| e.to_string())?;
-        let system = Soteria::load_image(&image).map_err(|e| e.to_string())?;
-        eprintln!(
-            "mapped artifact {path} ({} bytes, {} sections, zero-copy) in {:.1}ms",
-            image.len_bytes(),
-            image.sections().len(),
-            load_start.elapsed().as_secs_f64() * 1e3
-        );
-        system
-    } else if let Some(model_path) = flags.get("model") {
-        let state =
-            SoteriaState::load_from_path(&PathBuf::from(model_path)).map_err(|e| e.to_string())?;
-        eprintln!("loaded model from {model_path}");
-        Soteria::from_state(state)
-    } else if let Some(corpus_dir) = flags.get("corpus") {
-        train_on_dir(corpus_dir, seed)?
-    } else {
-        return Err("serve needs --artifact FILE, --corpus DIR, or --model MODEL.json".into());
-    };
+    let system = system_from_flags("serve", &flags, seed)?;
 
     // --trace overrides SOTERIA_TRACE, which overrides "off".
     let trace_default = std::env::var("SOTERIA_TRACE")
@@ -630,7 +617,7 @@ fn start_snapshot_writer(
 /// the live `METRICS` exposition fetched from a serving `--listen`
 /// address.
 pub fn metrics(args: &[String]) -> Result<(), String> {
-    let (flags, _) = parse(args)?;
+    let (flags, _) = parse("metrics", args, "file connect")?;
     let report = if let Some(path) = flags.get("file") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
         serde_json::from_str::<soteria_telemetry::MetricsReport>(&text)
@@ -785,8 +772,12 @@ mod tests {
 
     #[test]
     fn parse_splits_flags_and_positionals() {
-        let (flags, pos) =
-            parse(&argv(&["--out", "/tmp/x", "file1", "--seed", "9", "file2"])).unwrap();
+        let (flags, pos) = parse(
+            "gen",
+            &argv(&["--out", "/tmp/x", "file1", "--seed", "9", "file2"]),
+            "out seed",
+        )
+        .unwrap();
         assert_eq!(flags.get("out").unwrap(), "/tmp/x");
         assert_eq!(flags.get("seed").unwrap(), "9");
         assert_eq!(pos, vec!["file1", "file2"]);
@@ -794,14 +785,73 @@ mod tests {
 
     #[test]
     fn parse_handles_bare_dot_flag() {
-        let (flags, pos) = parse(&argv(&["file", "--dot"])).unwrap();
+        let (flags, pos) = parse("inspect", &argv(&["file", "--dot"]), "dot").unwrap();
         assert!(flags.contains_key("dot"));
         assert_eq!(pos, vec!["file"]);
     }
 
     #[test]
     fn missing_flag_value_is_an_error() {
-        assert!(parse(&argv(&["--out"])).is_err());
+        assert!(parse("gen", &argv(&["--out"]), "out").is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_errors_that_name_the_flag() {
+        // Without the check, `--sead` was ignored and seed 7 used.
+        let dir = std::env::temp_dir().join(format!("soteria-cli-sead-{}", std::process::id()));
+        let err = gen(&argv(&[
+            "--out",
+            dir.to_str().unwrap(),
+            "--scale",
+            "0.0001",
+            "--sead",
+            "5",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--sead"), "{err}");
+        assert!(!dir.exists(), "a rejected command must not run");
+        let err = serve(&argv(&["--artifact", "m.sot3", "--model", "old"])).unwrap_err();
+        assert!(err.contains("--artifact"), "{err}");
+    }
+
+    #[test]
+    fn train_writes_a_v3_model_that_analyze_loads() {
+        let dir = std::env::temp_dir().join(format!("soteria-cli-model-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let corpus = Corpus::generate(&CorpusConfig {
+            counts: [8, 8, 8, 8],
+            seed: 5,
+            av_noise: false,
+            lineages: 2,
+        });
+        let corpus_dir = dir.join("corpus");
+        store::write_corpus(&corpus, &corpus_dir).unwrap();
+        let model = dir.join("model.sot3");
+        let model_arg = model.to_str().unwrap();
+        train(&argv(&[
+            "--corpus",
+            corpus_dir.to_str().unwrap(),
+            "--out",
+            model_arg,
+        ]))
+        .unwrap();
+        assert!(std::fs::read(&model)
+            .unwrap()
+            .starts_with(b"SOTERIA-STATE v3"));
+
+        let sample = corpus_dir.join(format!("{}.sotb", corpus.samples()[0].name()));
+        let sample_arg = sample.to_str().unwrap();
+        analyze(&argv(&["--model", model_arg, sample_arg])).unwrap();
+
+        // The header of a v2 JSON envelope, the format earlier releases
+        // wrote: refused at its magic, before the checksum is read.
+        let v2 = dir.join("model.json");
+        let payload = r#"{"config":{"classes":4},"detector_stats":{"mean":0.1}}"#;
+        std::fs::write(&v2, format!("SOTERIA-STATE v2 crc32=00000000\n{payload}")).unwrap();
+        let err = analyze(&argv(&["--model", v2.to_str().unwrap(), sample_arg])).unwrap_err();
+        assert!(err.contains("bad state header"), "{err}");
+        assert!(err.contains("offset 0"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -8,13 +8,12 @@
 //!                                                       craft an adversarial example
 //! soteria-cli train --corpus DIR --out MODEL [--seed N]
 //!                   [--checkpoint-every N] [--checkpoint PATH] [--resume PATH]
-//!                                                       train and persist a system
+//!                                                       train and save a system
 //! soteria-cli analyze (--corpus DIR | --model MODEL) [--seed N] FILE...
 //!                                                       screen files with a system
-//! soteria-cli serve (--artifact FILE | --corpus DIR | --model MODEL) [--listen ADDR]
+//! soteria-cli serve (--corpus DIR | --model MODEL) [--listen ADDR]
 //!                   [--trace F]                         run the screening service
-//! soteria-cli export-artifact --model STATE --out FILE  write the v3 binary artifact
-//! soteria-cli swap --connect ADDR --model PATH          hot-swap a serving model
+//! soteria-cli swap --connect ADDR --model MODEL         hot-swap a serving model
 //! soteria-cli metrics (--file PATH | --connect ADDR)    render a telemetry snapshot
 //! ```
 
@@ -37,13 +36,12 @@ fn usage() -> &'static str {
      [--checkpoint-every N] [--checkpoint PATH] [--resume PATH]\n  \
      soteria-cli analyze (--corpus DIR | --model MODEL) [--seed N] [--metrics PATH]\n    \
      FILE...\n  \
-     soteria-cli serve (--artifact FILE | --corpus DIR | --model MODEL) [--seed N]\n    \
+     soteria-cli serve (--corpus DIR | --model MODEL) [--seed N]\n    \
      [--workers N] [--queue N] [--cache N] [--batch-window-ms N] [--max-batch N]\n    \
      [--listen ADDR] [--metrics PATH]\n    \
      [--metrics-interval SECS] [--trace F] [--deadline-ms N] [--rate-limit R] [--burst B]\n    \
      [--brownout F] [--reject-threshold F] [--breaker N]\n  \
-     soteria-cli export-artifact --model STATE --out ARTIFACT\n  \
-     soteria-cli swap --connect ADDR --model PATH\n  \
+     soteria-cli swap --connect ADDR --model MODEL\n  \
      soteria-cli metrics (--file PATH | --connect ADDR)\n\n\
      serve reads one request per line (a file path, or hex:<bytes>) and answers\n  \
      with one JSON verdict per line; without --listen the protocol runs on\n  \
@@ -54,11 +52,11 @@ fn usage() -> &'static str {
      in-band on either front end; --trace F samples that fraction of requests\n  \
      into per-stage traces (SOTERIA_TRACE=F sets the default). Tracing never\n  \
      changes a verdict.\n\n\
-     export-artifact converts a saved model into the SOTERIA-STATE v3 binary\n  \
-     artifact: aligned, checksummed, loaded by reference with zero\n  \
-     deserialization, so serve --artifact starts instantly. SWAP <path> (or\n  \
-     soteria-cli swap --connect ADDR --model PATH) hot-swaps the serving model\n  \
-     from such a file without dropping a request.\n\n\
+     A MODEL file is the SOTERIA-STATE v3 artifact train --out writes:\n  \
+     aligned, checksummed, and loaded by reference with no tensor parsed or\n  \
+     copied, so analyze and serve start instantly. SWAP <path> (or\n  \
+     soteria-cli swap --connect ADDR --model MODEL) hot-swaps the serving\n  \
+     model from such a file without dropping a request.\n\n\
      Overload hardening (all off by default): --deadline-ms bounds each\n  \
      request's end-to-end latency, --rate-limit R (with --burst B) caps each\n  \
      client's request rate, --brownout F degrades to AE-only screening and\n  \
@@ -84,7 +82,6 @@ fn main() -> ExitCode {
         Some("train") => commands::train(&args[1..]),
         Some("analyze") => commands::analyze(&args[1..]),
         Some("serve") => commands::serve(&args[1..]),
-        Some("export-artifact") => commands::export_artifact(&args[1..]),
         Some("swap") => commands::swap(&args[1..]),
         Some("metrics") => commands::metrics(&args[1..]),
         Some("--help") | Some("-h") => {

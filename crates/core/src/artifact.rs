@@ -1,13 +1,13 @@
-//! `SOTERIA-STATE v3`: a zero-copy binary model artifact.
+//! `SOTERIA-STATE v3`: the zero-copy binary model artifact, the one
+//! on-disk form of a trained system.
 //!
-//! The v2 text envelope (see [`crate::persist`]) serializes every weight
-//! as JSON, so loading a model re-parses and re-allocates each tensor.
-//! The v3 artifact instead lays tensors out as raw, 64-byte-aligned blobs
-//! inside one contiguous buffer; loading reads the file once into an
-//! aligned allocation and *borrows* every weight matrix straight out of
-//! it ([`soteria_nn::TensorView`] / [`soteria_nn::WeightStore::Shared`]).
+//! The artifact lays tensors out as raw, 64-byte-aligned blobs inside one
+//! contiguous buffer; loading reads the file once into an aligned
+//! allocation and *borrows* every weight matrix straight out of it
+//! ([`soteria_nn::TensorView`] / [`soteria_nn::WeightStore::Shared`]).
 //! No tensor is ever parsed or copied — cold start is bounded by the read
-//! itself.
+//! itself. Every file load goes through [`StateImage::open`] and
+//! [`Soteria::load_image`].
 //!
 //! # Layout
 //!
@@ -52,6 +52,11 @@
 //! uncovered — flipping those cannot change behavior. Corruption is
 //! always diagnosed as a typed [`StateError`], never a panic or a wrong
 //! verdict.
+//!
+//! Checksums cannot vouch for a META document that was written wrong, so
+//! [`StateImage::to_state`] also checks that each network's layer widths
+//! chain and fit the extractor: a model that would fail every request is
+//! refused at load, before it can be swapped in.
 
 use crate::persist::{SoteriaState, StateError};
 use crate::pipeline::Soteria;
@@ -687,7 +692,17 @@ impl StateImage {
         Ok(Vocabulary::from_parts(grams, idf.to_vec()))
     }
 
-    fn model(&self, descs: &[LayerDesc]) -> Result<ModelSpec, StateError> {
+    /// Builds network `net` from its META layers. Each layer's tensors
+    /// must match its declared shape, and the declared widths must chain
+    /// from `input` to `output` values per sample (Dropout passes its
+    /// width through).
+    fn model(
+        &self,
+        net: &str,
+        descs: &[LayerDesc],
+        input: usize,
+        output: usize,
+    ) -> Result<ModelSpec, StateError> {
         let shape = |i: usize, what: &str, have: usize, want: usize| {
             if have == want {
                 Ok(())
@@ -698,8 +713,10 @@ impl StateImage {
             }
         };
         let mut layers = Vec::with_capacity(descs.len());
+        // Values per sample the next layer receives.
+        let mut incoming = input;
         for (i, desc) in descs.iter().enumerate() {
-            let layer = match *desc {
+            let (layer, widths) = match *desc {
                 LayerDesc::Dense {
                     activation,
                     rows,
@@ -711,11 +728,8 @@ impl StateImage {
                     let b: WeightStore<f32> = self.tensor(b)?;
                     shape(i, "weight", w.len(), rows.saturating_mul(cols))?;
                     shape(i, "bias", b.len(), cols)?;
-                    LayerSpec::from(Dense::from_parts(
-                        activation,
-                        Matrix::from_store(rows, cols, w),
-                        b,
-                    ))
+                    let dense = Dense::from_parts(activation, Matrix::from_store(rows, cols, w), b);
+                    (LayerSpec::from(dense), Some((rows, cols)))
                 }
                 LayerDesc::Conv1d {
                     in_c,
@@ -735,7 +749,9 @@ impl StateImage {
                     let b: WeightStore<f32> = self.tensor(b)?;
                     shape(i, "weight", w.len(), out_c * in_c * kernel)?;
                     shape(i, "bias", b.len(), out_c)?;
-                    LayerSpec::from(Conv1d::from_parts(in_c, out_c, kernel, length, relu, w, b))
+                    let conv = Conv1d::from_parts(in_c, out_c, kernel, length, relu, w, b);
+                    let widths = (in_c.saturating_mul(length), out_c.saturating_mul(length));
+                    (LayerSpec::from(conv), Some(widths))
                 }
                 LayerDesc::Conv2d {
                     in_c,
@@ -756,9 +772,10 @@ impl StateImage {
                     let b: WeightStore<f32> = self.tensor(b)?;
                     shape(i, "weight", w.len(), out_c * in_c * kernel * kernel)?;
                     shape(i, "bias", b.len(), out_c)?;
-                    LayerSpec::from(Conv2d::from_parts(
-                        in_c, out_c, kernel, height, width, relu, w, b,
-                    ))
+                    let conv = Conv2d::from_parts(in_c, out_c, kernel, height, width, relu, w, b);
+                    let plane = height.saturating_mul(width);
+                    let widths = (in_c.saturating_mul(plane), out_c.saturating_mul(plane));
+                    (LayerSpec::from(conv), Some(widths))
                 }
                 LayerDesc::MaxPool1d {
                     channels,
@@ -770,7 +787,14 @@ impl StateImage {
                             "layer {i} pool window {window} does not fit length {length}"
                         )));
                     }
-                    LayerSpec::from(MaxPool1d::new(channels, length, window))
+                    let widths = (
+                        channels.saturating_mul(length),
+                        channels.saturating_mul(length / window),
+                    );
+                    (
+                        LayerSpec::from(MaxPool1d::new(channels, length, window)),
+                        Some(widths),
+                    )
                 }
                 LayerDesc::MaxPool2d {
                     channels,
@@ -783,7 +807,14 @@ impl StateImage {
                             "layer {i} pool window {window} does not fit {height}x{width}"
                         )));
                     }
-                    LayerSpec::from(MaxPool2d::new(channels, height, width, window))
+                    let widths = (
+                        channels.saturating_mul(height.saturating_mul(width)),
+                        channels.saturating_mul((height / window).saturating_mul(width / window)),
+                    );
+                    (
+                        LayerSpec::from(MaxPool2d::new(channels, height, width, window)),
+                        Some(widths),
+                    )
                 }
                 LayerDesc::Dropout { p, seed, draws } => {
                     if !(0.0..1.0).contains(&p) {
@@ -791,10 +822,23 @@ impl StateImage {
                             "layer {i} dropout probability {p} not in [0, 1)"
                         )));
                     }
-                    LayerSpec::from(Dropout::from_parts(p, seed, draws))
+                    (LayerSpec::from(Dropout::from_parts(p, seed, draws)), None)
                 }
             };
+            if let Some((takes, gives)) = widths {
+                if takes != incoming {
+                    return Err(StateError::Parse(format!(
+                        "{net} layer {i} takes {takes} values per sample, but receives {incoming}"
+                    )));
+                }
+                incoming = gives;
+            }
             layers.push(layer);
+        }
+        if incoming != output {
+            return Err(StateError::Parse(format!(
+                "{net} gives {incoming} values per sample, but {output} are needed"
+            )));
         }
         Ok(ModelSpec::new(layers))
     }
@@ -806,19 +850,26 @@ impl StateImage {
     /// # Errors
     ///
     /// Returns the typed [`StateError`] if the META document references
-    /// sections inconsistently with its declared shapes.
+    /// sections inconsistently with its declared shapes, or if a network's
+    /// layer widths do not chain from the extractor's feature width: the
+    /// detector maps `combined_dim` back to `combined_dim`, and each CNN
+    /// maps `per_labeling_dim` to one logit per class.
     pub fn to_state(&self) -> Result<SoteriaState, StateError> {
+        let meta = &self.meta;
+        let extractor = FeatureExtractor::from_parts(
+            meta.extractor_config.clone(),
+            self.vocab(&meta.dbl_vocab)?,
+            self.vocab(&meta.lbl_vocab)?,
+        );
+        let (combined, per_labeling) = (extractor.combined_dim(), extractor.per_labeling_dim());
+        let classes = meta.config.classes;
         Ok(SoteriaState {
-            config: self.meta.config.clone(),
-            extractor: FeatureExtractor::from_parts(
-                self.meta.extractor_config.clone(),
-                self.vocab(&self.meta.dbl_vocab)?,
-                self.vocab(&self.meta.lbl_vocab)?,
-            ),
-            detector_model: self.model(&self.meta.detector)?,
-            detector_stats: self.meta.detector_stats,
-            dbl_cnn: self.model(&self.meta.dbl_cnn)?,
-            lbl_cnn: self.model(&self.meta.lbl_cnn)?,
+            config: meta.config.clone(),
+            detector_model: self.model("detector", &meta.detector, combined, combined)?,
+            detector_stats: meta.detector_stats,
+            dbl_cnn: self.model("DBL CNN", &meta.dbl_cnn, per_labeling, classes)?,
+            lbl_cnn: self.model("LBL CNN", &meta.lbl_cnn, per_labeling, classes)?,
+            extractor,
         })
     }
 }
@@ -873,13 +924,32 @@ mod tests {
     }
 
     #[test]
-    fn v2_to_v3_to_v2_is_byte_stable() {
+    fn v3_to_state_to_v3_is_byte_stable() {
         let (original, ..) = small_trained();
-        let state = original.save_state().unwrap();
-        let v2 = state.to_json().unwrap();
-        let bytes = state.to_artifact().unwrap();
+        let bytes = original.save_state().unwrap().to_artifact().unwrap();
         let back = StateImage::parse(&bytes).unwrap().to_state().unwrap();
-        assert_eq!(back.to_json().unwrap(), v2);
+        assert_eq!(back.to_artifact().unwrap(), bytes);
+    }
+
+    #[test]
+    fn networks_that_do_not_fit_the_extractor_are_refused() {
+        let (original, ..) = small_trained();
+        let mut state = original.save_state().unwrap();
+        // The DBL CNN in the detector's place: every layer's own tensors
+        // match its shape, but its 64-wide input does not fit the
+        // 128-wide combined vector.
+        state.detector_model = original.save_state().unwrap().dbl_cnn;
+        let image = StateImage::parse(&state.to_artifact().unwrap()).unwrap();
+        let err = Soteria::load_image(&image).expect_err("a misfit detector must not load");
+        assert!(matches!(err, StateError::Parse(_)), "{err:?}");
+        assert!(err.to_string().contains("detector layer 0"), "{err}");
+
+        // CNNs that vote over more classes than the config declares.
+        let mut state = original.save_state().unwrap();
+        state.config.classes -= 1;
+        let image = StateImage::parse(&state.to_artifact().unwrap()).unwrap();
+        let err = Soteria::load_image(&image).expect_err("a misfit classifier must not load");
+        assert!(err.to_string().contains("DBL CNN gives 4"), "{err}");
     }
 
     #[test]
@@ -984,15 +1054,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.soteria3");
         let state = original.save_state().unwrap();
-        state.save_artifact_to_path(&path).unwrap();
+        state.save_to_path(&path).unwrap();
 
-        // The direct image path.
-        let a = Soteria::load_image(&StateImage::open(&path).unwrap()).unwrap();
-        // The sniffing loader sees the magic and takes the artifact path.
-        let b = Soteria::from_state(SoteriaState::load_from_path(&path).unwrap());
+        let restored = Soteria::load_image(&StateImage::open(&path).unwrap()).unwrap();
         let g = corpus.samples()[test[0]].graph();
-        assert_eq!(a.analyze(g, 5), original.analyze(g, 5));
-        assert_eq!(b.analyze(g, 5), original.analyze(g, 5));
+        assert_eq!(restored.analyze(g, 5), original.analyze(g, 5));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -14,15 +14,28 @@
 //! per-epoch shuffle permutes the *previous* order, so the permutation is
 //! part of the training state).
 //!
-//! Checkpoints use the same crash-safe envelope as model states
-//! (`SOTERIA-CKPT v1 crc32=…` + JSON, written via atomic rename), so a
-//! kill during checkpointing leaves the previous checkpoint intact.
+//! # On-disk format
+//!
+//! A checkpoint is a one-line envelope followed by the JSON payload:
+//!
+//! ```text
+//! SOTERIA-CKPT v1 crc32=89abcdef
+//! {"seed":7,...}
+//! ```
+//!
+//! The CRC-32 covers the payload bytes, so truncation and bit rot are
+//! diagnosed as [`StateError::ChecksumMismatch`] instead of a confusing
+//! parse failure deep inside serde. Files are written via atomic rename,
+//! so a kill during checkpointing leaves the previous checkpoint intact.
+//! Bare JSON without the envelope, and any file that does not open with
+//! the `SOTERIA-CKPT` magic (a model artifact, say), is rejected with a
+//! typed [`StateError::BadHeader`].
 
 use crate::classifier::FamilyClassifier;
 use crate::config::SoteriaConfig;
 use crate::detector::AeDetector;
 use crate::error::TrainError;
-use crate::persist::{decode_envelope, encode_envelope, StateError};
+use crate::persist::StateError;
 use crate::pipeline::Soteria;
 use serde::{Deserialize, Serialize};
 use soteria_cfg::Cfg;
@@ -36,6 +49,60 @@ use std::path::Path;
 const CKPT_MAGIC: &str = "SOTERIA-CKPT";
 /// Current checkpoint format version.
 const CKPT_VERSION: u32 = 1;
+
+/// Validates and strips the envelope, returning the payload text. The
+/// file is read as bytes, so a wrong magic or a header that is not text is
+/// a [`StateError::BadHeader`] with its offset, not an I/O error.
+fn decode_envelope(data: &[u8]) -> Result<&str, StateError> {
+    let magic = format!("{CKPT_MAGIC} ");
+    if !data.starts_with(magic.as_bytes()) {
+        return Err(StateError::bad_header(
+            format!("expected magic {CKPT_MAGIC:?}"),
+            0,
+            data,
+        ));
+    }
+    let newline = data
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or_else(|| StateError::bad_header("missing newline after envelope header", 0, data))?;
+    let (header, payload) = (&data[..newline], &data[newline + 1..]);
+    let header = std::str::from_utf8(header).map_err(|e| {
+        let at = e.valid_up_to();
+        StateError::bad_header("envelope header is not text", at as u64, &data[at..])
+    })?;
+    let mut fields = header[magic.len()..].split_whitespace();
+    let version: u32 = fields
+        .next()
+        .and_then(|v| v.strip_prefix('v'))
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| {
+            StateError::bad_header(
+                "missing or malformed version field",
+                magic.len() as u64,
+                &data[magic.len()..],
+            )
+        })?;
+    if version > CKPT_VERSION {
+        return Err(StateError::UnsupportedVersion {
+            found: version,
+            supported: CKPT_VERSION,
+        });
+    }
+    let expected: u32 = fields
+        .next()
+        .and_then(|v| v.strip_prefix("crc32="))
+        .and_then(|v| u32::from_str_radix(v, 16).ok())
+        .ok_or_else(|| {
+            StateError::bad_header("missing or malformed crc32 field", 0, header.as_bytes())
+        })?;
+    let actual = soteria_resilience::crc32(payload);
+    if actual != expected {
+        return Err(StateError::ChecksumMismatch { expected, actual });
+    }
+    std::str::from_utf8(payload)
+        .map_err(|e| StateError::Parse(format!("payload is not UTF-8: {e}")))
+}
 
 /// Progress of one network fit within a training run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -87,17 +154,21 @@ impl TrainCheckpoint {
     /// Returns [`StateError::Parse`] if serialization itself fails.
     pub fn to_envelope(&self) -> Result<String, StateError> {
         let payload = serde_json::to_string(self).map_err(|e| StateError::Parse(e.to_string()))?;
-        Ok(encode_envelope(CKPT_MAGIC, CKPT_VERSION, &payload))
+        let crc = soteria_resilience::crc32(payload.as_bytes());
+        Ok(format!(
+            "{CKPT_MAGIC} v{CKPT_VERSION} crc32={crc:08x}\n{payload}"
+        ))
     }
 
-    /// Parses the enveloped format, verifying version and checksum.
+    /// Parses the enveloped format, verifying magic, version and
+    /// checksum.
     ///
     /// # Errors
     ///
     /// Returns the specific [`StateError`] diagnosing what is wrong with
     /// the file.
-    pub fn from_envelope(data: &str) -> Result<Self, StateError> {
-        let payload = decode_envelope(CKPT_MAGIC, CKPT_VERSION, data)?;
+    pub fn from_envelope(data: &[u8]) -> Result<Self, StateError> {
+        let payload = decode_envelope(data)?;
         serde_json::from_str(payload).map_err(|e| StateError::Parse(e.to_string()))
     }
 
@@ -121,8 +192,8 @@ impl TrainCheckpoint {
     /// Returns the specific [`StateError`] diagnosing what is wrong with
     /// the file.
     pub fn load_from_path(path: &Path) -> Result<Self, StateError> {
-        let data = std::fs::read_to_string(path)
-            .map_err(|e| StateError::Io(format!("{}: {e}", path.display())))?;
+        let data =
+            std::fs::read(path).map_err(|e| StateError::Io(format!("{}: {e}", path.display())))?;
         Self::from_envelope(&data)
     }
 
@@ -298,8 +369,13 @@ mod tests {
         (SoteriaConfig::tiny(), corpus, split.train)
     }
 
-    fn state_json(s: &Soteria) -> String {
-        s.save_state().expect("state").to_json().expect("json")
+    /// The trained system's v3 artifact: equal bytes mean equal weights,
+    /// threshold and vocabularies, bit for bit.
+    fn state_bytes(s: &Soteria) -> Vec<u8> {
+        s.save_state()
+            .expect("state")
+            .to_artifact()
+            .expect("artifact")
     }
 
     #[test]
@@ -309,7 +385,7 @@ mod tests {
         let resumable =
             Soteria::train_resumable(&config, &corpus, &train, 7, None, 0, &mut |_| Ok(()))
                 .expect("train_resumable");
-        assert_eq!(state_json(&plain), state_json(&resumable));
+        assert_eq!(state_bytes(&plain), state_bytes(&resumable));
     }
 
     #[test]
@@ -322,7 +398,7 @@ mod tests {
                 Ok(())
             })
             .expect("uninterrupted run");
-        let reference = state_json(&uninterrupted);
+        let reference = state_bytes(&uninterrupted);
         // tiny(): detector 30 epochs → 4 mid-fit checkpoints + Done, each
         // CNN 20 epochs → 2 + Done. Resume from an early, a mid, and a
         // late snapshot — including envelope round-trips — and demand the
@@ -335,7 +411,7 @@ mod tests {
         let picks = [1, checkpoints.len() / 2, checkpoints.len() - 2];
         for &pick in &picks {
             let envelope = checkpoints[pick].to_envelope().expect("envelope");
-            let restored = TrainCheckpoint::from_envelope(&envelope).expect("decode");
+            let restored = TrainCheckpoint::from_envelope(envelope.as_bytes()).expect("decode");
             let resumed = Soteria::train_resumable(
                 &config,
                 &corpus,
@@ -347,7 +423,7 @@ mod tests {
             )
             .expect("resumed run");
             assert_eq!(
-                state_json(&resumed),
+                state_bytes(&resumed),
                 reference,
                 "resume from checkpoint {pick} diverged"
             );
@@ -415,18 +491,76 @@ mod tests {
         let ckpt = TrainCheckpoint::fresh(&config, &train, 3);
         let envelope = ckpt.to_envelope().expect("envelope");
         assert!(envelope.starts_with("SOTERIA-CKPT v1 crc32="));
+        // A flipped bit inside the payload.
         let mut bytes = envelope.clone().into_bytes();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
-        let corrupted = String::from_utf8(bytes).expect("utf8");
+        match TrainCheckpoint::from_envelope(&bytes) {
+            Err(StateError::ChecksumMismatch { expected, actual }) => {
+                assert_ne!(expected, actual);
+            }
+            other => panic!("expected ChecksumMismatch, got {other:?}"),
+        }
+        // A truncated copy.
+        let truncated = &envelope.as_bytes()[..envelope.len() - envelope.len() / 3];
         assert!(matches!(
-            TrainCheckpoint::from_envelope(&corrupted),
+            TrainCheckpoint::from_envelope(truncated),
             Err(StateError::ChecksumMismatch { .. })
         ));
-        // Like model states, checkpoints have no bare-JSON form.
+        // Checkpoints have no bare-JSON form.
         assert!(matches!(
-            TrainCheckpoint::from_envelope("{}"),
+            TrainCheckpoint::from_envelope(b"{}"),
             Err(StateError::BadHeader { .. })
         ));
+    }
+
+    #[test]
+    fn header_problems_are_typed() {
+        for header in [
+            &b"WRONG-MAGIC v1 crc32=00000000\n{}"[..],
+            b"SOTERIA-CKPT v1\n{}",
+            b"SOTERIA-CKPT vX crc32=00000000\n{}",
+            b"SOTERIA-CKPT v1 crc32=00000000 no newline at all",
+            b"SOTERIA-CKPT v1 \xff\xfe\n{}",
+        ] {
+            assert!(
+                matches!(
+                    TrainCheckpoint::from_envelope(header),
+                    Err(StateError::BadHeader { .. })
+                ),
+                "{}",
+                String::from_utf8_lossy(header)
+            );
+        }
+        assert!(matches!(
+            TrainCheckpoint::from_envelope(b"SOTERIA-CKPT v9999 crc32=00000000\n{}"),
+            Err(StateError::UnsupportedVersion {
+                found: 9999,
+                supported: 1
+            })
+        ));
+    }
+
+    #[test]
+    fn resuming_from_a_model_artifact_is_a_bad_header() {
+        // A model file passed where a checkpoint belongs: the binary
+        // artifact fails at the magic, not as an I/O error.
+        let (config, corpus, train) = tiny_setup();
+        let model = Soteria::train(&config, &corpus, &train, 7).expect("train");
+        let dir = std::env::temp_dir().join(format!("soteria-ckpt-model-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("model.sot3");
+        model
+            .save_state()
+            .expect("state")
+            .save_to_path(&path)
+            .expect("save");
+        let err = TrainCheckpoint::load_from_path(&path).expect_err("a model is not a checkpoint");
+        assert!(
+            matches!(err, StateError::BadHeader { offset: 0, .. }),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("SOTERIA-CKPT"), "{err}");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

@@ -19,7 +19,7 @@
 
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
-use soteria::{Soteria, SoteriaConfig, SoteriaState, StateImage, Verdict};
+use soteria::{Soteria, SoteriaConfig, StateImage, Verdict};
 use soteria_cfg::Cfg;
 use soteria_corpus::{Corpus, CorpusConfig, Split};
 use soteria_eval::experiments::{self, ALL_EXPERIMENTS, PAPER_EXPERIMENTS};
@@ -51,10 +51,10 @@ static RUNNER: Command = Command {
     run: run_experiments,
 };
 
-/// The flags four of the bench commands share.
+/// The flags three of the bench commands share.
 const BENCH_FLAGS: &[&str] = &["--seed N", "--out DIR", "--baseline PATH", "--smoke"];
 
-static COMMANDS: [Command; 7] = [
+static COMMANDS: [Command; 6] = [
     Command {
         name: "nn-bench",
         flags: BENCH_FLAGS,
@@ -85,11 +85,6 @@ static COMMANDS: [Command; 7] = [
         name: "telemetry-bench",
         flags: &["--out DIR", "--baseline PATH", "--smoke"],
         run: run_telemetry_bench,
-    },
-    Command {
-        name: "artifact-bench",
-        flags: BENCH_FLAGS,
-        run: run_artifact_bench,
     },
     Command {
         name: "chaos",
@@ -1608,230 +1603,6 @@ fn load_outcome(corrupted: &[u8], probes: &[Vec<u8>], first_seed: u64, expected:
         }
     }))
     .unwrap_or(3)
-}
-
-/// The cold-start comparison and its correctness gates, committed as
-/// `results/BENCH_artifact.json`.
-#[derive(Debug, Serialize, Deserialize)]
-struct ArtifactBenchReport {
-    seed: u64,
-    smoke: bool,
-    /// Serialized sizes of the identical trained state.
-    json_bytes: u64,
-    artifact_bytes: u64,
-    sections: usize,
-    /// Median cold-load wall time from disk, file → ready-to-serve system.
-    json_cold_ms: f64,
-    artifact_cold_ms: f64,
-    /// `json_cold_ms / artifact_cold_ms` — the instant-start headline.
-    speedup: f64,
-    /// HARD GATE: both loads verdict-identical to the trained system.
-    verdicts_identical: bool,
-    probe_count: usize,
-    /// Corruption mini-sweep over the artifact (same gate as `chaos`).
-    corruption_cases: usize,
-    corruption_rejected: usize,
-    corruption_loaded_identical: usize,
-    /// HARD GATES: both must be zero.
-    corruption_diverged: usize,
-    corruption_panics: usize,
-}
-
-/// `artifact-bench` — trains one system, saves it as both the v2 JSON
-/// envelope and the v3 binary artifact, and measures the cold file →
-/// ready-to-serve wall time of each. HARD-FAILS if the two loads are not
-/// verdict-identical, or if any corrupted artifact panics the loader or
-/// loads with different verdicts. The speedup itself is recorded, and drift
-/// against `--baseline` is noted, not fatal — wall clock is hardware-bound,
-/// correctness is not.
-fn run_artifact_bench(flags: &Flags) -> Result<(), String> {
-    let seed = flags.seed.unwrap_or(7);
-    let smoke = flags.smoke;
-    soteria_pool::ensure_threads(8);
-
-    // Wide detector layers make the persisted state serving-sized, so the
-    // measured ratio reflects a real deployment, not a toy file.
-    let corpus = Corpus::generate(&CorpusConfig {
-        counts: if smoke { [6, 6, 6, 6] } else { [8, 8, 8, 8] },
-        seed,
-        av_noise: false,
-        lineages: 2,
-    });
-    let split = corpus.split(0.8, seed ^ 0x517);
-    let mut config = SoteriaConfig::tiny();
-    config.detector.hidden = if smoke {
-        [96, 128, 96]
-    } else {
-        [384, 512, 384]
-    };
-    config.detector.epochs = 1;
-    eprintln!(
-        "[artifact-bench] training (detector {:?}, {} samples)...",
-        config.detector.hidden,
-        corpus.len()
-    );
-    let trained = Soteria::train(&config, &corpus, &split.train, seed)
-        .map_err(|e| format!("artifact-bench: training failed: {e}"))?;
-
-    // Both formats on disk, loaded back through the real cold-start paths.
-    let dir = std::env::temp_dir().join(format!(
-        "soteria-artifact-bench-{}-{seed}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-    let json_path = dir.join("state.json");
-    let artifact_path = dir.join("state.sot3");
-    let state = trained
-        .save_state()
-        .map_err(|e| format!("artifact-bench: save_state failed: {e}"))?;
-    state
-        .save_to_path(&json_path)
-        .map_err(|e| format!("artifact-bench: v2 save failed: {e}"))?;
-    state
-        .save_artifact_to_path(&artifact_path)
-        .map_err(|e| format!("artifact-bench: v3 save failed: {e}"))?;
-    let json_bytes = std::fs::metadata(&json_path)
-        .map_err(|e| e.to_string())?
-        .len();
-    let artifact_bytes = std::fs::metadata(&artifact_path)
-        .map_err(|e| e.to_string())?
-        .len();
-
-    let iters = if smoke { 5 } else { 15 };
-    let median = |mut xs: Vec<f64>| -> f64 {
-        xs.sort_by(|a, b| a.total_cmp(b));
-        xs[xs.len() / 2]
-    };
-    let mut json_ms = Vec::with_capacity(iters);
-    let mut json_model = None;
-    for _ in 0..iters {
-        let t = std::time::Instant::now();
-        let loaded = Soteria::from_state(
-            SoteriaState::load_from_path(&json_path)
-                .map_err(|e| format!("artifact-bench: v2 load failed: {e}"))?,
-        );
-        json_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        json_model = Some(loaded);
-    }
-    let mut artifact_ms = Vec::with_capacity(iters);
-    let mut artifact_model = None;
-    let mut sections = 0usize;
-    for _ in 0..iters {
-        let t = std::time::Instant::now();
-        let image = StateImage::open(&artifact_path)
-            .map_err(|e| format!("artifact-bench: v3 open failed: {e}"))?;
-        let loaded = Soteria::load_image(&image)
-            .map_err(|e| format!("artifact-bench: v3 load failed: {e}"))?;
-        artifact_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        sections = image.sections().len();
-        artifact_model = Some(loaded);
-    }
-    let json_cold_ms = median(json_ms);
-    let artifact_cold_ms = median(artifact_ms);
-    let speedup = json_cold_ms / artifact_cold_ms.max(1e-9);
-    let json_model = json_model.expect("iters >= 1");
-    let artifact_model = artifact_model.expect("iters >= 1");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Gate 1: the three systems (trained, JSON-loaded, artifact-loaded)
-    // must be verdict-identical, bit for bit.
-    let probes: Vec<Vec<u8>> = split
-        .test
-        .iter()
-        .take(4)
-        .map(|&i| corpus.samples()[i].binary().to_bytes())
-        .collect();
-    let baseline_verdicts = probe_verdicts(&trained, &probes, 3_000);
-    let verdicts_identical = probe_verdicts(&json_model, &probes, 3_000) == baseline_verdicts
-        && probe_verdicts(&artifact_model, &probes, 3_000) == baseline_verdicts;
-
-    // Gate 2: corruption mini-sweep — typed rejection or identical load,
-    // never a panic, never a different verdict.
-    let corruption_cases = if smoke { 100 } else { 250 };
-    let artifact = state
-        .to_artifact()
-        .map_err(|e| format!("artifact-bench: re-export failed: {e}"))?;
-    let injector = soteria_corpus::FaultInjector::new(seed ^ 0xBE2C);
-    let mut counts = [0usize; 4];
-    let prior_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    for i in 0..corruption_cases {
-        let (corrupted, _mutation) = injector.corrupt_artifact(&artifact, i as u64);
-        counts[load_outcome(&corrupted, &probes, 3_000, &baseline_verdicts)] += 1;
-    }
-    std::panic::set_hook(prior_hook);
-
-    let report = ArtifactBenchReport {
-        seed,
-        smoke,
-        json_bytes,
-        artifact_bytes,
-        sections,
-        json_cold_ms,
-        artifact_cold_ms,
-        speedup,
-        verdicts_identical,
-        probe_count: probes.len(),
-        corruption_cases,
-        corruption_rejected: counts[0],
-        corruption_loaded_identical: counts[1],
-        corruption_diverged: counts[2],
-        corruption_panics: counts[3],
-    };
-    println!(
-        "artifact-bench (seed {seed}{}):",
-        if smoke { ", smoke" } else { "" }
-    );
-    println!(
-        "  state size      v2 json {:.1} KiB, v3 artifact {:.1} KiB ({sections} sections)",
-        json_bytes as f64 / 1024.0,
-        artifact_bytes as f64 / 1024.0
-    );
-    println!(
-        "  cold start      v2 json {json_cold_ms:.2} ms, v3 artifact {artifact_cold_ms:.3} ms \
-         -> {speedup:.0}x"
-    );
-    println!("  verdicts        identical: {verdicts_identical}");
-    println!(
-        "  corruption      {corruption_cases} cases: {} rejected, {} identical, {} diverged, \
-         {} panicked",
-        counts[0], counts[1], counts[2], counts[3]
-    );
-
-    if let Some((_, committed)) = flags.baseline::<ArtifactBenchReport>() {
-        let ratio = (report.speedup / committed.speedup.max(1e-9))
-            .max(committed.speedup / report.speedup.max(1e-9));
-        if ratio > 1.5 {
-            eprintln!(
-                "note: artifact-bench drift: speedup {:.0}x vs baseline {:.0}x — \
-                 wall-clock numbers are hardware-dependent, refresh \
-                 results/BENCH_artifact.json if this host is the reference",
-                report.speedup, committed.speedup
-            );
-        }
-    }
-
-    flags.write_report("BENCH_artifact.json", &report)?;
-    if !verdicts_identical {
-        return Err(
-            "artifact-bench: JSON-loaded and artifact-loaded systems are NOT \
-             verdict-identical — the binary format is not a faithful serialization"
-                .to_string(),
-        );
-    }
-    if counts[3] > 0 {
-        return Err(format!(
-            "artifact-bench: {} corrupted artifacts PANICKED the loader",
-            counts[3]
-        ));
-    }
-    if counts[2] > 0 {
-        return Err(format!(
-            "artifact-bench: {} corrupted artifacts loaded with DIFFERENT verdicts",
-            counts[2]
-        ));
-    }
-    Ok(())
 }
 
 /// `chaos` — the fault-injection gate. Returns `Err` (nonzero exit) if any

@@ -109,13 +109,10 @@ fn csv_cell(rel: &str, row: &str, column: &str) -> String {
 
 #[test]
 fn headline_numbers_match_the_committed_results() {
-    let (artifact, nn) = (
-        json("results/BENCH_artifact.json"),
+    let (nn, extract) = (
         json("results/BENCH_nn.json"),
+        json("results/BENCH_extract.json"),
     );
-    let extract = json("results/BENCH_extract.json");
-    let art = |key| num(&artifact, &[key]);
-    let mib = |key| art(key) / (1024.0 * 1024.0);
     let ext = |key| num(&extract, &[key]);
     let nth = |list, i: usize, key| num(&nn, &[list, &i.to_string(), key]);
     let gemv: Vec<String> = (0..3)
@@ -128,23 +125,6 @@ fn headline_numbers_match_the_committed_results() {
 
     let readme = read("README.md");
     let mut cites = vec![
-        (
-            "README.md",
-            format!(
-                "| {:.1} MiB | {:.0} ms |",
-                mib("json_bytes"),
-                art("json_cold_ms")
-            ),
-        ),
-        (
-            "README.md",
-            format!(
-                "| {:.1} MiB | {:.1} ms |",
-                mib("artifact_bytes"),
-                art("artifact_cold_ms")
-            ),
-        ),
-        ("README.md", format!("**{:.0}× faster**", art("speedup"))),
         (
             "README.md",
             format!(

@@ -89,16 +89,13 @@ impl SampleFeatures {
 /// The random walks themselves remain random per extraction — that is the
 /// paper's randomization defense — while the gram vocabulary and IDF
 /// weights are deterministic given the fit seed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FeatureExtractor {
     config: ExtractorConfig,
     dbl_vocab: Vocabulary,
     lbl_vocab: Vocabulary,
     /// Interned gram-lookup tables for the fast path, built lazily from the
-    /// vocabularies. Skipped by serde and reset by `Default` on
-    /// deserialization; rebuilding is cheap and changes no observable
-    /// state.
-    #[serde(skip)]
+    /// vocabularies; rebuilding is cheap and changes no observable state.
     fast: OnceLock<FastTables>,
 }
 

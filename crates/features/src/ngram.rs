@@ -5,14 +5,13 @@
 //! cheap hashing: each label occupies 16 bits (labels are bounded by
 //! `|V| - 1` and the paper's graphs stay far below 65,536 nodes).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Maximum label value a gram can carry.
 pub const MAX_LABEL: usize = u16::MAX as usize;
 
 /// A packed n-gram of walk labels, `2 ≤ n ≤ 4`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Gram {
     len: u8,
     packed: u64,

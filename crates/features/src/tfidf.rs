@@ -12,46 +12,14 @@
 //!   cannot divide by zero).
 
 use crate::ngram::{Gram, GramCounts};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A fitted gram vocabulary with IDF weights.
-///
-/// Serialization stores only the gram list and IDF weights (JSON cannot
-/// key maps by struct); the lookup index is rebuilt on deserialization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(from = "VocabularyData", into = "VocabularyData")]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vocabulary {
     grams: Vec<Gram>,
     index: HashMap<Gram, usize>,
     idf: Vec<f64>,
-}
-
-/// The serialized form of [`Vocabulary`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct VocabularyData {
-    grams: Vec<Gram>,
-    idf: Vec<f64>,
-}
-
-impl From<VocabularyData> for Vocabulary {
-    fn from(d: VocabularyData) -> Self {
-        let index = d.grams.iter().enumerate().map(|(i, &g)| (g, i)).collect();
-        Vocabulary {
-            grams: d.grams,
-            index,
-            idf: d.idf,
-        }
-    }
-}
-
-impl From<Vocabulary> for VocabularyData {
-    fn from(v: Vocabulary) -> Self {
-        VocabularyData {
-            grams: v.grams,
-            idf: v.idf,
-        }
-    }
 }
 
 impl Vocabulary {

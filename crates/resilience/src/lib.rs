@@ -425,7 +425,7 @@ fn crc32_tables() -> &'static [[u32; 256]; 8] {
 }
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes` —
-/// the checksum embedded in persisted-state envelopes and the v3 binary
+/// the checksum embedded in training-checkpoint envelopes and the v3 binary
 /// artifact's section table.
 ///
 /// Implemented as slicing-by-8 (eight table lookups per 8-byte chunk)

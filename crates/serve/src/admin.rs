@@ -10,7 +10,7 @@
 //! | `METRICS json` | the full [`MetricsReport`] as one JSON line        |
 //! | `TRACES [n]`   | up to `n` recent traces as JSON lines + `# EOF`    |
 //! | `HEALTH`       | one JSON line of liveness counters                 |
-//! | `SWAP <path>`  | hot-swaps the served model from a state file       |
+//! | `SWAP <path>`  | hot-swaps the served model from a v3 artifact      |
 //!
 //! Verbs are upper-case to stay disjoint from request lines (filesystem
 //! paths and `hex:` payloads). Malformed arguments answer with the same
@@ -32,10 +32,9 @@ pub const TRACES_DEFAULT: usize = 16;
 /// service; `None` hands the line back to the screening protocol.
 ///
 /// `SWAP <path>` is handled here (not in [`respond`]) because it mutates
-/// the service: it loads a state file — v3 binary artifact or v2 JSON,
-/// sniffed automatically — and atomically installs it as the serving
-/// model. A load failure answers with the usual `{"error":…}` line and
-/// leaves the current model serving.
+/// the service: it loads a `SOTERIA-STATE v3` artifact and atomically
+/// installs it as the serving model. A load failure answers with the
+/// usual `{"error":…}` line and leaves the current model serving.
 pub fn handle_admin(service: &ScreeningService, line: &str) -> Option<String> {
     let mut parts = line.split_whitespace();
     if parts.next() == Some("SWAP") {
@@ -44,7 +43,7 @@ pub fn handle_admin(service: &ScreeningService, line: &str) -> Option<String> {
                 Ok(epoch) => format!("{{\"swapped\":true,\"epoch\":{epoch}}}"),
                 Err(e) => error_line(&format!("swap failed: {e}")),
             },
-            _ => error_line("SWAP wants exactly one state-file path"),
+            _ => error_line("SWAP wants exactly one artifact path"),
         };
         soteria_telemetry::counter("serve.admin.requests", 1);
         return Some(response);

@@ -78,7 +78,7 @@ use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, 
 use crate::cache::{fnv1a64, lock, CacheStats, VerdictCache};
 use crate::deadline::Deadline;
 use soteria::pipeline::extract_binary;
-use soteria::{Soteria, SoteriaState, StateError, Verdict};
+use soteria::{Soteria, StateError, StateImage, Verdict};
 use soteria_features::SampleFeatures;
 use soteria_resilience::FaultKind;
 use soteria_telemetry::TraceBuilder;
@@ -475,16 +475,16 @@ impl ScreeningService {
         epoch
     }
 
-    /// [`swap`](ScreeningService::swap) from a state file on disk — a v3
-    /// binary artifact or a v2 JSON envelope, sniffed automatically.
+    /// [`swap`](ScreeningService::swap) from a `SOTERIA-STATE v3` artifact
+    /// on disk, read once into the aligned buffer its tensors borrow.
     ///
     /// # Errors
     ///
-    /// Returns the [`StateError`] diagnosing an unreadable or corrupt
-    /// file; the served model is untouched on error.
+    /// Returns the [`StateError`] diagnosing an unreadable, corrupt or
+    /// misfit file; the served model is untouched on error.
     pub fn swap_from_path(&self, path: &Path) -> Result<u64, StateError> {
-        let state = SoteriaState::load_from_path(path)?;
-        Ok(self.swap(Soteria::from_state(state)))
+        let image = StateImage::open(path)?;
+        Ok(self.swap(Soteria::load_image(&image)?))
     }
 
     /// Time elapsed since [`start`](ScreeningService::start) returned.
@@ -1125,7 +1125,7 @@ mod tests {
     }
 
     #[test]
-    fn swap_from_path_loads_artifact_and_json_states() {
+    fn swap_from_path_loads_artifacts_and_refuses_everything_else() {
         let (soteria, binaries) = trained();
         let state = soteria.save_state().expect("state");
         let dir = std::env::temp_dir().join(format!(
@@ -1134,26 +1134,45 @@ mod tests {
             fnv1a64(&binaries[0])
         ));
         std::fs::create_dir_all(&dir).expect("tmp dir");
-        let artifact = dir.join("model.soteria");
-        let json = dir.join("model.json");
-        state.save_artifact_to_path(&artifact).expect("artifact");
-        state.save_to_path(&json).expect("json");
+        let artifact = dir.join("model.sot3");
+        state.save_to_path(&artifact).expect("artifact");
+        // A v2 JSON envelope, the format earlier releases wrote.
+        let payload = r#"{"config":{"classes":4},"detector_stats":{"mean":0.1}}"#;
+        let crc = soteria_resilience::crc32(payload.as_bytes());
+        let v2 = dir.join("model.json");
+        std::fs::write(&v2, format!("SOTERIA-STATE v2 crc32={crc:08x}\n{payload}"))
+            .expect("v2 file");
+        // A checksummed artifact whose detector does not fit the extractor.
+        let mut misfit_state = soteria.save_state().expect("state");
+        misfit_state.detector_model = soteria.save_state().expect("state").dbl_cnn;
+        let misfit = dir.join("misfit.sot3");
+        misfit_state.save_to_path(&misfit).expect("misfit artifact");
 
         let service = ScreeningService::start(Soteria::from_state(state), &config());
-        let e1 = service.swap_from_path(&artifact).expect("artifact swap");
-        assert_eq!(e1, 1);
-        let e2 = service.swap_from_path(&json).expect("json swap");
-        assert_eq!(e2, 2);
-        let missing = service.swap_from_path(&dir.join("nope.soteria"));
-        assert!(missing.is_err(), "missing file must not swap");
-        assert_eq!(service.epoch(), 2, "failed swap leaves the epoch alone");
-        // All three models are the same weights, so verdicts are stable
-        // across every epoch that served them.
+        assert_eq!(service.swap_from_path(&artifact).expect("artifact swap"), 1);
+        for (what, path) in [
+            ("v2 envelope", v2),
+            ("misfit detector", misfit),
+            ("missing file", dir.join("nope.sot3")),
+        ] {
+            assert!(
+                service.swap_from_path(&path).is_err(),
+                "{what} must not swap"
+            );
+            assert_eq!(
+                service.epoch(),
+                1,
+                "{what}: a failed swap leaves the epoch alone"
+            );
+        }
+        // Both models are the same weights, so verdicts are stable across
+        // every epoch that served them.
         let v = service
             .submit(binaries[0].clone())
             .into_ticket()
             .expect("accepted")
             .wait();
+        assert!(!v.is_degraded(), "{v:?}");
         let newest = service.shutdown();
         assert_eq!(
             v,

@@ -38,22 +38,6 @@ echo "==> chaos gate: soteria-exp chaos --seed 42 --samples 200 --artifact-cases
 SOTERIA_METRICS=summary cargo run -q --release -p soteria-eval --bin soteria-exp -- \
     chaos --seed 42 --samples 200 --artifact-cases 500
 
-# Artifact smoke gate: the v3 zero-copy artifact must load into a system
-# verdict-identical to the v2 JSON load on the f32 path, and a corruption
-# mini-sweep must produce zero loader panics and zero silent divergences —
-# all HARD failures. Cold-start speedup drift against the committed
-# results/BENCH_artifact.json is a *note*, never fatal — wall-clock
-# numbers are hardware-bound.
-echo "==> artifact gate: soteria-exp artifact-bench --smoke"
-tmpdir="$(mktemp -d)"
-artifact_baseline=()
-if [[ -f results/BENCH_artifact.json ]]; then
-    artifact_baseline=(--baseline results/BENCH_artifact.json)
-fi
-cargo run -q --release -p soteria-eval --bin soteria-exp -- \
-    artifact-bench --smoke --out "$tmpdir" "${artifact_baseline[@]}"
-rm -rf "$tmpdir"
-
 # Compute-backend smoke gate: a shrunk nn-bench run drives the GEMM /
 # gemv / im2col-conv kernels, a real training loop, and the f32 inference
 # path (the only one) end to end. The command itself HARD-FAILS on f32

@@ -1,14 +1,15 @@
 //! Differential equivalence battery for the `SOTERIA-STATE v3` artifact.
 //!
-//! The binary artifact is only allowed to exist because it is *provably*
-//! the same model: for arbitrary trained configurations, a JSON-loaded
-//! system and an artifact-loaded system
-//! must produce byte-for-byte identical verdicts on clean, GEA-adversarial,
-//! and corrupted inputs, at every screening pool size — and converting
-//! v2 → v3 → v2 must reproduce the v2 envelope byte-for-byte.
+//! The artifact is the only on-disk form of a trained system, so it must
+//! *provably* be the same model: for arbitrary trained configurations, the
+//! trained system and the system loaded from its artifact must produce
+//! byte-for-byte identical verdicts on clean, GEA-adversarial, and
+//! corrupted inputs, at every screening pool size — and reading an
+//! artifact back into a state and writing it again must reproduce it
+//! byte-for-byte.
 
 use proptest::prelude::*;
-use soteria::{Soteria, SoteriaConfig, SoteriaState, StateImage, Verdict};
+use soteria::{Soteria, SoteriaConfig, StateImage, Verdict};
 use soteria_corpus::{Corpus, CorpusConfig, Family, FaultInjector};
 use soteria_gea::{gea_merge, SizeClass, TargetSelection};
 use std::collections::HashMap;
@@ -18,11 +19,11 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 /// degenerate single-sample path, a partial batch, and a full batch.
 const POOL_SIZES: [usize; 3] = [1, 2, 8];
 
-/// One trained system, stored as its two serialized forms plus the input
-/// pool it is screened against. States are rebuilt from bytes per case,
-/// so every case exercises the real load paths.
+/// One trained system, its artifact, and the input pool it is screened
+/// against. The loaded system is rebuilt from bytes per case, so every
+/// case exercises the real load path.
 struct TrainedCase {
-    envelope: String,
+    trained: Soteria,
     artifact: Vec<u8>,
     pool: Vec<Vec<u8>>,
 }
@@ -85,10 +86,14 @@ fn build_case(corpus_seed: u64, train_seed: u64) -> TrainedCase {
         .chain(corrupted)
         .collect();
 
-    let state = soteria.save_state().expect("save state");
+    let artifact = soteria
+        .save_state()
+        .expect("save state")
+        .to_artifact()
+        .expect("v3 artifact");
     TrainedCase {
-        envelope: state.to_envelope().expect("v2 envelope"),
-        artifact: state.to_artifact().expect("v3 artifact"),
+        trained: soteria,
+        artifact,
         pool,
     }
 }
@@ -120,10 +125,10 @@ proptest! {
 
     /// The core differential property: the artifact-loaded system is
     /// indistinguishable, verdict-for-verdict and byte-for-byte, from the
-    /// JSON-loaded system it was exported from — at every pool size,
-    /// across clean/adversarial/corrupted inputs.
+    /// trained system it was saved from — at every pool size, across
+    /// clean/adversarial/corrupted inputs.
     #[test]
-    fn artifact_and_json_loads_are_verdict_identical(
+    fn trained_and_artifact_loaded_systems_are_verdict_identical(
         corpus_seed in 61u64..63,
         train_seed in 3u64..5,
         seed_base in 0u64..1_000,
@@ -133,29 +138,27 @@ proptest! {
             .entry((corpus_seed, train_seed))
             .or_insert_with(|| build_case(corpus_seed, train_seed));
 
-        let json_model =
-            Soteria::from_state(SoteriaState::from_bytes(case.envelope.as_bytes()).expect("v2 load"));
         let image = StateImage::parse(&case.artifact).expect("v3 parse");
-        let art_model = Soteria::load_image(&image).expect("v3 load");
+        let loaded = Soteria::load_image(&image).expect("v3 load");
 
         for chunk in POOL_SIZES {
-            let from_json = screen_chunked(&json_model, &case.pool, chunk, seed_base);
-            let from_artifact = screen_chunked(&art_model, &case.pool, chunk, seed_base);
+            let from_training = screen_chunked(&case.trained, &case.pool, chunk, seed_base);
+            let from_artifact = screen_chunked(&loaded, &case.pool, chunk, seed_base);
             prop_assert_eq!(
-                format!("{from_json:?}"),
+                format!("{from_training:?}"),
                 format!("{from_artifact:?}"),
                 "verdicts diverged at pool size {}",
                 chunk
             );
-            prop_assert_eq!(&from_json, &from_artifact);
+            prop_assert_eq!(&from_training, &from_artifact);
         }
     }
 
-    /// v2 → v3 → v2 is byte-stable: exporting a state to the binary
-    /// artifact and reading it back reproduces the exact v2 envelope, so
-    /// nothing the JSON format carries is lost or perturbed in transit.
+    /// v3 → state → v3 is byte-stable: reading an artifact back into a
+    /// state and writing it again reproduces the exact bytes, so nothing
+    /// the format carries is lost or perturbed in transit.
     #[test]
-    fn v2_to_v3_to_v2_round_trip_is_byte_stable(
+    fn v3_to_state_to_v3_round_trip_is_byte_stable(
         corpus_seed in 61u64..63,
         train_seed in 3u64..5,
     ) {
@@ -164,20 +167,26 @@ proptest! {
             .entry((corpus_seed, train_seed))
             .or_insert_with(|| build_case(corpus_seed, train_seed));
 
-        let state = SoteriaState::from_bytes(case.envelope.as_bytes()).expect("v2 load");
-        let artifact = state.to_artifact().expect("v3 export");
-        let round_tripped = SoteriaState::from_artifact(&artifact)
+        let round_tripped = StateImage::parse(&case.artifact)
+            .expect("v3 parse")
+            .to_state()
             .expect("v3 import")
-            .to_envelope()
-            .expect("v2 re-export");
+            .to_artifact()
+            .expect("v3 re-export");
         prop_assert_eq!(
             &round_tripped,
-            &case.envelope,
-            "v2 -> v3 -> v2 must reproduce the envelope byte-for-byte"
+            &case.artifact,
+            "v3 -> state -> v3 must reproduce the artifact byte-for-byte"
         );
 
         // The artifact export itself is deterministic, too: same state,
         // same bytes — a requirement for golden-fixture pinning.
-        prop_assert_eq!(&artifact, &case.artifact);
+        let again = case
+            .trained
+            .save_state()
+            .expect("save state")
+            .to_artifact()
+            .expect("v3 artifact");
+        prop_assert_eq!(&again, &case.artifact);
     }
 }

@@ -71,19 +71,11 @@ fn probe_verdicts(soteria: &Soteria, probes: &[Vec<u8>]) -> Vec<Verdict> {
 /// error or loads into a system whose verdicts match the baseline
 /// bit-for-bit.
 fn assert_corruption_is_contained(base: &mut Baseline, corrupted: &[u8], what: &str) {
-    // Both entry points must agree in kind and neither may panic.
-    let state_result = soteria::SoteriaState::from_artifact(corrupted);
     match StateImage::parse(corrupted) {
-        Err(e) => {
-            assert!(
-                !e.to_string().is_empty(),
-                "{what}: typed error must render a diagnosis"
-            );
-            assert!(
-                state_result.is_err(),
-                "{what}: StateImage rejected the bytes but from_artifact accepted them"
-            );
-        }
+        Err(e) => assert!(
+            !e.to_string().is_empty(),
+            "{what}: typed error must render a diagnosis"
+        ),
         Ok(image) => match Soteria::load_image(&image) {
             Err(e) => assert!(
                 !e.to_string().is_empty(),
