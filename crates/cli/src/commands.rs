@@ -855,6 +855,63 @@ mod tests {
     }
 
     #[test]
+    fn train_resume_reproduces_the_uninterrupted_model() {
+        let dir = std::env::temp_dir().join(format!("soteria-cli-resume-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let corpus = Corpus::generate(&CorpusConfig {
+            counts: [8, 8, 8, 8],
+            seed: 5,
+            av_noise: false,
+            lineages: 2,
+        });
+        let corpus_dir = dir.join("corpus");
+        store::write_corpus(&corpus, &corpus_dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let corpus_arg = corpus_dir.to_str().unwrap();
+        train(&argv(&[
+            "--corpus",
+            corpus_arg,
+            "--checkpoint-every",
+            "3",
+            "--out",
+            &path("a.sot3"),
+        ]))
+        .unwrap();
+        train(&argv(&[
+            "--corpus",
+            corpus_arg,
+            "--resume",
+            &path("a.sot3.ckpt"),
+            "--out",
+            &path("b.sot3"),
+        ]))
+        .unwrap();
+        let a = std::fs::read(path("a.sot3")).unwrap();
+        assert!(
+            a == std::fs::read(path("b.sot3")).unwrap(),
+            "resumed model differs"
+        );
+
+        // A checkpoint that does not fit the run (the DBL CNN in the
+        // detector slot) is an error, not a panic and not a model.
+        let mut misfit = TrainCheckpoint::load_from_path(&dir.join("a.sot3.ckpt")).unwrap();
+        misfit.detector = misfit.dbl.clone();
+        misfit.save_to_path(&dir.join("misfit.ckpt")).unwrap();
+        let err = train(&argv(&[
+            "--corpus",
+            corpus_arg,
+            "--resume",
+            &path("misfit.ckpt"),
+            "--out",
+            &path("c.sot3"),
+        ]))
+        .unwrap_err();
+        assert!(err.contains("detector stage"), "{err}");
+        assert!(!dir.join("c.sot3").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn gen_requires_out() {
         assert!(gen(&argv(&["--seed", "3"])).is_err());
     }

@@ -12,7 +12,21 @@
 //! resume. An in-flight fit stores the model weights, the optimizer
 //! moments, the shuffle RNG state, and the current row permutation (the
 //! per-epoch shuffle permutes the *previous* order, so the permutation is
-//! part of the training state).
+//! part of the training state). Snapshots are layer clones
+//! ([`spec_of`]), so a run that writes no checkpoint pays a memory copy
+//! per network, never a serialization.
+//!
+//! # Resuming
+//!
+//! `Soteria::train_resumable` runs the same training body as
+//! `Soteria::train`, starting each network fit from its stage. Before any
+//! network trains, every stage must fit the run
+//! (`StageCheckpoint::check_fits`): finished weights must have the
+//! architecture the config builds, and an in-flight fit must also have
+//! optimizer buffers of its parameters' lengths and a row order that is a
+//! permutation of the fit's rows. A checkpoint that does not fit is a
+//! [`TrainError::CheckpointMismatch`] naming the stage; resumed, it would
+//! panic mid-run or silently train a different model.
 //!
 //! # On-disk format
 //!
@@ -31,18 +45,12 @@
 //! the `SOTERIA-CKPT` magic (a model artifact, say), is rejected with a
 //! typed [`StateError::BadHeader`].
 
-use crate::classifier::FamilyClassifier;
 use crate::config::SoteriaConfig;
-use crate::detector::AeDetector;
 use crate::error::TrainError;
 use crate::persist::StateError;
-use crate::pipeline::Soteria;
 use serde::{Deserialize, Serialize};
-use soteria_cfg::Cfg;
-use soteria_corpus::Corpus;
-use soteria_features::{FeatureExtractor, Labeling, SampleFeatures};
 use soteria_nn::persist::{spec_of, ModelSpec};
-use soteria_nn::TrainerCheckpoint;
+use soteria_nn::{Loss, Matrix, Sequential, TrainConfig, Trainer, TrainerCheckpoint};
 use std::path::Path;
 
 /// Magic for training checkpoint files.
@@ -117,7 +125,66 @@ pub enum StageCheckpoint {
     Done(ModelSpec),
 }
 
-/// A resumable snapshot of an entire [`Soteria::train_resumable`] run.
+impl StageCheckpoint {
+    /// Checks, before any training, that this progress fits the network
+    /// fit `plan` describes: the network the run builds and its number of
+    /// training rows (`plan` runs only for a stage that is not
+    /// `Pending`). An in-flight fit must pass
+    /// [`TrainerCheckpoint::check_fits`]; finished weights must have the
+    /// built network's architecture.
+    pub(crate) fn check_fits(
+        &self,
+        plan: impl FnOnce() -> (Sequential, usize),
+    ) -> Result<(), String> {
+        match self {
+            StageCheckpoint::Pending => Ok(()),
+            StageCheckpoint::InProgress(tc) => {
+                let (mut network, rows) = plan();
+                tc.check_fits(&mut network, rows)
+            }
+            StageCheckpoint::Done(spec) => spec.check_architecture(&spec_of(&plan().0)?),
+        }
+    }
+
+    /// Runs one network fit from this progress: `Done` restores the
+    /// finished weights into `network` without training, `InProgress`
+    /// resumes at the next epoch, and `Pending` trains `network` from
+    /// scratch. `sink` receives `InProgress` every `checkpoint_every`
+    /// epochs and `Done` when the fit completes.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn fit(
+        self,
+        network: &mut Sequential,
+        inputs: &Matrix,
+        targets: &Matrix,
+        loss: Loss,
+        train: TrainConfig,
+        checkpoint_every: usize,
+        sink: &mut dyn FnMut(StageCheckpoint) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let resume = match self {
+            StageCheckpoint::Done(spec) => {
+                *network = spec.into_sequential();
+                return Ok(());
+            }
+            StageCheckpoint::InProgress(tc) => Some(tc),
+            StageCheckpoint::Pending => None,
+        };
+        Trainer::new(train).fit_resumable(
+            network,
+            inputs,
+            targets,
+            loss,
+            resume,
+            checkpoint_every,
+            &mut |tc| sink(StageCheckpoint::InProgress(tc)),
+        )?;
+        sink(StageCheckpoint::Done(spec_of(network)?))
+    }
+}
+
+/// A resumable snapshot of an entire
+/// [`Soteria::train_resumable`](crate::Soteria::train_resumable) run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrainCheckpoint {
     /// Master seed of the run.
@@ -135,7 +202,8 @@ pub struct TrainCheckpoint {
 }
 
 impl TrainCheckpoint {
-    fn fresh(config: &SoteriaConfig, train_indices: &[usize], seed: u64) -> Self {
+    /// The state of a run that has trained nothing yet.
+    pub(crate) fn fresh(config: &SoteriaConfig, train_indices: &[usize], seed: u64) -> Self {
         TrainCheckpoint {
             seed,
             config: config.clone(),
@@ -199,7 +267,7 @@ impl TrainCheckpoint {
 
     /// Checks that this checkpoint belongs to the run described by
     /// `(config, train_indices, seed)`.
-    fn validate_against(
+    pub(crate) fn validate_against(
         &self,
         config: &SoteriaConfig,
         train_indices: &[usize],
@@ -227,136 +295,11 @@ impl TrainCheckpoint {
     }
 }
 
-impl Soteria {
-    /// Like [`train`](Soteria::train), but checkpointable: `sink` receives
-    /// the updated [`TrainCheckpoint`] every `checkpoint_every` epochs of
-    /// each network fit (and at every stage completion), and passing a
-    /// previously sunk checkpoint as `resume` continues from exactly where
-    /// it left off. Resumed training is **bit-for-bit identical** to an
-    /// uninterrupted run: same weights, same threshold, same verdicts.
-    ///
-    /// Deterministic stages (extractor fit, feature extraction, threshold
-    /// statistics) are recomputed rather than stored, keeping checkpoints
-    /// small relative to the corpus.
-    ///
-    /// # Errors
-    ///
-    /// Fails like [`train`](Soteria::train), plus
-    /// [`TrainError::CheckpointMismatch`] when `resume` belongs to a
-    /// different `(config, split, seed)` and [`TrainError::Internal`] when
-    /// `sink` fails (a checkpoint that cannot be persisted aborts the run
-    /// rather than silently losing resumability).
-    pub fn train_resumable(
-        config: &SoteriaConfig,
-        corpus: &Corpus,
-        train_indices: &[usize],
-        seed: u64,
-        resume: Option<TrainCheckpoint>,
-        checkpoint_every: usize,
-        sink: &mut dyn FnMut(&TrainCheckpoint) -> Result<(), String>,
-    ) -> Result<Self, TrainError> {
-        if train_indices.is_empty() {
-            return Err(TrainError::EmptySplit);
-        }
-        if let Some(&bad) = train_indices.iter().find(|&&i| i >= corpus.samples().len()) {
-            return Err(TrainError::IndexOutOfRange {
-                index: bad,
-                len: corpus.samples().len(),
-            });
-        }
-        let mut state = match resume {
-            Some(ckpt) => {
-                ckpt.validate_against(config, train_indices, seed)?;
-                ckpt
-            }
-            None => TrainCheckpoint::fresh(config, train_indices, seed),
-        };
-
-        // Deterministic preamble, identical to `train_with_metrics`.
-        let graphs: Vec<&Cfg> = train_indices
-            .iter()
-            .map(|&i| corpus.samples()[i].graph())
-            .collect();
-        let av_labels: Vec<usize> = train_indices
-            .iter()
-            .map(|&i| corpus.samples()[i].av_label().index())
-            .collect();
-        let extractor = FeatureExtractor::fit_stratified(
-            &config.extractor,
-            &graphs,
-            &av_labels,
-            config.classes,
-            seed,
-        );
-        let features = extractor.extract_batch_isolated(&graphs, seed ^ 0xFEA7, &config.guards);
-        let features: Vec<SampleFeatures> = features
-            .into_iter()
-            .enumerate()
-            .map(|(index, r)| r.map_err(|fault| TrainError::Extraction { index, fault }))
-            .collect::<Result<_, _>>()?;
-        let combined: Vec<Vec<f64>> = features.iter().map(|f| f.combined().to_vec()).collect();
-        let labels = av_labels;
-
-        // Auto-encoder stage. The stage is moved out of `state` so the
-        // sink closure below can own a mutable borrow of `state`.
-        let detector_stage = std::mem::replace(&mut state.detector, StageCheckpoint::Pending);
-        let detector = {
-            let state = &mut state;
-            AeDetector::train_balanced_resumable(
-                &config.detector,
-                &combined,
-                &labels,
-                seed ^ 0xDE7,
-                detector_stage,
-                checkpoint_every,
-                &mut |stage| {
-                    state.detector = stage;
-                    sink(state)
-                },
-            )?
-        };
-        // When the stage was already Done, the sink never fired; restore
-        // the finished weights into the state for subsequent checkpoints.
-        if !matches!(state.detector, StageCheckpoint::Done(_)) {
-            state.detector = StageCheckpoint::Done(spec_of(detector.model())?);
-        }
-
-        // CNN stages.
-        let dbl_stage = std::mem::replace(&mut state.dbl, StageCheckpoint::Pending);
-        let lbl_stage = std::mem::replace(&mut state.lbl, StageCheckpoint::Pending);
-        let classifier = {
-            let state = &mut state;
-            FamilyClassifier::train_resumable(
-                &config.classifier,
-                &features,
-                &labels,
-                config.classes,
-                seed ^ 0xC1F,
-                [dbl_stage, lbl_stage],
-                checkpoint_every,
-                &mut |labeling, stage| {
-                    match labeling {
-                        Labeling::Density => state.dbl = stage,
-                        Labeling::Level => state.lbl = stage,
-                    }
-                    sink(state)
-                },
-            )?
-        };
-
-        Ok(Soteria::from_parts(
-            config.clone(),
-            extractor,
-            detector,
-            classifier,
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soteria_corpus::CorpusConfig;
+    use crate::pipeline::Soteria;
+    use soteria_corpus::{Corpus, CorpusConfig};
 
     fn tiny_setup() -> (SoteriaConfig, Corpus, Vec<usize>) {
         let corpus = Corpus::generate(&CorpusConfig {
@@ -408,24 +351,38 @@ mod tests {
             "expected a checkpoint stream, got {}",
             checkpoints.len()
         );
+        // The resumed run's last checkpoint must equal the uninterrupted
+        // run's too: a stage restored as `Done` stays `Done` in every
+        // checkpoint after it.
+        let last = checkpoints
+            .last()
+            .map(|c| c.to_envelope().expect("envelope"));
         let picks = [1, checkpoints.len() / 2, checkpoints.len() - 2];
         for &pick in &picks {
             let envelope = checkpoints[pick].to_envelope().expect("envelope");
             let restored = TrainCheckpoint::from_envelope(envelope.as_bytes()).expect("decode");
+            let mut resumed_last = None;
             let resumed = Soteria::train_resumable(
                 &config,
                 &corpus,
                 &train,
                 7,
                 Some(restored),
-                0,
-                &mut |_| Ok(()),
+                7,
+                &mut |ckpt| {
+                    resumed_last = Some(ckpt.to_envelope().expect("envelope"));
+                    Ok(())
+                },
             )
             .expect("resumed run");
             assert_eq!(
                 state_bytes(&resumed),
                 reference,
                 "resume from checkpoint {pick} diverged"
+            );
+            assert!(
+                resumed_last == last,
+                "checkpoint {pick}: last checkpoint differs"
             );
         }
     }
@@ -473,6 +430,107 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, TrainError::CheckpointMismatch(_)));
+    }
+
+    /// The run's state at the first checkpoint `pick` accepts (every 7
+    /// epochs); the run stops there.
+    fn first_checkpoint(pick: impl Fn(&TrainCheckpoint) -> bool) -> TrainCheckpoint {
+        let (config, corpus, train) = tiny_setup();
+        let mut found = None;
+        let _ = Soteria::train_resumable(&config, &corpus, &train, 7, None, 7, &mut |ckpt| {
+            if !pick(ckpt) {
+                return Ok(());
+            }
+            found = Some(ckpt.clone());
+            Err("stop".to_string())
+        });
+        found.expect("the run reaches the picked checkpoint")
+    }
+
+    fn detector_in_progress(ckpt: &TrainCheckpoint) -> bool {
+        matches!(ckpt.detector, StageCheckpoint::InProgress(_))
+    }
+
+    /// Resumes from `ckpt` after an envelope round trip (a valid CRC), as
+    /// `soteria-cli train --resume` does, and expects a refusal naming
+    /// `stage`: no panic, and no model trained from a misfit state.
+    fn assert_resume_refused(ckpt: &TrainCheckpoint, stage: &str) {
+        let (config, corpus, train) = tiny_setup();
+        let envelope = ckpt.to_envelope().expect("envelope");
+        let restored = TrainCheckpoint::from_envelope(envelope.as_bytes()).expect("decode");
+        let resumed =
+            Soteria::train_resumable(&config, &corpus, &train, 7, Some(restored), 0, &mut |_| {
+                Ok(())
+            });
+        match resumed {
+            Err(TrainError::CheckpointMismatch(why)) => {
+                assert!(why.starts_with(stage), "{why}");
+            }
+            other => panic!(
+                "expected a mismatch naming {stage}, got {:?}",
+                other.map(|_| "a trained model")
+            ),
+        }
+    }
+
+    #[test]
+    fn resume_refuses_a_cnn_in_the_detector_slot() {
+        // The DBL CNN saved as the detector: resumed, its first conv layer
+        // met the auto-encoder's feature rows and panicked.
+        let mut ckpt = first_checkpoint(|c| matches!(c.dbl, StageCheckpoint::Done(_)));
+        ckpt.detector = ckpt.dbl.clone();
+        assert_resume_refused(&ckpt, "detector stage");
+    }
+
+    #[test]
+    fn resume_refuses_an_out_of_range_row_order() {
+        let mut ckpt = first_checkpoint(detector_in_progress);
+        let StageCheckpoint::InProgress(tc) = &mut ckpt.detector else {
+            unreachable!("picked in progress")
+        };
+        tc.order[0] = tc.order.len() + 3;
+        assert_resume_refused(&ckpt, "detector stage");
+    }
+
+    #[test]
+    fn resume_refuses_a_row_order_that_repeats_a_row() {
+        // Resumed, it trained to completion on the wrong rows.
+        let mut ckpt = first_checkpoint(detector_in_progress);
+        let StageCheckpoint::InProgress(tc) = &mut ckpt.detector else {
+            unreachable!("picked in progress")
+        };
+        tc.order[1] = tc.order[0];
+        assert_resume_refused(&ckpt, "detector stage");
+    }
+
+    #[test]
+    fn resume_refuses_a_short_optimizer_moment() {
+        // Resumed, the Adam step skipped the weights past the short
+        // moment's end and trained to a different model.
+        let ckpt = first_checkpoint(detector_in_progress);
+        let mut tree = serde::Serialize::to_value(&ckpt);
+        let path = [
+            "detector",
+            "InProgress",
+            "optimizer",
+            "Adam",
+            "moments",
+            "0",
+            "0",
+        ];
+        let moment = path.iter().fold(&mut tree, |v, key| match v {
+            serde::Value::Object(fields) => {
+                &mut fields.iter_mut().find(|(k, _)| k == key).expect("field").1
+            }
+            serde::Value::Array(items) => &mut items[key.parse::<usize>().expect("index")],
+            other => panic!("no {key} in a {}", other.kind()),
+        });
+        let serde::Value::Array(values) = moment else {
+            panic!("a moment is an array")
+        };
+        values.pop();
+        let short: TrainCheckpoint = serde::Deserialize::from_value(&tree).expect("still parses");
+        assert_resume_refused(&short, "detector stage");
     }
 
     #[test]

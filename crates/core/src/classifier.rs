@@ -3,12 +3,12 @@
 
 use crate::checkpoint::StageCheckpoint;
 use crate::config::ClassifierConfig;
+use crate::pipeline::balance_repeats;
 use soteria_corpus::Family;
 use soteria_features::{Labeling, SampleFeatures};
-use soteria_nn::persist::spec_of;
 use soteria_nn::{
     loss::one_hot, trainer::argmax_rows, Activation, Conv1d, Dense, Dropout, Loss, Matrix,
-    MaxPool1d, Sequential, TrainConfig, Trainer,
+    MaxPool1d, Sequential, TrainConfig,
 };
 
 /// Builds one CNN (the paper's ConvB1 → ConvB2 → CB stack) for inputs of
@@ -67,6 +67,40 @@ fn build_cnn(config: &ClassifierConfig, input_len: usize, classes: usize, seed: 
     ])
 }
 
+/// The untrained CNN for one labeling, sized to the walk vectors.
+fn fresh_cnn(
+    config: &ClassifierConfig,
+    features: &[SampleFeatures],
+    classes: usize,
+    seed: u64,
+    labeling: Labeling,
+) -> Sequential {
+    let seed = match labeling {
+        Labeling::Density => seed,
+        Labeling::Level => seed ^ 0xC1A55,
+    };
+    build_cnn(config, features[0].dbl_walks()[0].len(), classes, seed)
+}
+
+/// One CNN fit's training rows and their labels: every walk vector of
+/// every sample, repeated by the sample's class balance factor.
+fn training_rows<'a>(
+    features: &'a [SampleFeatures],
+    labels: &[usize],
+    repeat: &[usize],
+    labeling: Labeling,
+) -> (Vec<&'a [f64]>, Vec<usize>) {
+    let mut rows = Vec::new();
+    let mut row_labels = Vec::new();
+    for (f, &l) in features.iter().zip(labels) {
+        for w in f.walks(labeling) {
+            rows.extend(std::iter::repeat_n(w.as_slice(), repeat[l]));
+            row_labels.extend(std::iter::repeat_n(l, repeat[l]));
+        }
+    }
+    (rows, row_labels)
+}
+
 /// Per-sample classification detail: the vote tally and the labels the
 /// individual models produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,11 +152,31 @@ impl FamilyClassifier {
         .expect("non-checkpointed classifier training cannot fail")
     }
 
-    /// Like [`train`](FamilyClassifier::train), but resumable: `stages`
-    /// carries the `[DBL, LBL]` CNN progress, `sink` receives
-    /// `(labeling, stage)` every `checkpoint_every` epochs plus a
-    /// [`StageCheckpoint::Done`] when each CNN finishes, so a killed run
-    /// resumes from the exact epoch it left off.
+    /// Checks that `stage` fits the `labeling` CNN fit
+    /// [`train_resumable`](FamilyClassifier::train_resumable) runs on these
+    /// features (see [`StageCheckpoint::check_fits`]).
+    pub(crate) fn check_stage(
+        config: &ClassifierConfig,
+        features: &[SampleFeatures],
+        labels: &[usize],
+        classes: usize,
+        seed: u64,
+        labeling: Labeling,
+        stage: &StageCheckpoint,
+    ) -> Result<(), String> {
+        stage.check_fits(|| {
+            let repeat = balance_repeats(labels.iter().copied(), classes);
+            let rows = training_rows(features, labels, &repeat, labeling).0.len();
+            (fresh_cnn(config, features, classes, seed, labeling), rows)
+        })
+    }
+
+    /// Trains both CNNs, resumably: `stages` carries the `[DBL, LBL]` CNN
+    /// progress, each fit runs from its stage ([`StageCheckpoint::fit`]),
+    /// and `sink` receives `(labeling, stage)` for every checkpoint, so a
+    /// killed run resumes from the exact epoch it left off. Each sample's
+    /// walks are repeated by its class's balance factor
+    /// ([`balance_repeats`]).
     ///
     /// # Errors
     ///
@@ -134,7 +188,7 @@ impl FamilyClassifier {
     /// Panics if inputs are empty or lengths mismatch (caller bugs, same
     /// as [`train`](FamilyClassifier::train)).
     #[allow(clippy::too_many_arguments)]
-    pub fn train_resumable(
+    pub(crate) fn train_resumable(
         config: &ClassifierConfig,
         features: &[SampleFeatures],
         labels: &[usize],
@@ -146,74 +200,31 @@ impl FamilyClassifier {
     ) -> Result<Self, String> {
         assert_eq!(features.len(), labels.len(), "features/labels mismatch");
         assert!(!features.is_empty(), "classifier needs training samples");
-        let input_len = features[0].dbl_walks()[0].len();
-
-        let mut dbl_cnn = build_cnn(config, input_len, classes, seed);
-        let mut lbl_cnn = build_cnn(config, input_len, classes, seed ^ 0xC1A55);
-        // Class-balanced oversampling: the corpus is heavily imbalanced
-        // (Gafgyt outnumbers Tsunami ~40:1) and plain cross-entropy starves
-        // the minority family at reduced scale. Each sample's walks are
-        // repeated so every class contributes a comparable number of rows
-        // (capped at 8x to bound the epoch cost).
-        let mut class_counts = vec![0usize; classes];
-        for &l in labels {
-            class_counts[l] += 1;
-        }
-        let max_count = class_counts.iter().max().copied().unwrap_or(1);
-        let repeat: Vec<usize> = class_counts
-            .iter()
-            .map(|&c| {
-                if c == 0 {
-                    1
-                } else {
-                    max_count.div_ceil(c).clamp(1, 8)
-                }
-            })
-            .collect();
-
-        let [dbl_stage, lbl_stage] = stages;
-        for (labeling, cnn, stage) in [
-            (Labeling::Density, &mut dbl_cnn, dbl_stage),
-            (Labeling::Level, &mut lbl_cnn, lbl_stage),
-        ] {
-            if let StageCheckpoint::Done(spec) = stage {
-                *cnn = spec.into_sequential();
-                continue;
-            }
-            let resume = match stage {
-                StageCheckpoint::InProgress(tc) => Some(tc),
-                _ => None,
-            };
-            let mut rows: Vec<Vec<f64>> = Vec::new();
-            let mut row_labels: Vec<usize> = Vec::new();
-            for (f, &l) in features.iter().zip(labels) {
-                for w in f.walks(labeling) {
-                    for _ in 0..repeat[l] {
-                        rows.push(w.clone());
-                        row_labels.push(l);
-                    }
-                }
-            }
-            let x = Matrix::from_rows(&rows);
-            let t = one_hot(&row_labels, classes);
-            let mut trainer = Trainer::new(TrainConfig {
+        let repeat = balance_repeats(labels.iter().copied(), classes);
+        let mut fit = |labeling: Labeling, stage: StageCheckpoint| -> Result<Sequential, String> {
+            let mut cnn = fresh_cnn(config, features, classes, seed, labeling);
+            let (rows, row_labels) = training_rows(features, labels, &repeat, labeling);
+            let train = TrainConfig {
                 epochs: config.epochs,
                 batch_size: config.batch_size,
                 learning_rate: config.learning_rate,
                 seed: seed ^ 0x7281,
                 ..TrainConfig::default()
-            });
-            let _ = trainer.fit_resumable(
-                cnn,
-                &x,
-                &t,
+            };
+            stage.fit(
+                &mut cnn,
+                &Matrix::from_row_slices(&rows),
+                &one_hot(&row_labels, classes),
                 Loss::SoftmaxCrossEntropy,
-                resume,
+                train,
                 checkpoint_every,
-                &mut |tc| sink(labeling, StageCheckpoint::InProgress(tc)),
+                &mut |stage| sink(labeling, stage),
             )?;
-            sink(labeling, StageCheckpoint::Done(spec_of(cnn)?))?;
-        }
+            Ok(cnn)
+        };
+        let [dbl_stage, lbl_stage] = stages;
+        let dbl_cnn = fit(Labeling::Density, dbl_stage)?;
+        let lbl_cnn = fit(Labeling::Level, lbl_stage)?;
         Ok(FamilyClassifier {
             dbl_cnn,
             lbl_cnn,

@@ -10,11 +10,9 @@
 
 use crate::checkpoint::StageCheckpoint;
 use crate::config::DetectorConfig;
+use crate::pipeline::balance_repeats;
 use serde::{Deserialize, Serialize};
-use soteria_nn::persist::spec_of;
-use soteria_nn::{
-    loss::rmse_per_row, Activation, Dense, Loss, Matrix, Sequential, TrainConfig, Trainer,
-};
+use soteria_nn::{loss::rmse_per_row, Activation, Dense, Loss, Matrix, Sequential, TrainConfig};
 
 /// A trained auto-encoder detector.
 #[derive(Debug)]
@@ -72,6 +70,38 @@ fn build_autoencoder(input_dim: usize, hidden: [usize; 3], seed: u64) -> Sequent
     ])
 }
 
+/// Splits a detector fit's rows, as indices into its feature vectors,
+/// into the class-balanced fit rows ([`balance_repeats`]) and the
+/// held-out rows the threshold statistics come from. Every k-th sample is
+/// held out, so memorized training errors do not deflate μ and σ; with
+/// `validation_fraction = 0` (the paper's protocol) none is.
+fn split_rows(config: &DetectorConfig, labels: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let val_every = if config.validation_fraction > 0.0 {
+        ((1.0 / config.validation_fraction).round() as usize).max(2)
+    } else {
+        usize::MAX
+    };
+    let is_val = |i: usize| val_every != usize::MAX && i % val_every == val_every - 1;
+    let classes = labels.iter().max().map_or(1, |&m| m + 1);
+    let fit_labels = labels.iter().enumerate().filter(|&(i, _)| !is_val(i));
+    let repeat = balance_repeats(fit_labels.map(|(_, &l)| l), classes);
+    let (mut fit, mut val) = (Vec::new(), Vec::new());
+    for (i, &label) in labels.iter().enumerate() {
+        if is_val(i) {
+            val.push(i);
+        } else {
+            fit.extend(std::iter::repeat_n(i, repeat[label]));
+        }
+    }
+    (fit, val)
+}
+
+/// The feature vectors at `rows`, stacked.
+fn stack(features: &[Vec<f64>], rows: &[usize]) -> Matrix {
+    let rows: Vec<&[f64]> = rows.iter().map(|&i| features[i].as_slice()).collect();
+    Matrix::from_row_slices(&rows)
+}
+
 impl AeDetector {
     /// Trains the detector on clean combined feature vectors.
     ///
@@ -79,29 +109,11 @@ impl AeDetector {
     ///
     /// Panics if `clean_features` is empty or rows are ragged.
     pub fn train(config: &DetectorConfig, clean_features: &[Vec<f64>], seed: u64) -> Self {
-        Self::train_balanced(config, clean_features, &vec![0; clean_features.len()], seed)
-    }
-
-    /// Like [`train`](AeDetector::train), but with per-sample class labels
-    /// enabling class-balanced fitting: minority-class vectors are
-    /// replicated (capped at 8×) so a heavily imbalanced corpus cannot
-    /// starve the auto-encoder of a family's manifold. Threshold
-    /// statistics always come from *distinct* held-out samples (never the
-    /// replicas).
-    ///
-    /// # Panics
-    ///
-    /// Panics if inputs are empty or lengths differ.
-    pub fn train_balanced(
-        config: &DetectorConfig,
-        clean_features: &[Vec<f64>],
-        labels: &[usize],
-        seed: u64,
-    ) -> Self {
-        Self::train_balanced_resumable(
+        let labels = vec![0; clean_features.len()];
+        Self::train_resumable(
             config,
             clean_features,
-            labels,
+            &labels,
             seed,
             StageCheckpoint::Pending,
             0,
@@ -110,65 +122,31 @@ impl AeDetector {
         .expect("non-checkpointed detector training cannot fail")
     }
 
-    /// Class-balanced fit/stat row split shared by the training paths.
-    fn prepare_rows(
+    /// Checks that `stage` fits the auto-encoder fit
+    /// [`train_resumable`](AeDetector::train_resumable) runs on these
+    /// vectors (see [`StageCheckpoint::check_fits`]).
+    pub(crate) fn check_stage(
         config: &DetectorConfig,
         clean_features: &[Vec<f64>],
         labels: &[usize],
-    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        // Hold out a slice for the threshold statistics (deterministic:
-        // every k-th sample) so memorized training errors do not deflate
-        // μ and σ. With validation_fraction = 0 (the paper's protocol) the
-        // whole set is used for both.
-        let n = clean_features.len();
-        let val_every = if config.validation_fraction > 0.0 {
-            ((1.0 / config.validation_fraction).round() as usize).max(2)
-        } else {
-            usize::MAX
-        };
-        let is_val = |i: usize| val_every != usize::MAX && i % val_every == val_every - 1;
-
-        let classes = labels.iter().max().map_or(1, |&m| m + 1);
-        let mut class_counts = vec![0usize; classes];
-        for (i, &l) in labels.iter().enumerate() {
-            if !is_val(i) {
-                class_counts[l] += 1;
-            }
-        }
-        let max_count = class_counts.iter().max().copied().unwrap_or(1);
-        let repeat: Vec<usize> = class_counts
-            .iter()
-            .map(|&c| {
-                if c == 0 {
-                    1
-                } else {
-                    max_count.div_ceil(c).clamp(1, 8)
-                }
-            })
-            .collect();
-
-        let mut fit_rows: Vec<Vec<f64>> = Vec::new();
-        for i in 0..n {
-            if !is_val(i) {
-                for _ in 0..repeat[labels[i]] {
-                    fit_rows.push(clean_features[i].clone());
-                }
-            }
-        }
-        let val_rows: Vec<Vec<f64>> = (0..n)
-            .filter(|&i| is_val(i))
-            .map(|i| clean_features[i].clone())
-            .collect();
-        (fit_rows, val_rows)
+        seed: u64,
+        stage: &StageCheckpoint,
+    ) -> Result<(), String> {
+        stage.check_fits(|| {
+            let input_dim = clean_features[0].len();
+            let rows = split_rows(config, labels).0.len();
+            (build_autoencoder(input_dim, config.hidden, seed), rows)
+        })
     }
 
-    /// Like [`train_balanced`](AeDetector::train_balanced), but resumable:
-    /// `stage` carries either nothing, an in-flight trainer checkpoint, or
-    /// a finished model; `sink` receives a [`StageCheckpoint`] every
-    /// `checkpoint_every` epochs and once more when the auto-encoder
-    /// finishes. Threshold statistics are always recomputed from the data
-    /// (they are a deterministic function of the final model), so they
-    /// never need to live in a checkpoint.
+    /// Trains the detector with per-sample class labels enabling
+    /// class-balanced fitting: minority-class vectors are replicated so a
+    /// heavily imbalanced corpus cannot starve the auto-encoder of a
+    /// family's manifold. The fit runs from `stage`
+    /// ([`StageCheckpoint::fit`]), and `sink` receives its checkpoints.
+    /// Threshold statistics are recomputed from the data (they are a
+    /// deterministic function of the final model), so they never need to
+    /// live in a checkpoint.
     ///
     /// # Errors
     ///
@@ -177,9 +155,8 @@ impl AeDetector {
     ///
     /// # Panics
     ///
-    /// Panics if inputs are empty or lengths differ (caller bugs, same as
-    /// [`train_balanced`](AeDetector::train_balanced)).
-    pub fn train_balanced_resumable(
+    /// Panics if inputs are empty or lengths differ (caller bugs).
+    pub(crate) fn train_resumable(
         config: &DetectorConfig,
         clean_features: &[Vec<f64>],
         labels: &[usize],
@@ -197,46 +174,33 @@ impl AeDetector {
             labels.len(),
             "features/labels mismatch"
         );
-        let (fit_rows, val_rows) = Self::prepare_rows(config, clean_features, labels);
-        let stat_rows = if val_rows.is_empty() {
-            &fit_rows
-        } else {
-            &val_rows
-        };
-
-        let x = Matrix::from_rows(&fit_rows);
+        let (fit_rows, val_rows) = split_rows(config, labels);
+        let x = stack(clean_features, &fit_rows);
         let mut autoencoder = build_autoencoder(x.cols(), config.hidden, seed);
-        match stage {
-            StageCheckpoint::Done(spec) => {
-                autoencoder = spec.into_sequential();
-            }
-            stage => {
-                let resume = match stage {
-                    StageCheckpoint::InProgress(tc) => Some(tc),
-                    _ => None,
-                };
-                let mut trainer = Trainer::new(TrainConfig {
-                    epochs: config.epochs,
-                    batch_size: config.batch_size,
-                    learning_rate: config.learning_rate,
-                    seed: seed ^ 0xDE7EC7,
-                    ..TrainConfig::default()
-                });
-                let _ = trainer.fit_resumable(
-                    &mut autoencoder,
-                    &x,
-                    &x,
-                    Loss::Mse,
-                    resume,
-                    checkpoint_every,
-                    &mut |tc| sink(StageCheckpoint::InProgress(tc)),
-                )?;
-                sink(StageCheckpoint::Done(spec_of(&autoencoder)?))?;
-            }
-        }
+        let train = TrainConfig {
+            epochs: config.epochs,
+            batch_size: config.batch_size,
+            learning_rate: config.learning_rate,
+            seed: seed ^ 0xDE7EC7,
+            ..TrainConfig::default()
+        };
+        stage.fit(
+            &mut autoencoder,
+            &x,
+            &x,
+            Loss::Mse,
+            train,
+            checkpoint_every,
+            sink,
+        )?;
 
-        // Threshold statistics over the held-out clean samples.
-        let xs = Matrix::from_rows(stat_rows);
+        // Threshold statistics over the held-out clean samples, or over
+        // the fit rows when none are held out.
+        let xs = if val_rows.is_empty() {
+            x
+        } else {
+            stack(clean_features, &val_rows)
+        };
         let reconstructed = autoencoder.predict(&xs);
         let errors = rmse_per_row(&reconstructed, &xs);
         let n = errors.len() as f64;

@@ -1,6 +1,7 @@
 //! The end-to-end Soteria pipeline: feature extraction → AE screening →
 //! family classification.
 
+use crate::checkpoint::TrainCheckpoint;
 use crate::classifier::{ClassifierReport, FamilyClassifier};
 use crate::config::SoteriaConfig;
 use crate::detector::AeDetector;
@@ -8,7 +9,7 @@ use crate::error::TrainError;
 use serde::{Deserialize, Serialize};
 use soteria_cfg::Cfg;
 use soteria_corpus::{Corpus, Family};
-use soteria_features::{FeatureExtractor, SampleFeatures};
+use soteria_features::{FeatureExtractor, Labeling, SampleFeatures};
 use soteria_resilience::{FaultKind, ResourceGuards};
 use std::panic::AssertUnwindSafe;
 use std::time::Instant;
@@ -160,6 +161,31 @@ impl StageClock {
     }
 }
 
+/// Class-balanced oversampling factors, one per class in `0..classes`:
+/// how many times each class's training rows are repeated so that every
+/// class contributes about as many rows as the largest, capped at 8x to
+/// bound the epoch cost. A class with no rows gets 1. The corpus is
+/// heavily imbalanced (Gafgyt outnumbers Tsunami ~40:1), and unbalanced
+/// fitting starves the minority families; both the auto-encoder and the
+/// CNNs balance their rows this way.
+pub(crate) fn balance_repeats(
+    labels: impl IntoIterator<Item = usize>,
+    classes: usize,
+) -> Vec<usize> {
+    let mut counts = vec![0usize; classes];
+    for label in labels {
+        counts[label] += 1;
+    }
+    let max = counts.iter().copied().max().unwrap_or(1);
+    counts
+        .iter()
+        .map(|&c| match c {
+            0 => 1,
+            c => max.div_ceil(c).min(8),
+        })
+        .collect()
+}
+
 /// The trained Soteria system.
 #[derive(Debug)]
 pub struct Soteria {
@@ -206,6 +232,71 @@ impl Soteria {
         train_indices: &[usize],
         seed: u64,
     ) -> Result<(Self, PipelineMetrics), TrainError> {
+        Self::train_run(
+            config,
+            corpus,
+            train_indices,
+            seed,
+            None,
+            0,
+            &mut |_| Ok(()),
+        )
+    }
+
+    /// Like [`train`](Soteria::train), but checkpointable: `sink` receives
+    /// the updated [`TrainCheckpoint`] every `checkpoint_every` epochs of
+    /// each network fit (and at every stage completion), and passing a
+    /// previously sunk checkpoint as `resume` continues from exactly where
+    /// it left off. Resumed training is **bit-for-bit identical** to an
+    /// uninterrupted run: same weights, same threshold, same verdicts.
+    ///
+    /// Deterministic stages (extractor fit, feature extraction, threshold
+    /// statistics) are recomputed rather than stored, keeping checkpoints
+    /// small relative to the corpus.
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`train`](Soteria::train), plus
+    /// [`TrainError::CheckpointMismatch`] before any network trains when
+    /// `resume` belongs to a different `(config, split, seed)` or a stage
+    /// does not fit the network and rows this run builds, and
+    /// [`TrainError::Internal`] when `sink` fails (a checkpoint that cannot
+    /// be persisted aborts the run rather than silently losing
+    /// resumability).
+    pub fn train_resumable(
+        config: &SoteriaConfig,
+        corpus: &Corpus,
+        train_indices: &[usize],
+        seed: u64,
+        resume: Option<TrainCheckpoint>,
+        checkpoint_every: usize,
+        sink: &mut dyn FnMut(&TrainCheckpoint) -> Result<(), String>,
+    ) -> Result<Self, TrainError> {
+        let (system, _) = Self::train_run(
+            config,
+            corpus,
+            train_indices,
+            seed,
+            resume,
+            checkpoint_every,
+            sink,
+        )?;
+        Ok(system)
+    }
+
+    /// The one training body behind the three entry points above: split
+    /// validation, the extractor fit, one extraction pass shared by all
+    /// three networks, then the auto-encoder and both CNNs, each run from
+    /// its stage in `resume` and checkpointed to `sink`.
+    fn train_run(
+        config: &SoteriaConfig,
+        corpus: &Corpus,
+        train_indices: &[usize],
+        seed: u64,
+        resume: Option<TrainCheckpoint>,
+        checkpoint_every: usize,
+        sink: &mut dyn FnMut(&TrainCheckpoint) -> Result<(), String>,
+    ) -> Result<(Self, PipelineMetrics), TrainError> {
         if train_indices.is_empty() {
             return Err(TrainError::EmptySplit);
         }
@@ -215,13 +306,20 @@ impl Soteria {
                 len: corpus.samples().len(),
             });
         }
+        let mut state = match resume {
+            Some(ckpt) => {
+                ckpt.validate_against(config, train_indices, seed)?;
+                ckpt
+            }
+            None => TrainCheckpoint::fresh(config, train_indices, seed),
+        };
         let mut clock = StageClock::start();
         soteria_telemetry::counter("pipeline.train.samples", train_indices.len() as u64);
         let graphs: Vec<&Cfg> = train_indices
             .iter()
             .map(|&i| corpus.samples()[i].graph())
             .collect();
-        let av_labels: Vec<usize> = train_indices
+        let labels: Vec<usize> = train_indices
             .iter()
             .map(|&i| corpus.samples()[i].av_label().index())
             .collect();
@@ -229,7 +327,7 @@ impl Soteria {
             FeatureExtractor::fit_stratified(
                 &config.extractor,
                 &graphs,
-                &av_labels,
+                &labels,
                 config.classes,
                 seed,
             )
@@ -242,21 +340,71 @@ impl Soteria {
             .enumerate()
             .map(|(index, r)| r.map_err(|fault| TrainError::Extraction { index, fault }))
             .collect::<Result<_, _>>()?;
-
         let combined: Vec<Vec<f64>> = features.iter().map(|f| f.combined().to_vec()).collect();
-        let labels = av_labels;
-        let detector = clock.stage("detector", || {
-            AeDetector::train_balanced(&config.detector, &combined, &labels, seed ^ 0xDE7)
-        });
-        let classifier = clock.stage("classifier", || {
-            FamilyClassifier::train(
+
+        // A checkpoint that does not fit this run is refused before any
+        // network trains.
+        let (detector_seed, classifier_seed) = (seed ^ 0xDE7, seed ^ 0xC1F);
+        let mismatch =
+            |stage: &str, why: String| TrainError::CheckpointMismatch(format!("{stage}: {why}"));
+        AeDetector::check_stage(
+            &config.detector,
+            &combined,
+            &labels,
+            detector_seed,
+            &state.detector,
+        )
+        .map_err(|why| mismatch("detector stage", why))?;
+        for (name, labeling, stage) in [
+            ("DBL CNN stage", Labeling::Density, &state.dbl),
+            ("LBL CNN stage", Labeling::Level, &state.lbl),
+        ] {
+            FamilyClassifier::check_stage(
                 &config.classifier,
                 &features,
                 &labels,
                 config.classes,
-                seed ^ 0xC1F,
+                classifier_seed,
+                labeling,
+                stage,
             )
-        });
+            .map_err(|why| mismatch(name, why))?;
+        }
+
+        // Each fit starts from its stage in the checkpoint; `sink` sees the
+        // whole run's state after every stage update.
+        let detector = clock.stage("detector", || {
+            AeDetector::train_resumable(
+                &config.detector,
+                &combined,
+                &labels,
+                detector_seed,
+                state.detector.clone(),
+                checkpoint_every,
+                &mut |stage| {
+                    state.detector = stage;
+                    sink(&state)
+                },
+            )
+        })?;
+        let classifier = clock.stage("classifier", || {
+            FamilyClassifier::train_resumable(
+                &config.classifier,
+                &features,
+                &labels,
+                config.classes,
+                classifier_seed,
+                [state.dbl.clone(), state.lbl.clone()],
+                checkpoint_every,
+                &mut |labeling, stage| {
+                    match labeling {
+                        Labeling::Density => state.dbl = stage,
+                        Labeling::Level => state.lbl = stage,
+                    }
+                    sink(&state)
+                },
+            )
+        })?;
 
         let system = Soteria {
             config: config.clone(),
@@ -678,6 +826,15 @@ mod tests {
             }
         }
         panic!("no clean verdict in the whole test split");
+    }
+
+    #[test]
+    fn balance_repeats_cap_at_eight_and_leave_empty_classes_at_one() {
+        let labels = [vec![0; 40], vec![1; 10], vec![2; 3]].concat();
+        // 40/40, 40/10, ceil(40/3) = 14 capped to 8, and the empty class 3.
+        assert_eq!(balance_repeats(labels, 4), vec![1, 4, 8, 1]);
+        assert_eq!(balance_repeats([0, 1, 1], 2), vec![2, 1]);
+        assert_eq!(balance_repeats([], 2), vec![1, 1]);
     }
 
     #[test]

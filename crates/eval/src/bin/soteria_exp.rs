@@ -1107,13 +1107,12 @@ fn run_telemetry_bench(flags: &Flags) -> Result<(), String> {
     let items: u64 = if smoke { 5_000 } else { 50_000 };
 
     type OpFn = fn(u64);
-    let ops: [(&str, OpFn); 4] = [
+    let ops: [(&str, OpFn); 3] = [
         ("counter", |_| soteria_telemetry::counter("tb.counter", 1)),
         ("record", |i| {
             soteria_telemetry::record("tb.hist", (i & 0xff) as f64)
         }),
         ("span", |_| drop(soteria_telemetry::span("tb.span"))),
-        ("event", |i| soteria_telemetry::event("tb.event", i as f64)),
     ];
 
     let mut runs = Vec::new();

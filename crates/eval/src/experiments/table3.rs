@@ -3,7 +3,17 @@
 
 use super::ExperimentOutput;
 use crate::{ExperimentContext, TextTable};
-use soteria_gea::attack::expected_batch_size;
+use soteria_corpus::{Corpus, Family};
+
+/// The number of AEs a target generates: GEA embeds it into every test
+/// sample of every other class, so this counts the test samples outside
+/// the target's class.
+fn expected_batch_size(corpus: &Corpus, test_indices: &[usize], target_family: Family) -> usize {
+    test_indices
+        .iter()
+        .filter(|&&i| corpus.samples()[i].family() != target_family)
+        .count()
+}
 
 /// Reproduces Table III for the generated corpus.
 pub fn run(ctx: &mut ExperimentContext) -> ExperimentOutput {

@@ -14,8 +14,6 @@
 //! * [`merge`] — the CFG-level GEA combination,
 //! * [`selection`] — the paper's target-sample selection protocol
 //!   (small/median/large by node count, per class),
-//! * [`attack`] — batch AE generation over a test split, reproducing the
-//!   counts of Table III,
 //! * [`append`] — the binary-level byte-appending manipulations the paper
 //!   classifies as *impractical* AEs (unreachable, therefore invisible to
 //!   CFG features).
@@ -51,10 +49,8 @@
 
 pub mod adaptive;
 pub mod append;
-pub mod attack;
 pub mod merge;
 pub mod selection;
 
-pub use attack::{AdversarialBatch, AdversarialExample};
 pub use merge::gea_merge;
 pub use selection::{SizeClass, TargetSelection};

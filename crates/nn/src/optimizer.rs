@@ -35,6 +35,44 @@ impl OptimizerState {
             OptimizerState::Adam(a) => Box::new(a),
         }
     }
+
+    /// Checks that the buffers fit a model whose parameter tensors have
+    /// these lengths, in [`Layer::visit_params`] order: no buffers yet (no
+    /// step taken), or one slot per tensor whose buffers have the tensor's
+    /// length. A step over a short buffer would leave the parameters past
+    /// its end un-updated.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first slot that does not fit.
+    pub(crate) fn check_fits(&self, param_lens: &[usize]) -> Result<(), String> {
+        let slots: Vec<Vec<usize>> = match self {
+            OptimizerState::Sgd(s) => s.velocity.iter().map(|v| vec![v.len()]).collect(),
+            OptimizerState::Adam(a) => a
+                .moments
+                .iter()
+                .map(|(m, v)| vec![m.len(), v.len()])
+                .collect(),
+        };
+        if slots.is_empty() {
+            return Ok(());
+        }
+        if slots.len() != param_lens.len() {
+            return Err(format!(
+                "the optimizer has {} buffer slots, the network {} parameter tensors",
+                slots.len(),
+                param_lens.len()
+            ));
+        }
+        for (i, (lens, &want)) in slots.iter().zip(param_lens).enumerate() {
+            if let Some(&got) = lens.iter().find(|&&len| len != want) {
+                return Err(format!(
+                    "optimizer buffer {i} holds {got} values, its parameter tensor {want}"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Stochastic gradient descent with classical momentum.

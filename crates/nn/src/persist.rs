@@ -4,7 +4,10 @@
 //! `Sequential` holds `Box<dyn Layer>`, which serde cannot serialize
 //! directly; [`LayerSpec`] is the closed enum of all layer types this
 //! crate provides, giving a stable JSON representation for trained
-//! models (weights included).
+//! models (weights included). Training checkpoints serialize through it.
+//! [`spec_of`] snapshots a live model by cloning its layers, so a
+//! snapshot costs a memory copy and no serialization; serde runs only
+//! when a checkpoint is written or read.
 
 use crate::conv::Conv1d;
 use crate::conv2d::{Conv2d, MaxPool2d};
@@ -58,6 +61,62 @@ impl LayerSpec {
     }
 }
 
+impl LayerSpec {
+    /// The layer's architecture in words: its kind, widths,
+    /// hyperparameters and parameter-tensor lengths. Learned state is left
+    /// out: the weights, and a dropout layer's mask-stream seed and
+    /// position.
+    fn architecture(&self) -> String {
+        match self {
+            LayerSpec::Dense(d) => format!(
+                "Dense {}->{} {:?}, weights {}x{} ({} values), bias {}",
+                d.in_dim(),
+                d.out_dim(),
+                d.activation(),
+                d.weights().rows(),
+                d.weights().cols(),
+                d.weights().data().len(),
+                d.bias().len()
+            ),
+            LayerSpec::Conv1d(c) => format!(
+                "Conv1d {}->{} channels, kernel {}, length {}, relu {}, weights {}, bias {}",
+                c.in_channels(),
+                c.out_channels(),
+                c.kernel(),
+                c.length(),
+                c.relu(),
+                c.weights().len(),
+                c.bias().len()
+            ),
+            LayerSpec::Conv2d(c) => format!(
+                "Conv2d {}->{} channels, kernel {}, {}x{}, relu {}, weights {}, bias {}",
+                c.in_channels(),
+                c.out_channels(),
+                c.kernel(),
+                c.height(),
+                c.width(),
+                c.relu(),
+                c.weights().len(),
+                c.bias().len()
+            ),
+            LayerSpec::MaxPool1d(p) => format!(
+                "MaxPool1d {} channels x {}, window {}",
+                p.channels(),
+                p.length(),
+                p.window()
+            ),
+            LayerSpec::MaxPool2d(p) => format!(
+                "MaxPool2d {} channels x {}x{}, window {}",
+                p.channels(),
+                p.height(),
+                p.width(),
+                p.window()
+            ),
+            LayerSpec::Dropout(d) => format!("Dropout p={}", d.probability()),
+        }
+    }
+}
+
 /// A serializable model: an ordered list of layer specs.
 ///
 /// # Example
@@ -107,6 +166,31 @@ impl ModelSpec {
         Sequential::new(self.layers.into_iter().map(LayerSpec::into_layer).collect())
     }
 
+    /// Checks that this spec has `expected`'s architecture, layer by layer:
+    /// the same layer kinds, widths, hyperparameters and parameter-tensor
+    /// lengths (weights and dropout mask streams may differ). A spec that
+    /// passes can take the place of `expected` in training and inference.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first layer that differs.
+    pub fn check_architecture(&self, expected: &ModelSpec) -> Result<(), String> {
+        if self.len() != expected.len() {
+            return Err(format!(
+                "the network has {} layers, this run builds {}",
+                self.len(),
+                expected.len()
+            ));
+        }
+        for (i, (got, want)) in self.layers.iter().zip(&expected.layers).enumerate() {
+            let (got, want) = (got.architecture(), want.architecture());
+            if got != want {
+                return Err(format!("layer {i} is {got}, this run builds {want}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Serializes to JSON.
     ///
     /// # Errors
@@ -126,34 +210,36 @@ impl ModelSpec {
     }
 }
 
-/// Extracts a serializable spec from a live model by downcasting each
-/// layer to the known types (weights included, via a serde round trip of
-/// each layer).
+/// Snapshots a live model as a [`ModelSpec`] by downcasting each layer to
+/// the known types and cloning it, weights included. A shared
+/// (artifact-borrowed) weight store is cloned as a shared view, and it is
+/// copied only if the copy is trained (copy-on-write). A clone also copies
+/// the training arenas serde skips. Between training steps they hold
+/// nothing a later step reads: `backward` has consumed the recorded
+/// forward, and the optimizer has zeroed the gradients. So a snapshot
+/// taken there, as the trainer takes it, serializes and revives as a
+/// serde round trip of the layer would.
 ///
 /// # Errors
 ///
 /// Returns a message naming the offending position if the model contains
-/// a layer type this enum does not know, or if serde fails.
+/// a layer type this enum does not know.
 pub fn spec_of(model: &Sequential) -> Result<ModelSpec, String> {
-    fn clone_via_serde<T: Serialize + serde::de::DeserializeOwned>(layer: &T) -> Result<T, String> {
-        let json = serde_json::to_string(layer).map_err(|e| e.to_string())?;
-        serde_json::from_str(&json).map_err(|e| e.to_string())
-    }
     let mut specs = Vec::with_capacity(model.len());
     for (i, layer) in model.layers().iter().enumerate() {
         let any = layer.as_any();
         let spec = if let Some(d) = any.downcast_ref::<Dense>() {
-            LayerSpec::Dense(clone_via_serde(d)?)
+            LayerSpec::Dense(d.clone())
         } else if let Some(c) = any.downcast_ref::<Conv1d>() {
-            LayerSpec::Conv1d(clone_via_serde(c)?)
+            LayerSpec::Conv1d(c.clone())
         } else if let Some(c) = any.downcast_ref::<Conv2d>() {
-            LayerSpec::Conv2d(clone_via_serde(c)?)
+            LayerSpec::Conv2d(c.clone())
         } else if let Some(p) = any.downcast_ref::<MaxPool1d>() {
-            LayerSpec::MaxPool1d(clone_via_serde(p)?)
+            LayerSpec::MaxPool1d(p.clone())
         } else if let Some(p) = any.downcast_ref::<MaxPool2d>() {
-            LayerSpec::MaxPool2d(clone_via_serde(p)?)
+            LayerSpec::MaxPool2d(p.clone())
         } else if let Some(d) = any.downcast_ref::<Dropout>() {
-            LayerSpec::Dropout(clone_via_serde(d)?)
+            LayerSpec::Dropout(d.clone())
         } else {
             return Err(format!("layer {i} has an unknown type"));
         };

@@ -1,4 +1,7 @@
-//! The mini-batch training loop.
+//! The mini-batch training loop: one epoch loop,
+//! [`Trainer::fit_resumable`], which [`Trainer::fit`] runs with no resume
+//! and no checkpoints. A checkpoint snapshots the model with
+//! [`spec_of`], a clone of its layers.
 
 use crate::layer::Layer;
 use crate::loss::Loss;
@@ -143,6 +146,40 @@ pub struct TrainerCheckpoint {
     pub history: TrainingHistory,
 }
 
+impl TrainerCheckpoint {
+    /// Checks that this checkpoint can continue a fit of `model` over
+    /// `rows` samples: the checkpointed network has `model`'s architecture
+    /// ([`ModelSpec::check_architecture`]), every optimizer buffer has the
+    /// length of its parameter tensor, and `order` is a permutation of the
+    /// rows. A checkpoint that fails would panic mid-fit or silently train
+    /// a different model.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first mismatch.
+    pub fn check_fits(&self, model: &mut Sequential, rows: usize) -> Result<(), String> {
+        self.model.check_architecture(&spec_of(model)?)?;
+        let mut param_lens = Vec::new();
+        model.visit_params(&mut |params, _| param_lens.push(params.len()));
+        self.optimizer.check_fits(&param_lens)?;
+        if self.order.len() != rows {
+            return Err(format!(
+                "checkpoint was taken on {} samples, dataset has {rows}",
+                self.order.len()
+            ));
+        }
+        let mut seen = vec![false; rows];
+        for &row in &self.order {
+            match seen.get_mut(row) {
+                None => return Err(format!("sample order row {row} is out of range")),
+                Some(true) => return Err(format!("sample order repeats row {row}")),
+                Some(seen) => *seen = true,
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Drives mini-batch gradient descent over a model.
 #[derive(Debug)]
 pub struct Trainer {
@@ -165,7 +202,9 @@ impl Trainer {
         &self.config
     }
 
-    /// Fits `model` to `(inputs, targets)` and returns the loss history.
+    /// Fits `model` to `(inputs, targets)` and returns the loss history:
+    /// [`fit_resumable`](Trainer::fit_resumable) with no resume and no
+    /// checkpoints.
     ///
     /// # Panics
     ///
@@ -173,70 +212,27 @@ impl Trainer {
     /// is zero.
     pub fn fit(
         &mut self,
-        model: &mut dyn Layer,
+        model: &mut Sequential,
         inputs: &Matrix,
         targets: &Matrix,
         loss: Loss,
     ) -> TrainingHistory {
-        assert_eq!(inputs.rows(), targets.rows(), "inputs/targets mismatch");
-        assert!(self.config.batch_size >= 1, "batch size must be positive");
-        let _span = soteria_telemetry::span("nn.fit");
-        let n = inputs.rows();
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let mut history = TrainingHistory {
-            epoch_losses: Vec::with_capacity(self.config.epochs),
-            epoch_times_ms: Vec::with_capacity(self.config.epochs),
-            epoch_grad_norms: Vec::with_capacity(self.config.epochs),
-        };
-        let (mut x, mut t) = (Matrix::default(), Matrix::default());
-        for _epoch in 0..self.config.epochs {
-            let epoch_start = std::time::Instant::now();
-            order.shuffle(&mut rng);
-            let mut epoch_loss = 0.0f64;
-            let mut grad_norm_sum = 0.0f64;
-            let mut batches = 0usize;
-            for chunk in order.chunks(self.config.batch_size) {
-                inputs.select_rows_into(chunk, &mut x);
-                targets.select_rows_into(chunk, &mut t);
-                let y = model.forward(&x);
-                let (batch_loss, grad) = loss.compute(&y, &t);
-                model.backward_discard(&grad);
-                grad_norm_sum += grad_l2_norm(model);
-                self.optimizer.step(model, self.config.learning_rate);
-                epoch_loss += f64::from(batch_loss);
-                batches += 1;
-            }
-            let mean = (epoch_loss / batches.max(1) as f64) as f32;
-            history.epoch_losses.push(mean);
-            history
-                .epoch_times_ms
-                .push(epoch_start.elapsed().as_secs_f64() * 1e3);
-            history
-                .epoch_grad_norms
-                .push((grad_norm_sum / batches.max(1) as f64) as f32);
-            soteria_telemetry::record("nn.epoch", epoch_start.elapsed().as_secs_f64() * 1e3);
-            soteria_telemetry::counter("nn.epochs", 1);
-            if let Some(target) = self.config.target_loss {
-                if mean < target {
-                    break;
-                }
-            }
-        }
-        history
+        self.fit_resumable(model, inputs, targets, loss, None, 0, &mut |_| Ok(()))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Like [`fit`](Trainer::fit), but checkpointable: after every
-    /// `checkpoint_every` completed epochs (0 = never) a
+    /// The training loop: [`fit`](Trainer::fit), checkpointable. After
+    /// every `checkpoint_every` completed epochs (0 = never) a
     /// [`TrainerCheckpoint`] is handed to `sink`, and passing a previous
     /// checkpoint as `resume` continues training from exactly that point —
-    /// the final model is bit-identical to an uninterrupted run. Requires a
-    /// concrete [`Sequential`] so the weights can be snapshotted.
+    /// the final model is bit-identical to an uninterrupted run. The
+    /// checkpoint must fit `model` and the dataset
+    /// ([`TrainerCheckpoint::check_fits`]); it then replaces `model`.
     ///
     /// # Errors
     ///
     /// Fails if the inputs are inconsistent, the resume checkpoint does not
-    /// match this dataset/model, or `sink` reports a write failure.
+    /// fit this dataset/model, or `sink` reports a write failure.
     #[allow(clippy::too_many_arguments)]
     pub fn fit_resumable(
         &mut self,
@@ -263,12 +259,7 @@ impl Trainer {
 
         let (start_epoch, mut order, mut rng, mut history) = match resume {
             Some(ckpt) => {
-                if ckpt.order.len() != n {
-                    return Err(format!(
-                        "checkpoint was taken on {} samples, dataset has {n}",
-                        ckpt.order.len()
-                    ));
-                }
+                ckpt.check_fits(model, n)?;
                 if ckpt.epochs_done > self.config.epochs {
                     return Err(format!(
                         "checkpoint has {} epochs done, config allows {}",

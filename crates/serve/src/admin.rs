@@ -119,17 +119,16 @@ fn traces_text(n: usize) -> String {
 
 /// One JSON line of liveness state (integers only, so the line is stable
 /// to parse from any client). Besides service counters this surfaces the
-/// telemetry registry's own saturation signals — `dropped_ops`
-/// (name-table exhaustion / kind conflicts) and `events_overflow`
-/// (event-ring wrap-around) — so a registry silently losing data is
-/// visible from the same probe that watches the service.
+/// telemetry registry's own saturation signal — `dropped_ops`
+/// (name-table exhaustion / kind conflicts) — so a registry silently
+/// losing data is visible from the same probe that watches the service.
 fn health_json(stats: &ServiceStats, uptime: Duration) -> String {
     format!(
         "{{\"status\":\"ok\",\"uptime_ms\":{},\"submitted\":{},\"rejected\":{},\
          \"in_flight\":{},\"deadline_expired\":{},\"brownout\":{},\"breaker_trips\":{},\
          \"epoch\":{},\"swaps\":{},\
          \"cache_entries\":{},\"cache_hits\":{},\"cache_lookups\":{},\
-         \"telemetry_dropped_ops\":{},\"telemetry_events_overflow\":{}}}",
+         \"telemetry_dropped_ops\":{}}}",
         uptime.as_millis(),
         stats.submitted,
         stats.rejected,
@@ -142,8 +141,7 @@ fn health_json(stats: &ServiceStats, uptime: Duration) -> String {
         stats.cache.entries,
         stats.cache.hits,
         stats.cache.lookups,
-        soteria_telemetry::dropped_ops(),
-        soteria_telemetry::events_overflow()
+        soteria_telemetry::dropped_ops()
     )
 }
 
@@ -212,26 +210,18 @@ mod tests {
         assert!(line.contains("\"epoch\":2"));
         assert!(line.contains("\"swaps\":2"));
         assert!(line.contains("\"telemetry_dropped_ops\":0"));
-        assert!(line.contains("\"telemetry_events_overflow\":0"));
     }
 
     #[test]
     fn health_surfaces_registry_saturation() {
         let _scope = soteria_telemetry::scoped();
-        // Force a kind conflict (one dropped op) and an event-ring wrap.
+        // Force a kind conflict: one dropped op.
         soteria_telemetry::counter("admin.conflict", 1);
         soteria_telemetry::record("admin.conflict", 1.0);
-        for i in 0..1030u64 {
-            soteria_telemetry::event("admin.flood", i as f64);
-        }
         let line = respond(&stats(), Duration::ZERO, "HEALTH").expect("admin verb");
         assert!(
             line.contains("\"telemetry_dropped_ops\":1"),
             "dropped op invisible: {line}"
-        );
-        assert!(
-            line.contains("\"telemetry_events_overflow\":6"),
-            "ring overflow invisible: {line}"
         );
     }
 

@@ -1,6 +1,5 @@
 //! Workspace-wide observability: lock-free counters, log-linear latency
-//! histograms, gauges, RAII span timers, a sampled event ring, and
-//! per-request traces.
+//! histograms, gauges, RAII span timers, and per-request traces.
 //!
 //! Design constraints, in order:
 //!
@@ -9,9 +8,9 @@
 //!    change a verdict, a loss, or a feature vector (there is a test for
 //!    this in `soteria`). Sampling decisions are pure functions of
 //!    `(key, seed, rate)` — see [`sample_decision`].
-//! 2. **Mutex-free hot path.** [`counter`], [`record`], the gauges, and
-//!    the event ring touch only atomics (plus a one-time allocation when
-//!    a name is first interned). The only mutex in the crate guards the
+//! 2. **Mutex-free hot path.** [`counter`], [`record`] and the gauges
+//!    touch only atomics (plus a one-time allocation when a name is first
+//!    interned). The only mutex in the crate guards the
 //!    finished-trace sink, which is written once per *sampled request*,
 //!    never per stage.
 //! 3. **Cheap when off.** With recording disabled every call reduces to
@@ -51,13 +50,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod events;
 mod hist;
 mod registry;
 mod report;
 mod trace;
 
-pub use events::EventRecord;
 pub use registry::Registry;
 pub use report::{CounterStats, GaugeStats, MetricsReport, SpanStats};
 pub use trace::{flame_view, sample_decision, Trace, TraceBuilder, TraceStage};
@@ -240,45 +237,6 @@ pub fn gauge_add(name: &str, delta: i64) {
     });
 }
 
-/// Records a sampled diagnostic event into the bounded lock-free ring.
-pub fn event(name: &str, value: f64) {
-    with_active(|r| {
-        if !r.enabled() {
-            return;
-        }
-        if let Some(slot) = r.intern_event(name) {
-            let time_us = r.epoch.elapsed().as_micros() as u64;
-            r.events.try_push(time_us, slot as u64, value);
-        }
-    });
-}
-
-/// Configures event-ring admission sampling on the active registry
-/// (`rate` clamped to `[0, 1]`; decisions are a pure function of the
-/// attempt index and `seed`).
-pub fn set_event_sampling(rate: f64, seed: u64) {
-    with_active(|r| r.events.configure(rate, seed));
-}
-
-/// Snapshots the event ring, oldest first, with names resolved.
-pub fn events_snapshot() -> Vec<EventRecord> {
-    with_active(|r| {
-        r.events
-            .collect()
-            .into_iter()
-            .map(|e| EventRecord {
-                seq: e.seq,
-                time_us: e.time_us,
-                name: r
-                    .node(e.name_slot as usize)
-                    .map(|n| n.name.clone())
-                    .unwrap_or_default(),
-                value: e.value,
-            })
-            .collect()
-    })
-}
-
 /// Publishes a finished trace into the active registry's bounded sink
 /// (dropped when recording is disabled).
 pub fn publish_trace(trace: Trace) {
@@ -303,13 +261,6 @@ pub fn trace_count() -> usize {
 /// name reused with a different metric kind).
 pub fn dropped_ops() -> u64 {
     with_active(|r| r.dropped_ops())
-}
-
-/// Events lost to ring wrap-around in the active registry. Monotone over
-/// the registry's lifetime (a snapshot reset does not rewind it), so a
-/// non-zero value means the event ring has been saturated at least once.
-pub fn events_overflow() -> u64 {
-    with_active(|r| r.events_overflow())
 }
 
 /// Starts an RAII span timer; the elapsed wall time in milliseconds is
@@ -369,7 +320,7 @@ impl Drop for Span {
     }
 }
 
-/// Clears the active registry's counters, histograms, events, and traces
+/// Clears the active registry's counters, histograms, and traces
 /// (gauges mirror live state and are left alone; the enabled flag is
 /// unchanged). Race-safe: recording from other threads may land on
 /// either side of the reset but is never torn.
@@ -442,19 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn events_overflow_counts_wrapped_writes() {
-        let _scope = scoped();
-        assert_eq!(events_overflow(), 0);
-        // The ring holds 1024 events; 1100 writes lose the oldest 76.
-        for i in 0..1100u64 {
-            event("t.overflow", i as f64);
-        }
-        assert_eq!(events_overflow(), 76);
-        reset();
-        assert_eq!(events_overflow(), 76, "monotone across resets");
-    }
-
-    #[test]
     fn span_records_on_drop_and_cancel_discards() {
         let _scope = scoped();
         {
@@ -474,7 +412,6 @@ mod tests {
         counter("t.off", 1);
         record("t.off.h", 1.0);
         gauge_set("t.off.g", 5);
-        event("t.off.e", 1.0);
         let s = span("t.off.span");
         drop(s);
         set_enabled(true);
@@ -483,7 +420,6 @@ mod tests {
         assert!(report.span("t.off.h").is_none());
         assert_eq!(report.gauge("t.off.g"), None);
         assert!(report.span("t.off.span").is_none());
-        assert!(events_snapshot().is_empty());
     }
 
     #[test]
@@ -549,20 +485,6 @@ mod tests {
         // Reset leaves gauges alone: they mirror live state.
         reset();
         assert_eq!(snapshot().gauge("t.threads"), Some(8));
-    }
-
-    #[test]
-    fn events_flow_through_the_ring() {
-        let _scope = scoped();
-        event("t.ev", 1.5);
-        event("t.ev", 2.5);
-        let events = events_snapshot();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].name, "t.ev");
-        assert_eq!(events[0].value, 1.5);
-        assert!(events[0].seq < events[1].seq);
-        reset();
-        assert!(events_snapshot().is_empty());
     }
 
     #[test]

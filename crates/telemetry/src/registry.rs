@@ -11,13 +11,11 @@
 //! by a per-thread index, so eight threads hammering one counter touch
 //! eight different cache lines; a snapshot sums the stripes.
 
-use crate::events::EventRing;
 use crate::hist::Hist;
 use crate::report::{CounterStats, GaugeStats, MetricsReport, SpanStats};
 use crate::trace::TraceSink;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// Slots in the interning table. Power of two; at a fill ratio past ~75%
 /// probes lengthen, but the workspace registers well under 200 names.
@@ -67,7 +65,6 @@ pub(crate) enum Kind {
     Counter,
     Histogram,
     Gauge,
-    Event,
 }
 
 /// A monotonic counter striped over padded cells.
@@ -104,8 +101,6 @@ pub(crate) enum Metric {
     Counter(Box<Striped>),
     Histogram(Box<Hist>),
     Gauge(AtomicI64),
-    /// Event names carry no aggregate; the ring buffer stores occurrences.
-    Event,
 }
 
 impl Metric {
@@ -114,7 +109,6 @@ impl Metric {
             Kind::Counter => Metric::Counter(Box::new(Striped::new())),
             Kind::Histogram => Metric::Histogram(Box::new(Hist::new())),
             Kind::Gauge => Metric::Gauge(AtomicI64::new(0)),
-            Kind::Event => Metric::Event,
         }
     }
 
@@ -123,7 +117,6 @@ impl Metric {
             Metric::Counter(_) => Kind::Counter,
             Metric::Histogram(_) => Kind::Histogram,
             Metric::Gauge(_) => Kind::Gauge,
-            Metric::Event => Kind::Event,
         }
     }
 }
@@ -144,10 +137,7 @@ pub struct Registry {
     /// with a different metric kind.
     dropped: AtomicU64,
     enabled: AtomicBool,
-    /// Creation instant; event timestamps are microseconds since this.
-    pub(crate) epoch: Instant,
     pub(crate) traces: TraceSink,
-    pub(crate) events: EventRing,
 }
 
 impl Default for Registry {
@@ -163,9 +153,7 @@ impl Registry {
             slots: (0..TABLE_CAP).map(|_| OnceLock::new()).collect(),
             dropped: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
-            epoch: Instant::now(),
             traces: TraceSink::new(),
-            events: EventRing::new(),
         }
     }
 
@@ -182,11 +170,6 @@ impl Registry {
     /// Operations dropped by table exhaustion or kind conflicts.
     pub fn dropped_ops(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Events lost to ring wrap-around (monotone; see the events module).
-    pub fn events_overflow(&self) -> u64 {
-        self.events.overflow()
     }
 
     /// Interns `name` as `kind` and returns its slot index. Lock-free on
@@ -241,11 +224,6 @@ impl Registry {
         if let Some(i) = self.intern(name, Kind::Histogram) {
             self.record_at(i, value);
         }
-    }
-
-    /// Interns an event name, returning its slot for the event ring.
-    pub(crate) fn intern_event(&self, name: &str) -> Option<usize> {
-        self.intern(name, Kind::Event)
     }
 
     /// Interns a histogram name, returning its slot for repeated
@@ -340,7 +318,6 @@ impl Registry {
                         p99_ms: s.quantile(0.99),
                     });
                 }
-                Metric::Event => {}
             }
         }
         counters.sort_by(|a, b| a.name.cmp(&b.name));
@@ -353,8 +330,8 @@ impl Registry {
         }
     }
 
-    /// Clears counters and histograms (names stay interned), the event
-    /// ring, and the trace sink. Gauges are *not* cleared: they mirror
+    /// Clears counters and histograms (names stay interned) and the trace
+    /// sink. Gauges are *not* cleared: they mirror
     /// live state (queue depth, residency) that a metrics reset does not
     /// change. Race-safe: operations concurrent with a reset land on one
     /// side of it without tearing any metric, so no external lock is
@@ -365,10 +342,9 @@ impl Registry {
             match &node.metric {
                 Metric::Counter(c) => c.reset(),
                 Metric::Histogram(h) => h.reset(),
-                Metric::Gauge(_) | Metric::Event => {}
+                Metric::Gauge(_) => {}
             }
         }
-        self.events.clear();
         self.traces.clear();
     }
 }

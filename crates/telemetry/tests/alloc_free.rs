@@ -64,7 +64,6 @@ fn hot_path_is_allocation_free() {
             soteria_telemetry::counter("alloc.off.c", 1);
             soteria_telemetry::record("alloc.off.h", i as f64);
             soteria_telemetry::gauge_add("alloc.off.g", 1);
-            soteria_telemetry::event("alloc.off.e", 1.0);
             let s = soteria_telemetry::span("alloc.off.s");
             s.cancel();
         }
