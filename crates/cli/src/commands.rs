@@ -250,40 +250,20 @@ pub fn attack(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The system a screening command runs: loaded from the `--model`
-/// artifact, or trained on the `--corpus` directory (no checkpointing).
-fn system_from_flags(
-    command: &str,
-    flags: &HashMap<String, String>,
-    seed: u64,
-) -> Result<Soteria, String> {
-    if let Some(path) = flags.get("model") {
-        // One read into an aligned buffer; every weight tensor is
-        // borrowed from it, so no tensor is parsed or copied.
-        let start = std::time::Instant::now();
-        let image = StateImage::open(&PathBuf::from(path)).map_err(|e| e.to_string())?;
-        let system = Soteria::load_image(&image).map_err(|e| e.to_string())?;
-        eprintln!(
-            "mapped artifact {path} ({} bytes, {} sections, zero-copy) in {:.1}ms",
-            image.len_bytes(),
-            image.sections().len(),
-            start.elapsed().as_secs_f64() * 1e3
-        );
-        return Ok(system);
-    }
-    let corpus_dir = flags
-        .get("corpus")
-        .ok_or_else(|| format!("{command} needs --corpus DIR or --model MODEL"))?;
-    eprintln!("loading corpus from {corpus_dir}...");
-    let samples = store::read_samples(&PathBuf::from(corpus_dir))?;
-    let corpus = Corpus::from_samples(samples, seed);
-    let split = corpus.split(0.8, seed);
-    eprintln!("training Soteria on {} samples...", split.train.len());
-    let system = Soteria::train(&SoteriaConfig::tiny(), &corpus, &split.train, seed)
-        .map_err(|e| e.to_string())?;
+/// The system a screening command runs, loaded from the `--model`
+/// artifact: one read, a CRC pass, and one copy of each tensor.
+fn system_from_flags(command: &str, flags: &HashMap<String, String>) -> Result<Soteria, String> {
+    let path = flags
+        .get("model")
+        .ok_or_else(|| format!("{command} needs --model MODEL"))?;
+    let start = std::time::Instant::now();
+    let image = StateImage::open(&PathBuf::from(path)).map_err(|e| e.to_string())?;
+    let system = Soteria::load_image(&image).map_err(|e| e.to_string())?;
     eprintln!(
-        "trained (threshold {:.4})",
-        system.detector_ref().stats().threshold()
+        "loaded artifact {path} ({} bytes, {} sections) in {:.1}ms",
+        image.len_bytes(),
+        image.sections().len(),
+        start.elapsed().as_secs_f64() * 1e3
     );
     Ok(system)
 }
@@ -396,14 +376,14 @@ pub fn swap(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `analyze (--corpus DIR | --model MODEL) [--seed N] [--metrics PATH] FILE...`
+/// `analyze --model MODEL [--seed N] [--metrics PATH] FILE...`
 pub fn analyze(args: &[String]) -> Result<(), String> {
-    let (flags, positional) = parse("analyze", args, "corpus model seed metrics")?;
+    let (flags, positional) = parse("analyze", args, "model seed metrics")?;
     let seed = flag_u64(&flags, "seed", 7)?;
     if positional.is_empty() {
         return Err("analyze needs at least one FILE".into());
     }
-    let system = system_from_flags("analyze", &flags, seed)?;
+    let system = system_from_flags("analyze", &flags)?;
 
     // Read up to the first unreadable file; the files before it still get
     // their verdict lines before the read error ends the command.
@@ -456,7 +436,7 @@ pub fn analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `serve (--corpus DIR | --model MODEL) [--seed N] [--workers N]
+/// `serve --model MODEL [--seed N] [--workers N]
 ///        [--queue N] [--cache N] [--batch-window-ms N] [--max-batch N]
 ///        [--listen ADDR] [--metrics PATH] [--metrics-interval SECS]
 ///        [--trace F] [--deadline-ms N] [--rate-limit R] [--burst B]
@@ -489,11 +469,11 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     let (flags, _) = parse(
         "serve",
         args,
-        "corpus model seed workers queue cache batch-window-ms max-batch listen metrics \
+        "model seed workers queue cache batch-window-ms max-batch listen metrics \
          metrics-interval trace deadline-ms rate-limit burst brownout reject-threshold breaker",
     )?;
     let seed = flag_u64(&flags, "seed", 7)?;
-    let system = system_from_flags("serve", &flags, seed)?;
+    let system = system_from_flags("serve", &flags)?;
 
     // --trace overrides SOTERIA_TRACE, which overrides "off".
     let trace_default = std::env::var("SOTERIA_TRACE")
@@ -812,6 +792,9 @@ mod tests {
         assert!(!dir.exists(), "a rejected command must not run");
         let err = serve(&argv(&["--artifact", "m.sot3", "--model", "old"])).unwrap_err();
         assert!(err.contains("--artifact"), "{err}");
+        // A model comes only from a file; training in-process is `train`.
+        let err = analyze(&argv(&["--corpus", "corpus", "sample.sotb"])).unwrap_err();
+        assert!(err.contains("--corpus"), "{err}");
     }
 
     #[test]

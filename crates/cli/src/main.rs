@@ -9,14 +9,14 @@
 //! soteria-cli train --corpus DIR --out MODEL [--seed N]
 //!                   [--checkpoint-every N] [--checkpoint PATH] [--resume PATH]
 //!                                                       train and save a system
-//! soteria-cli analyze (--corpus DIR | --model MODEL) [--seed N] FILE...
-//!                                                       screen files with a system
-//! soteria-cli serve (--corpus DIR | --model MODEL) [--listen ADDR]
-//!                   [--trace F]                         run the screening service
+//! soteria-cli analyze --model MODEL [--seed N] FILE...  screen files with a system
+//! soteria-cli serve --model MODEL [--listen ADDR] [--trace F]
+//!                                                       run the screening service
 //! soteria-cli swap --connect ADDR --model MODEL         hot-swap a serving model
 //! soteria-cli metrics (--file PATH | --connect ADDR)    render a telemetry snapshot
 //! ```
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 mod commands;
@@ -34,9 +34,8 @@ fn usage() -> &'static str {
      lowdensity | blocksplit | obfuscate\n  \
      soteria-cli train --corpus DIR --out MODEL [--seed N] [--metrics PATH]\n    \
      [--checkpoint-every N] [--checkpoint PATH] [--resume PATH]\n  \
-     soteria-cli analyze (--corpus DIR | --model MODEL) [--seed N] [--metrics PATH]\n    \
-     FILE...\n  \
-     soteria-cli serve (--corpus DIR | --model MODEL) [--seed N]\n    \
+     soteria-cli analyze --model MODEL [--seed N] [--metrics PATH] FILE...\n  \
+     soteria-cli serve --model MODEL [--seed N]\n    \
      [--workers N] [--queue N] [--cache N] [--batch-window-ms N] [--max-batch N]\n    \
      [--listen ADDR] [--metrics PATH]\n    \
      [--metrics-interval SECS] [--trace F] [--deadline-ms N] [--rate-limit R] [--burst B]\n    \
@@ -53,8 +52,8 @@ fn usage() -> &'static str {
      into per-stage traces (SOTERIA_TRACE=F sets the default). Tracing never\n  \
      changes a verdict.\n\n\
      A MODEL file is the SOTERIA-STATE v3 artifact train --out writes:\n  \
-     aligned, checksummed, and loaded by reference with no tensor parsed or\n  \
-     copied, so analyze and serve start instantly. SWAP <path> (or\n  \
+     aligned and checksummed; loading it is one read, a CRC pass, and one\n  \
+     copy of each tensor, with no number parsed from text. SWAP <path> (or\n  \
      soteria-cli swap --connect ADDR --model MODEL) hot-swaps the serving\n  \
      model from such a file without dropping a request.\n\n\
      Overload hardening (all off by default): --deadline-ms bounds each\n  \

@@ -1,13 +1,11 @@
-//! `SOTERIA-STATE v3`: the zero-copy binary model artifact, the one
-//! on-disk form of a trained system.
+//! `SOTERIA-STATE v3`: the binary model artifact, the one on-disk form of
+//! a trained system.
 //!
 //! The artifact lays tensors out as raw, 64-byte-aligned blobs inside one
-//! contiguous buffer; loading reads the file once into an aligned
-//! allocation and *borrows* every weight matrix straight out of it
-//! ([`soteria_nn::TensorView`] / [`soteria_nn::WeightStore::Shared`]).
-//! No tensor is ever parsed or copied — cold start is bounded by the read
-//! itself. Every file load goes through [`StateImage::open`] and
-//! [`Soteria::load_image`].
+//! contiguous file. Loading reads the file once, checks every CRC, and
+//! copies each checked tensor section into the `Vec` its layer owns; no
+//! number is parsed from text. Every file load goes through
+//! [`StateImage::open`] and [`Soteria::load_image`].
 //!
 //! # Layout
 //!
@@ -63,12 +61,8 @@ use crate::pipeline::Soteria;
 use serde::{Deserialize, Serialize};
 use soteria_features::{ExtractorConfig, FeatureExtractor, Gram, Vocabulary};
 use soteria_nn::persist::{LayerSpec, ModelSpec};
-use soteria_nn::{
-    Activation, Conv1d, Conv2d, Dense, Dropout, Matrix, MaxPool1d, MaxPool2d, Scalar, TensorView,
-    WeightStore,
-};
+use soteria_nn::{Activation, Conv1d, Conv2d, Dense, Dropout, Matrix, MaxPool1d, MaxPool2d};
 use std::path::Path;
-use std::sync::Arc;
 
 /// The 16-byte magic that opens every v3 artifact.
 pub const ARTIFACT_MAGIC: &[u8; 16] = b"SOTERIA-STATE v3";
@@ -80,8 +74,7 @@ pub const ARTIFACT_VERSION: u32 = 3;
 pub const HEADER_LEN: usize = 64;
 /// Section-table entry size in bytes.
 pub const ENTRY_LEN: usize = 32;
-/// Alignment of every section payload (matches
-/// [`soteria_nn::BUFFER_ALIGN`], so views of any scalar type are aligned).
+/// Alignment of every section payload.
 pub const SECTION_ALIGN: usize = 64;
 
 /// Section kind: the META JSON document.
@@ -96,17 +89,35 @@ const ELEM_F64: u32 = 3;
 const ELEM_U64: u32 = 4;
 const ELEM_U8: u32 = 5;
 
-/// Element code for a [`Scalar`] type, matching the on-disk `element`
-/// field.
-fn elem_code<T: Scalar>() -> u32 {
-    match T::NAME {
-        "f32" => ELEM_F32,
-        "f64" => ELEM_F64,
-        "u64" => ELEM_U64,
-        "u8" => ELEM_U8,
-        other => unreachable!("unmapped scalar type {other}"),
-    }
+/// A type a tensor section stores: its on-disk `element` code and its
+/// native-endian byte form.
+trait Element: Copy {
+    /// The section table's element code.
+    const CODE: u32;
+    /// Type name for error messages.
+    const NAME: &'static str;
+    /// Appends the element's native-endian bytes.
+    fn put(self, out: &mut Vec<u8>);
+    /// Reads one element from exactly `size_of::<Self>()` bytes.
+    fn get(bytes: &[u8]) -> Self;
 }
+
+macro_rules! element {
+    ($($t:ty => $code:expr),* $(,)?) => {$(
+        impl Element for $t {
+            const CODE: u32 = $code;
+            const NAME: &'static str = stringify!($t);
+            fn put(self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_ne_bytes());
+            }
+            fn get(bytes: &[u8]) -> Self {
+                <$t>::from_ne_bytes(bytes.try_into().expect("one element's bytes"))
+            }
+        }
+    )*};
+}
+
+element!(f32 => ELEM_F32, f64 => ELEM_F64, u64 => ELEM_U64, u8 => ELEM_U8);
 
 fn align_up(n: usize, align: usize) -> usize {
     n.div_ceil(align) * align
@@ -128,6 +139,30 @@ pub struct SectionEntry {
     pub crc: u32,
     /// Section id (equals the table index).
     pub id: u32,
+}
+
+impl SectionEntry {
+    /// Decodes one [`ENTRY_LEN`]-byte section-table entry.
+    fn read(e: &[u8]) -> Self {
+        SectionEntry {
+            kind: read_u32(e, 0),
+            elem: read_u32(e, 4),
+            offset: read_u64(e, 8),
+            len: read_u64(e, 16),
+            crc: read_u32(e, 24),
+            id: read_u32(e, 28),
+        }
+    }
+
+    /// Encodes this entry into an [`ENTRY_LEN`]-byte table slot.
+    fn write(&self, e: &mut [u8]) {
+        e[0..4].copy_from_slice(&self.kind.to_ne_bytes());
+        e[4..8].copy_from_slice(&self.elem.to_ne_bytes());
+        e[8..16].copy_from_slice(&self.offset.to_ne_bytes());
+        e[16..24].copy_from_slice(&self.len.to_ne_bytes());
+        e[24..28].copy_from_slice(&self.crc.to_ne_bytes());
+        e[28..32].copy_from_slice(&self.id.to_ne_bytes());
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -222,37 +257,14 @@ impl TensorSink {
         }
     }
 
-    fn push_bytes(&mut self, elem: u32, bytes: Vec<u8>) -> u32 {
-        self.sections.push((elem, bytes));
+    /// Appends `data` as the next tensor section and returns its id.
+    fn push<T: Element>(&mut self, data: &[T]) -> u32 {
+        let mut bytes = Vec::with_capacity(std::mem::size_of_val(data));
+        for &v in data {
+            v.put(&mut bytes);
+        }
+        self.sections.push((T::CODE, bytes));
         self.sections.len() as u32
-    }
-
-    fn push_f32(&mut self, data: &[f32]) -> u32 {
-        let mut bytes = Vec::with_capacity(data.len() * 4);
-        for &v in data {
-            bytes.extend_from_slice(&v.to_ne_bytes());
-        }
-        self.push_bytes(ELEM_F32, bytes)
-    }
-
-    fn push_f64(&mut self, data: &[f64]) -> u32 {
-        let mut bytes = Vec::with_capacity(data.len() * 8);
-        for &v in data {
-            bytes.extend_from_slice(&v.to_ne_bytes());
-        }
-        self.push_bytes(ELEM_F64, bytes)
-    }
-
-    fn push_u64(&mut self, data: &[u64]) -> u32 {
-        let mut bytes = Vec::with_capacity(data.len() * 8);
-        for &v in data {
-            bytes.extend_from_slice(&v.to_ne_bytes());
-        }
-        self.push_bytes(ELEM_U64, bytes)
-    }
-
-    fn push_u8(&mut self, data: &[u8]) -> u32 {
-        self.push_bytes(ELEM_U8, data.to_vec())
     }
 }
 
@@ -260,9 +272,9 @@ fn vocab_desc(vocab: &Vocabulary, sink: &mut TensorSink) -> VocabDesc {
     let packed: Vec<u64> = vocab.grams().iter().map(|g| g.packed()).collect();
     let lens: Vec<u8> = vocab.grams().iter().map(|g| g.len() as u8).collect();
     VocabDesc {
-        packed: sink.push_u64(&packed),
-        lens: sink.push_u8(&lens),
-        idf: sink.push_f64(vocab.idf_weights()),
+        packed: sink.push(&packed),
+        lens: sink.push(&lens),
+        idf: sink.push(vocab.idf_weights()),
     }
 }
 
@@ -275,8 +287,8 @@ fn model_desc(spec: &ModelSpec, sink: &mut TensorSink) -> Result<Vec<LayerDesc>,
                 activation: d.activation(),
                 rows: d.weights().rows(),
                 cols: d.weights().cols(),
-                w: sink.push_f32(d.weights().data()),
-                b: sink.push_f32(d.bias()),
+                w: sink.push(d.weights().data()),
+                b: sink.push(d.bias()),
             }),
             LayerSpec::Conv1d(c) => Ok(LayerDesc::Conv1d {
                 in_c: c.in_channels(),
@@ -284,8 +296,8 @@ fn model_desc(spec: &ModelSpec, sink: &mut TensorSink) -> Result<Vec<LayerDesc>,
                 kernel: c.kernel(),
                 length: c.length(),
                 relu: c.relu(),
-                w: sink.push_f32(c.weights()),
-                b: sink.push_f32(c.bias()),
+                w: sink.push(c.weights()),
+                b: sink.push(c.bias()),
             }),
             LayerSpec::Conv2d(c) => Ok(LayerDesc::Conv2d {
                 in_c: c.in_channels(),
@@ -294,8 +306,8 @@ fn model_desc(spec: &ModelSpec, sink: &mut TensorSink) -> Result<Vec<LayerDesc>,
                 height: c.height(),
                 width: c.width(),
                 relu: c.relu(),
-                w: sink.push_f32(c.weights()),
-                b: sink.push_f32(c.bias()),
+                w: sink.push(c.weights()),
+                b: sink.push(c.bias()),
             }),
             LayerSpec::MaxPool1d(p) => Ok(LayerDesc::MaxPool1d {
                 channels: p.channels(),
@@ -361,14 +373,15 @@ pub(crate) fn write_artifact(state: &SoteriaState) -> Result<Vec<u8>, StateError
     // Payloads + table entries.
     for (i, ((kind, elem, bytes), &offset)) in payloads.iter().zip(&offsets).enumerate() {
         out[offset..offset + bytes.len()].copy_from_slice(bytes);
-        let crc = soteria_resilience::crc32(bytes);
-        let entry = &mut out[HEADER_LEN + i * ENTRY_LEN..HEADER_LEN + (i + 1) * ENTRY_LEN];
-        entry[0..4].copy_from_slice(&kind.to_ne_bytes());
-        entry[4..8].copy_from_slice(&elem.to_ne_bytes());
-        entry[8..16].copy_from_slice(&(offset as u64).to_ne_bytes());
-        entry[16..24].copy_from_slice(&(bytes.len() as u64).to_ne_bytes());
-        entry[24..28].copy_from_slice(&crc.to_ne_bytes());
-        entry[28..32].copy_from_slice(&(i as u32).to_ne_bytes());
+        let entry = SectionEntry {
+            kind: *kind,
+            elem: *elem,
+            offset: offset as u64,
+            len: bytes.len() as u64,
+            crc: soteria_resilience::crc32(bytes),
+            id: i as u32,
+        };
+        entry.write(&mut out[HEADER_LEN + i * ENTRY_LEN..HEADER_LEN + (i + 1) * ENTRY_LEN]);
     }
     let table_crc = soteria_resilience::crc32(&out[HEADER_LEN..table_end]);
     // Header.
@@ -396,18 +409,25 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_ne_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
 }
 
-/// A validated, loaded v3 artifact: the raw aligned buffer plus the
-/// parsed META document and section table.
+/// A validated, loaded v3 artifact: the file's bytes plus the parsed META
+/// document and section table.
 ///
 /// Opening validates every checksum once; [`StateImage::to_state`] then
-/// builds a [`SoteriaState`] whose weight tensors *borrow* this buffer —
-/// cloning the image or the state bumps an `Arc`, it never copies a
-/// tensor.
-#[derive(Debug, Clone)]
+/// copies each tensor section into the [`SoteriaState`] it builds.
 pub struct StateImage {
-    buf: Arc<soteria_nn::AlignedBytes>,
+    bytes: Vec<u8>,
     sections: Vec<SectionEntry>,
     meta: ArtifactMeta,
+}
+
+// Sizes only: a derived impl would print every byte of the file.
+impl std::fmt::Debug for StateImage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StateImage")
+            .field("len_bytes", &self.bytes.len())
+            .field("sections", &self.sections.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl StateImage {
@@ -418,23 +438,25 @@ impl StateImage {
     /// [`StateError::Io`] on filesystem failure; otherwise the typed
     /// [`StateError`] diagnosing the malformed structure.
     pub fn open(path: &Path) -> Result<Self, StateError> {
-        let buf = soteria_nn::AlignedBytes::read_file(path)
-            .map_err(|e| StateError::Io(format!("{}: {e}", path.display())))?;
-        Self::from_buffer(buf)
+        let bytes =
+            std::fs::read(path).map_err(|e| StateError::Io(format!("{}: {e}", path.display())))?;
+        Self::from_buffer(bytes)
     }
 
-    /// Validates an in-memory artifact (the bytes are copied once into an
-    /// aligned buffer — the corruption batteries use this to avoid disk
-    /// round trips).
+    /// Validates an in-memory artifact (the bytes are copied once — the
+    /// corruption batteries use this to avoid disk round trips).
     ///
     /// # Errors
     ///
     /// The typed [`StateError`] diagnosing the malformed structure.
     pub fn parse(bytes: &[u8]) -> Result<Self, StateError> {
-        Self::from_buffer(soteria_nn::AlignedBytes::copy_from(bytes))
+        Self::from_buffer(bytes.to_vec())
     }
 
-    fn from_buffer(buf: soteria_nn::AlignedBytes) -> Result<Self, StateError> {
+    /// Validates the header, the section table and every checksum. Each
+    /// entry it accepts has a 64-byte-aligned payload window inside the
+    /// file, which is what lets [`StateImage::tensor`] slice it.
+    fn from_buffer(buf: Vec<u8>) -> Result<Self, StateError> {
         let bytes = buf.as_slice();
         if bytes.len() < HEADER_LEN {
             return Err(StateError::Truncated {
@@ -525,15 +547,7 @@ impl StateImage {
         }
         let mut sections = Vec::with_capacity(count as usize);
         for i in 0..count as usize {
-            let e = &table[i * ENTRY_LEN..(i + 1) * ENTRY_LEN];
-            let entry = SectionEntry {
-                kind: read_u32(e, 0),
-                elem: read_u32(e, 4),
-                offset: read_u64(e, 8),
-                len: read_u64(e, 16),
-                crc: read_u32(e, 24),
-                id: read_u32(e, 28),
-            };
+            let entry = SectionEntry::read(&table[i * ENTRY_LEN..(i + 1) * ENTRY_LEN]);
             let id = i as u32;
             if entry.id != id {
                 return Err(StateError::BadSection {
@@ -606,7 +620,7 @@ impl StateImage {
         let meta: ArtifactMeta =
             serde_json::from_str(meta_str).map_err(|e| StateError::Parse(e.to_string()))?;
         Ok(StateImage {
-            buf: Arc::new(buf),
+            bytes: buf,
             sections,
             meta,
         })
@@ -620,11 +634,13 @@ impl StateImage {
 
     /// Total artifact size in bytes.
     pub fn len_bytes(&self) -> usize {
-        self.buf.len()
+        self.bytes.len()
     }
 
-    /// A zero-copy store over tensor section `id`.
-    fn tensor<T: Scalar>(&self, id: u32) -> Result<WeightStore<T>, StateError> {
+    /// Copies tensor section `id` out as `T` elements, once META's
+    /// reference is checked to name a tensor section of `T` that holds a
+    /// whole number of them.
+    fn tensor<T: Element>(&self, id: u32) -> Result<Vec<T>, StateError> {
         let entry = self
             .sections
             .get(id as usize)
@@ -638,7 +654,7 @@ impl StateImage {
                 why: "META references a non-tensor section as a tensor".to_string(),
             });
         }
-        let want = elem_code::<T>();
+        let want = T::CODE;
         if entry.elem != want {
             return Err(StateError::BadSection {
                 id,
@@ -649,29 +665,22 @@ impl StateImage {
                 ),
             });
         }
-        let size = std::mem::size_of::<T>() as u64;
-        if !entry.len.is_multiple_of(size) {
+        let size = std::mem::size_of::<T>();
+        if !entry.len.is_multiple_of(size as u64) {
             return Err(StateError::BadSection {
                 id,
                 why: format!("payload length {} is not a multiple of {size}", entry.len),
             });
         }
-        let view = TensorView::<T>::new(
-            Arc::clone(&self.buf),
-            entry.offset as usize,
-            (entry.len / size) as usize,
-        )
-        .map_err(|e| StateError::BadSection {
-            id,
-            why: e.to_string(),
-        })?;
-        Ok(WeightStore::Shared(view))
+        // `from_buffer` accepted this window, so it lies inside the file.
+        let payload = &self.bytes[entry.offset as usize..(entry.offset + entry.len) as usize];
+        Ok(payload.chunks_exact(size).map(T::get).collect())
     }
 
     fn vocab(&self, d: &VocabDesc) -> Result<Vocabulary, StateError> {
-        let packed: WeightStore<u64> = self.tensor(d.packed)?;
-        let lens: WeightStore<u8> = self.tensor(d.lens)?;
-        let idf: WeightStore<f64> = self.tensor(d.idf)?;
+        let packed: Vec<u64> = self.tensor(d.packed)?;
+        let lens: Vec<u8> = self.tensor(d.lens)?;
+        let idf: Vec<f64> = self.tensor(d.idf)?;
         if packed.len() != lens.len() || packed.len() != idf.len() {
             return Err(StateError::Parse(format!(
                 "vocabulary blobs disagree on length ({} grams, {} lens, {} idf)",
@@ -689,7 +698,7 @@ impl StateImage {
             }
             grams.push(Gram::from_raw(len, bits));
         }
-        Ok(Vocabulary::from_parts(grams, idf.to_vec()))
+        Ok(Vocabulary::from_parts(grams, idf))
     }
 
     /// Builds network `net` from its META layers. Each layer's tensors
@@ -712,6 +721,15 @@ impl StateImage {
                 )))
             }
         };
+        // Elements a declared weight shape holds; META values are untrusted,
+        // so a product that overflows is an error, not a wrapped count.
+        let elements = |i: usize, dims: &[usize]| {
+            dims.iter()
+                .try_fold(1usize, |n, &d| n.checked_mul(d))
+                .ok_or_else(|| {
+                    StateError::Parse(format!("{net} layer {i} weight shape {dims:?} overflows"))
+                })
+        };
         let mut layers = Vec::with_capacity(descs.len());
         // Values per sample the next layer receives.
         let mut incoming = input;
@@ -724,11 +742,11 @@ impl StateImage {
                     w,
                     b,
                 } => {
-                    let w: WeightStore<f32> = self.tensor(w)?;
-                    let b: WeightStore<f32> = self.tensor(b)?;
-                    shape(i, "weight", w.len(), rows.saturating_mul(cols))?;
+                    let w: Vec<f32> = self.tensor(w)?;
+                    let b: Vec<f32> = self.tensor(b)?;
+                    shape(i, "weight", w.len(), elements(i, &[rows, cols])?)?;
                     shape(i, "bias", b.len(), cols)?;
-                    let dense = Dense::from_parts(activation, Matrix::from_store(rows, cols, w), b);
+                    let dense = Dense::from_parts(activation, Matrix::from_vec(rows, cols, w), b);
                     (LayerSpec::from(dense), Some((rows, cols)))
                 }
                 LayerDesc::Conv1d {
@@ -745,9 +763,9 @@ impl StateImage {
                             "layer {i} conv1d kernel {kernel} must be odd"
                         )));
                     }
-                    let w: WeightStore<f32> = self.tensor(w)?;
-                    let b: WeightStore<f32> = self.tensor(b)?;
-                    shape(i, "weight", w.len(), out_c * in_c * kernel)?;
+                    let w: Vec<f32> = self.tensor(w)?;
+                    let b: Vec<f32> = self.tensor(b)?;
+                    shape(i, "weight", w.len(), elements(i, &[out_c, in_c, kernel])?)?;
                     shape(i, "bias", b.len(), out_c)?;
                     let conv = Conv1d::from_parts(in_c, out_c, kernel, length, relu, w, b);
                     let widths = (in_c.saturating_mul(length), out_c.saturating_mul(length));
@@ -768,9 +786,10 @@ impl StateImage {
                             "layer {i} conv2d kernel {kernel} must be odd"
                         )));
                     }
-                    let w: WeightStore<f32> = self.tensor(w)?;
-                    let b: WeightStore<f32> = self.tensor(b)?;
-                    shape(i, "weight", w.len(), out_c * in_c * kernel * kernel)?;
+                    let w: Vec<f32> = self.tensor(w)?;
+                    let b: Vec<f32> = self.tensor(b)?;
+                    let want = elements(i, &[out_c, in_c, kernel, kernel])?;
+                    shape(i, "weight", w.len(), want)?;
                     shape(i, "bias", b.len(), out_c)?;
                     let conv = Conv2d::from_parts(in_c, out_c, kernel, height, width, relu, w, b);
                     let plane = height.saturating_mul(width);
@@ -843,9 +862,8 @@ impl StateImage {
         Ok(ModelSpec::new(layers))
     }
 
-    /// Builds a [`SoteriaState`] whose tensors borrow this image's buffer
-    /// (zero tensor copies; only vocabulary indices and layer scaffolding
-    /// are allocated).
+    /// Builds a [`SoteriaState`] that owns a copy of every tensor this
+    /// image's META document references.
     ///
     /// # Errors
     ///
@@ -875,9 +893,8 @@ impl StateImage {
 }
 
 impl Soteria {
-    /// Builds a ready-to-serve system straight from a validated artifact
-    /// image. Weight tensors stay borrowed from the image's buffer — no
-    /// tensor is parsed or copied, so this is the instant-start load path.
+    /// Builds a ready-to-serve system from a validated artifact image,
+    /// copying each tensor out of the image once.
     ///
     /// # Errors
     ///
@@ -950,26 +967,6 @@ mod tests {
         let image = StateImage::parse(&state.to_artifact().unwrap()).unwrap();
         let err = Soteria::load_image(&image).expect_err("a misfit classifier must not load");
         assert!(err.to_string().contains("DBL CNN gives 4"), "{err}");
-    }
-
-    #[test]
-    fn loaded_tensors_borrow_the_image_buffer() {
-        let (original, ..) = small_trained();
-        let bytes = original.save_state().unwrap().to_artifact().unwrap();
-        let state = StateImage::parse(&bytes).unwrap().to_state().unwrap();
-        let shared = state
-            .detector_model
-            .layers()
-            .iter()
-            .filter_map(|l| match l {
-                LayerSpec::Dense(d) => Some(d.weights().is_shared()),
-                _ => None,
-            })
-            .collect::<Vec<_>>();
-        assert!(
-            !shared.is_empty() && shared.iter().all(|&s| s),
-            "{shared:?}"
-        );
     }
 
     #[test]
@@ -1060,5 +1057,148 @@ mod tests {
         let g = corpus.samples()[test[0]].graph();
         assert_eq!(restored.analyze(g, 5), original.analyze(g, 5));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Rewrites section `id`'s table entry with `edit`, then reseals the
+    /// checksums the edit broke: the section's payload CRC (when its
+    /// window lies inside the file), the table CRC and the header CRC.
+    /// What comes out passes every checksum, so only the structural checks
+    /// that run after them can refuse it.
+    fn reseal(bytes: &[u8], id: usize, edit: impl FnOnce(&mut SectionEntry)) -> Vec<u8> {
+        let count = read_u32(bytes, 24) as usize;
+        let slot = HEADER_LEN + id * ENTRY_LEN..HEADER_LEN + (id + 1) * ENTRY_LEN;
+        let mut entry = SectionEntry::read(&bytes[slot.clone()]);
+        edit(&mut entry);
+        let mut out = bytes.to_vec();
+        if let Some(end) = entry.offset.checked_add(entry.len) {
+            if end <= out.len() as u64 {
+                entry.crc = soteria_resilience::crc32(&out[entry.offset as usize..end as usize]);
+            }
+        }
+        entry.write(&mut out[slot]);
+        let table_crc = soteria_resilience::crc32(&out[HEADER_LEN..HEADER_LEN + count * ENTRY_LEN]);
+        out[48..52].copy_from_slice(&table_crc.to_ne_bytes());
+        let header_crc = soteria_resilience::crc32(&out[0..52]);
+        out[52..56].copy_from_slice(&header_crc.to_ne_bytes());
+        out
+    }
+
+    /// The `BadSection` a resealed artifact fails with, from parsing or,
+    /// when it parses, from loading.
+    fn bad_section(bytes: &[u8]) -> (u32, String) {
+        match StateImage::parse(bytes).and_then(|image| image.to_state()) {
+            Err(StateError::BadSection { id, why }) => (id, why),
+            other => panic!("expected BadSection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn checksum_valid_artifacts_reach_every_section_check() {
+        let (original, ..) = small_trained();
+        let bytes = original.save_state().unwrap().to_artifact().unwrap();
+        let image = StateImage::parse(&bytes).unwrap();
+        let f32_id = image
+            .sections()
+            .iter()
+            .position(|s| s.elem == ELEM_F32)
+            .unwrap();
+        let last = image.sections().len() - 1;
+        let file_len = bytes.len() as u64;
+
+        // The resealed but unedited file still loads.
+        assert!(StateImage::parse(&reseal(&bytes, f32_id, |_| {}))
+            .and_then(|image| image.to_state())
+            .is_ok());
+
+        let (id, why) = bad_section(&reseal(&bytes, f32_id, |e| e.offset += 4));
+        assert_eq!(id as usize, f32_id);
+        assert!(why.contains("64-byte aligned"), "{why}");
+
+        let (id, why) = bad_section(&reseal(&bytes, last, |e| e.len = file_len));
+        assert_eq!(id as usize, last);
+        assert!(why.contains("exceeds file length"), "{why}");
+        let (_, why) = bad_section(&reseal(&bytes, last, |e| e.len = u64::MAX));
+        assert!(why.contains("overflows"), "{why}");
+
+        let (id, why) = bad_section(&reseal(&bytes, f32_id, |e| e.len -= 1));
+        assert_eq!(id as usize, f32_id);
+        assert!(why.contains("not a multiple of 4"), "{why}");
+
+        let (id, why) = bad_section(&reseal(&bytes, f32_id, |e| e.elem = ELEM_F64));
+        assert_eq!(id as usize, f32_id);
+        assert!(why.contains("META expects element f32"), "{why}");
+
+        let (id, why) = bad_section(&reseal(&bytes, f32_id, |e| e.id = 99));
+        assert_eq!(id as usize, f32_id);
+        assert!(why.contains("carries id 99"), "{why}");
+
+        // A META tensor reference to section 0 (META itself): the edit
+        // keeps META's length, and resealing section 0 re-CRCs it.
+        let meta = image.sections()[0];
+        let window = meta.offset as usize..(meta.offset + meta.len) as usize;
+        let text = std::str::from_utf8(&bytes[window.clone()]).unwrap();
+        let edited = text.replacen("\"packed\":1,", "\"packed\":0,", 1);
+        assert_ne!(
+            edited, text,
+            "META names the first vocabulary blob section 1"
+        );
+        let mut b = bytes.clone();
+        b[window].copy_from_slice(edited.as_bytes());
+        let (id, why) = bad_section(&reseal(&b, 0, |_| {}));
+        assert_eq!(id, 0);
+        assert!(why.contains("non-tensor section"), "{why}");
+    }
+
+    /// An image and the id of a 4-element f32 section in it (a CNN's
+    /// output bias, one per class), to serve as both weight and bias of a
+    /// crafted layer.
+    fn image_with_a_4_element_section() -> (StateImage, u32) {
+        let (original, ..) = small_trained();
+        let bytes = original.save_state().unwrap().to_artifact().unwrap();
+        let image = StateImage::parse(&bytes).unwrap();
+        let id = image
+            .sections()
+            .iter()
+            .find(|s| s.elem == ELEM_F32 && s.len == 16)
+            .unwrap()
+            .id;
+        (image, id)
+    }
+
+    #[test]
+    fn conv1d_shape_whose_weight_count_overflows_is_refused() {
+        let (image, id) = image_with_a_4_element_section();
+        // 4 · 1 · (2^63 + 1) wraps to 4 in 64 bits.
+        let conv = LayerDesc::Conv1d {
+            in_c: 1,
+            out_c: 4,
+            kernel: (1 << 63) + 1,
+            length: 8,
+            relu: true,
+            w: id,
+            b: id,
+        };
+        let err = image.model("DBL CNN", &[conv], 8, 32).unwrap_err();
+        assert!(matches!(err, StateError::Parse(_)), "{err:?}");
+        assert!(err.to_string().contains("DBL CNN layer 0"), "{err}");
+    }
+
+    #[test]
+    fn conv2d_shape_whose_weight_count_overflows_is_refused() {
+        let (image, id) = image_with_a_4_element_section();
+        // 4 · 1 · (2^62 + 1)² wraps to 4 in 64 bits.
+        let conv = LayerDesc::Conv2d {
+            in_c: 1,
+            out_c: 4,
+            kernel: (1 << 62) + 1,
+            height: 2,
+            width: 4,
+            relu: true,
+            w: id,
+            b: id,
+        };
+        let err = image.model("LBL CNN", &[conv], 8, 32).unwrap_err();
+        assert!(matches!(err, StateError::Parse(_)), "{err:?}");
+        assert!(err.to_string().contains("LBL CNN layer 0"), "{err}");
     }
 }

@@ -179,7 +179,7 @@ pub struct SoteriaState {
 }
 
 impl SoteriaState {
-    /// Serializes to the v3 zero-copy binary artifact (see
+    /// Serializes to the v3 binary artifact (see
     /// [`crate::artifact`] for the layout contract).
     ///
     /// # Errors

@@ -17,6 +17,8 @@
 //! wall clock is hardware-bound, while the correctness gates each command
 //! documents fail the run.
 
+#![forbid(unsafe_code)]
+
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use soteria::{Soteria, SoteriaConfig, StateImage, Verdict};

@@ -14,7 +14,6 @@ use crate::backend;
 use crate::init;
 use crate::layer::Layer;
 use crate::matrix::Matrix;
-use crate::storage::WeightStore;
 use serde::{Deserialize, Serialize};
 
 /// A same-padded, stride-1, square-kernel 2-D convolution with fused ReLU.
@@ -28,8 +27,8 @@ pub struct Conv2d {
     relu: bool,
     /// `[out_c × in_c × kernel × kernel]`, flattened — equivalently a
     /// row-major `[out_c × (in_c·kernel²)]` GEMM operand.
-    weights: WeightStore<f32>,
-    bias: WeightStore<f32>,
+    weights: Vec<f32>,
+    bias: Vec<f32>,
     #[serde(skip)]
     grad_weights: Vec<f32>,
     #[serde(skip)]
@@ -79,8 +78,8 @@ impl Conv2d {
             height,
             width,
             relu,
-            weights: init::he_uniform(out_channels * fan_in, fan_in, seed).into(),
-            bias: vec![0.0; out_channels].into(),
+            weights: init::he_uniform(out_channels * fan_in, fan_in, seed),
+            bias: vec![0.0; out_channels],
             grad_weights: vec![0.0; out_channels * fan_in],
             grad_bias: vec![0.0; out_channels],
             col: Vec::new(),
@@ -92,9 +91,8 @@ impl Conv2d {
         }
     }
 
-    /// Assembles a layer from existing parameters (the zero-copy artifact
-    /// loader passes artifact-shared stores; gradient buffers stay empty
-    /// until training materializes them).
+    /// Assembles a layer from existing parameters (the artifact loader's
+    /// path; gradient buffers stay empty until training materializes them).
     ///
     /// # Panics
     ///
@@ -108,8 +106,8 @@ impl Conv2d {
         height: usize,
         width: usize,
         relu: bool,
-        weights: WeightStore<f32>,
-        bias: WeightStore<f32>,
+        weights: Vec<f32>,
+        bias: Vec<f32>,
     ) -> Self {
         assert!(kernel % 2 == 1, "same padding requires an odd kernel");
         assert_eq!(
@@ -504,8 +502,8 @@ impl Layer for Conv2d {
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         self.ensure_grads();
-        visitor(self.weights.as_mut_slice(), &mut self.grad_weights);
-        visitor(self.bias.as_mut_slice(), &mut self.grad_bias);
+        visitor(&mut self.weights, &mut self.grad_weights);
+        visitor(&mut self.bias, &mut self.grad_bias);
     }
     fn as_any(&self) -> &dyn std::any::Any {
         self

@@ -9,7 +9,6 @@ use crate::backend;
 use crate::init;
 use crate::layer::Layer;
 use crate::matrix::Matrix;
-use crate::storage::WeightStore;
 use serde::{Deserialize, Serialize};
 
 /// Activation fused into a [`Dense`] layer.
@@ -57,7 +56,7 @@ pub struct Dense {
     activation: Activation,
     /// `[in_dim × out_dim]`, row-major.
     weights: Matrix,
-    bias: WeightStore<f32>,
+    bias: Vec<f32>,
     #[serde(skip)]
     grad_weights: Vec<f32>,
     #[serde(skip)]
@@ -94,7 +93,7 @@ impl Dense {
             out_dim,
             activation,
             weights,
-            bias: vec![0.0; out_dim].into(),
+            bias: vec![0.0; out_dim],
             grad_weights: vec![0.0; in_dim * out_dim],
             grad_bias: vec![0.0; out_dim],
             cached_input: Matrix::default(),
@@ -104,15 +103,14 @@ impl Dense {
         }
     }
 
-    /// Assembles a layer from existing parameters (the zero-copy artifact
-    /// loader passes artifact-shared stores; gradient buffers stay empty
-    /// until training materializes them).
+    /// Assembles a layer from existing parameters (the artifact loader's
+    /// path; gradient buffers stay empty until training materializes them).
     ///
     /// # Panics
     ///
     /// Panics if `bias.len()` does not match the weight matrix's column
     /// count.
-    pub fn from_parts(activation: Activation, weights: Matrix, bias: WeightStore<f32>) -> Self {
+    pub fn from_parts(activation: Activation, weights: Matrix, bias: Vec<f32>) -> Self {
         assert_eq!(bias.len(), weights.cols(), "dense bias length mismatch");
         Dense {
             in_dim: weights.rows(),
@@ -248,7 +246,7 @@ impl Layer for Dense {
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         self.ensure_grads();
         visitor(self.weights.data_mut(), &mut self.grad_weights);
-        visitor(self.bias.as_mut_slice(), &mut self.grad_bias);
+        visitor(&mut self.bias, &mut self.grad_bias);
     }
     fn as_any(&self) -> &dyn std::any::Any {
         self

@@ -37,7 +37,7 @@
 //! assert!(history.final_loss() < 0.05);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod backend;
@@ -54,8 +54,6 @@ pub mod optimizer;
 pub mod persist;
 pub mod pool;
 pub mod simd;
-#[allow(unsafe_code)]
-pub mod storage;
 pub mod trainer;
 
 pub use conv::Conv1d;
@@ -68,5 +66,4 @@ pub use matrix::Matrix;
 pub use model::Sequential;
 pub use optimizer::{Adam, Optimizer, OptimizerState, Sgd};
 pub use pool::MaxPool1d;
-pub use storage::{AlignedBytes, Scalar, TensorView, ViewError, WeightStore, BUFFER_ALIGN};
 pub use trainer::{RngState, TrainConfig, Trainer, TrainerCheckpoint, TrainingHistory};

@@ -5,20 +5,14 @@
 //! blocking (see the backend's determinism contract).
 
 use crate::backend;
-use crate::storage::WeightStore;
 use serde::{Deserialize, Serialize};
 
 /// Row-major 2-D `f32` matrix. Rows are samples throughout this crate.
-///
-/// The flat data lives in a [`WeightStore`]: owned for matrices built at
-/// runtime, shared (borrowed from an artifact buffer) for weight matrices
-/// of models loaded zero-copy. Serde is unchanged — the store serializes
-/// exactly like a `Vec<f32>`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: WeightStore<f32>,
+    data: Vec<f32>,
 }
 
 impl Matrix {
@@ -27,7 +21,7 @@ impl Matrix {
         Matrix {
             rows,
             cols,
-            data: WeightStore::from(vec![0.0; rows * cols]),
+            data: vec![0.0; rows * cols],
         }
     }
 
@@ -38,28 +32,7 @@ impl Matrix {
     /// Panics if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols, "shape/data mismatch");
-        Matrix {
-            rows,
-            cols,
-            data: data.into(),
-        }
-    }
-
-    /// Wraps an existing weight store (owned or artifact-shared) without
-    /// copying.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_store(rows: usize, cols: usize, data: WeightStore<f32>) -> Self {
-        assert_eq!(data.len(), rows * cols, "shape/data mismatch");
         Matrix { rows, cols, data }
-    }
-
-    /// Whether the backing data still borrows a shared artifact buffer
-    /// (i.e. no copy has been materialized yet).
-    pub fn is_shared(&self) -> bool {
-        self.data.is_shared()
     }
 
     /// Builds a matrix from sample rows (accepts `f64` for convenience at
@@ -79,7 +52,7 @@ impl Matrix {
         Matrix {
             rows: rows.len(),
             cols,
-            data: data.into(),
+            data,
         }
     }
 
@@ -100,7 +73,7 @@ impl Matrix {
         Matrix {
             rows: rows.len(),
             cols,
-            data: data.into(),
+            data,
         }
     }
 
@@ -122,9 +95,7 @@ impl Matrix {
             out.push(Matrix {
                 rows: n,
                 cols: self.cols,
-                data: self.data[start * self.cols..(start + n) * self.cols]
-                    .to_vec()
-                    .into(),
+                data: self.data[start * self.cols..(start + n) * self.cols].to_vec(),
             });
             start += n;
         }
@@ -143,13 +114,12 @@ impl Matrix {
 
     /// Flat data slice.
     pub fn data(&self) -> &[f32] {
-        self.data.as_slice()
+        &self.data
     }
 
-    /// Mutable flat data slice (materializes an owned copy if the data is
-    /// still artifact-shared).
+    /// Mutable flat data slice.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        self.data.as_mut_slice()
+        &mut self.data
     }
 
     /// Element accessor.
@@ -186,11 +156,10 @@ impl Matrix {
     pub fn select_rows_into(&self, indices: &[usize], out: &mut Matrix) {
         out.rows = indices.len();
         out.cols = self.cols;
-        let data = out.data.vec_mut();
-        data.clear();
-        data.reserve(indices.len() * self.cols);
+        out.data.clear();
+        out.data.reserve(indices.len() * self.cols);
         for &r in indices {
-            data.extend_from_slice(self.row(r));
+            out.data.extend_from_slice(self.row(r));
         }
     }
 
@@ -199,9 +168,8 @@ impl Matrix {
     pub fn copy_from(&mut self, src: &Matrix) {
         self.rows = src.rows;
         self.cols = src.cols;
-        let data = self.data.vec_mut();
-        data.clear();
-        data.extend_from_slice(src.data.as_slice());
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
     }
 
     /// `self · other` (`[m×k] · [k×n] = [m×n]`) via the backend's blocked
@@ -253,7 +221,7 @@ impl Matrix {
 
     /// Elementwise in-place map.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in self.data.as_mut_slice() {
+        for x in &mut self.data {
             *x = f(*x);
         }
     }

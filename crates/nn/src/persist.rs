@@ -211,9 +211,7 @@ impl ModelSpec {
 }
 
 /// Snapshots a live model as a [`ModelSpec`] by downcasting each layer to
-/// the known types and cloning it, weights included. A shared
-/// (artifact-borrowed) weight store is cloned as a shared view, and it is
-/// copied only if the copy is trained (copy-on-write). A clone also copies
+/// the known types and cloning it, weights included. A clone also copies
 /// the training arenas serde skips. Between training steps they hold
 /// nothing a later step reads: `backward` has consumed the recorded
 /// forward, and the optimizer has zeroed the gradients. So a snapshot

@@ -29,6 +29,10 @@
 //! pooled GEMM inside a pooled pipeline chunk, or a pooled walk batch
 //! inside a pooled extraction chunk) deadlock-free by construction.
 
+// `forbid` would also refuse the one `allow` below: handing borrowed tasks
+// to long-lived worker threads needs a lifetime transmute.
+#![deny(unsafe_code)]
+
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};

@@ -476,7 +476,7 @@ impl ScreeningService {
     }
 
     /// [`swap`](ScreeningService::swap) from a `SOTERIA-STATE v3` artifact
-    /// on disk, read once into the aligned buffer its tensors borrow.
+    /// on disk, read and checked once, with each tensor copied out of it.
     ///
     /// # Errors
     ///

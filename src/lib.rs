@@ -1,1 +1,3 @@
+#![forbid(unsafe_code)]
+
 pub use soteria_cfg as cfg;
