@@ -16,10 +16,10 @@
 //! section's treatment of the graph as undirected.
 
 use crate::block::BlockId;
-use crate::graph::Cfg;
-use crate::traversal;
+use crate::graph::{Cfg, CsrAdjacency};
 use serde::{Deserialize, Serialize};
 
+mod block_cut;
 #[cfg(test)]
 mod reference;
 
@@ -56,13 +56,30 @@ pub struct CentralityFactors {
 impl CentralityFactors {
     /// Computes betweenness and closeness for every node of `cfg`.
     ///
-    /// One breadth-first search per source over the cached
-    /// [`Cfg::csr_adjacency`] yields both. The forward sweep counts
-    /// shortest paths `σ` (Brandes) and records each node's
-    /// shortest-path-DAG children; closeness comes from the same search's
-    /// integer distance sum; the dependency sweep then walks the recorded
-    /// children in reverse BFS order. `O(V·E)` time, with one set of
-    /// `O(V + E)` scratch buffers shared by every source.
+    /// The exact path splits the undirected view into biconnected blocks
+    /// and runs the Brandes sweep inside each block, each member weighted
+    /// by the part of the graph that hangs off it. Its sums are exact, and
+    /// its values bit-identical to the plain two-pass algorithm, while the
+    /// path total and every node's through-count stay below 2^53, which
+    /// it checks (DESIGN.md §5, "exact block-cut path"). Past that,
+    /// rounding depends on summation order, and the fused kernel below
+    /// runs instead, counted by `cfg.centrality.fallbacks`.
+    pub fn compute(cfg: &Cfg) -> Self {
+        let _span = soteria_telemetry::span("cfg.centrality");
+        let adj = cfg.csr_adjacency();
+        block_cut::exact(adj).unwrap_or_else(|| {
+            soteria_telemetry::counter("cfg.centrality.fallbacks", 1);
+            Self::fused(adj)
+        })
+    }
+
+    /// The fused f64 kernel: one breadth-first search per source over the
+    /// whole graph yields both values. The forward sweep counts shortest
+    /// paths `σ` (Brandes) and records each node's shortest-path-DAG
+    /// children; closeness comes from the same search's integer distance
+    /// sum; the dependency sweep then walks the recorded children in
+    /// reverse BFS order. `O(V·E)` time, with one set of `O(V + E)`
+    /// scratch buffers shared by every source.
     ///
     /// Every floating-point chain runs in the order of the plain two-pass
     /// algorithm (BFS queue order, ascending neighbor order), so the values
@@ -71,9 +88,7 @@ impl CentralityFactors {
     /// infinity (about 1024 or more if/else diamonds in series),
     /// betweenness is all zeros and the factor falls back to closeness,
     /// which is always finite.
-    pub fn compute(cfg: &Cfg) -> Self {
-        let _span = soteria_telemetry::span("cfg.centrality");
-        let adj = cfg.csr_adjacency();
+    fn fused(adj: &CsrAdjacency) -> Self {
         let n = adj.node_count();
         let mut betweenness = vec![0.0f64; n];
         let mut closeness = vec![0.0f64; n];
@@ -195,32 +210,11 @@ impl CentralityFactors {
 /// `dist` marker for a node the current search has not reached.
 const UNSEEN: u32 = u32::MAX;
 
-/// The literal quantity named in the paper's footnote: the average
-/// shortest-path distance from `v` to the nodes it can reach (undirected).
-/// Returns `None` if `v` reaches no other node.
-pub fn average_distance(cfg: &Cfg, v: BlockId) -> Option<f64> {
-    let dist = traversal::undirected_distances(cfg, v);
-    let mut sum = 0usize;
-    let mut reach = 0usize;
-    for (u, d) in dist.iter().enumerate() {
-        if u != v.index() {
-            if let Some(d) = d {
-                sum += d;
-                reach += 1;
-            }
-        }
-    }
-    if reach == 0 {
-        None
-    } else {
-        Some(sum as f64 / reach as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::CfgBuilder;
+    use std::time::{Duration, Instant};
 
     fn path3() -> (Cfg, [BlockId; 3]) {
         let mut b = CfgBuilder::new();
@@ -328,22 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn average_distance_matches_hand_computation() {
-        let (g, [a, m, _c]) = path3();
-        assert_eq!(average_distance(&g, a), Some(1.5));
-        assert_eq!(average_distance(&g, m), Some(1.0));
-    }
-
-    #[test]
-    fn average_distance_none_for_isolated() {
-        let mut b = CfgBuilder::new();
-        let e = b.add_block(0, 1);
-        let iso = b.add_block(1, 1);
-        let g = b.build(e).unwrap();
-        assert_eq!(average_distance(&g, iso), None);
-    }
-
-    #[test]
     fn factor_is_sum_of_parts() {
         let (g, [_, m, _]) = path3();
         let cf = CentralityFactors::compute(&g);
@@ -360,34 +338,68 @@ mod tests {
         assert_eq!(cf.closeness(e), 0.0);
     }
 
-    /// `k` if/else diamonds in series: `3k + 1` blocks and `2^k` shortest
-    /// paths from the first block to the last.
-    fn diamond_chain(k: usize) -> Cfg {
-        let mut b = CfgBuilder::new();
-        let entry = b.add_block(0, 1);
-        let mut top = entry;
-        for i in 0..k as u64 {
-            let then = b.add_block(3 * i + 1, 1);
-            let other = b.add_block(3 * i + 2, 1);
-            let join = b.add_block(3 * i + 3, 1);
-            for (f, t) in [(top, then), (top, other), (then, join), (other, join)] {
-                b.add_edge(f, t).unwrap();
-            }
-            top = join;
-        }
-        b.build(entry).unwrap()
-    }
-
     #[test]
     fn overflowing_path_total_falls_back_to_closeness() {
         // 2^1100 paths end to end: sigma overflows to +inf, and inf * 0 and
         // inf / inf would make every betweenness value NaN.
-        let g = diamond_chain(1100);
+        let g = reference::diamond_chain(1100);
         let cf = CentralityFactors::compute(&g);
         assert!(cf.betweenness_values().iter().all(|&b| b == 0.0));
         assert_eq!(cf.closeness_values(), reference::closeness(&g).as_slice());
         for v in g.block_ids() {
             assert!(cf.factor(v) > 0.0 && cf.factor(v) == cf.closeness(v));
         }
+    }
+
+    /// `compute` on `g`, best of three runs, with that run's result.
+    fn best_time(g: &Cfg) -> (CentralityFactors, Duration) {
+        let mut best = Duration::MAX;
+        let mut cf = None;
+        for _ in 0..3 {
+            let t = Instant::now();
+            cf = Some(CentralityFactors::compute(g));
+            best = best.min(t.elapsed());
+        }
+        (cf.expect("three runs"), best)
+    }
+
+    #[test]
+    fn bridge_chain_centrality_takes_linear_time() {
+        // 100,000 blocks in a line: every edge a bridge, so each block has
+        // two members. The fused kernel's one search per source would take
+        // minutes.
+        let n = 100_000;
+        let mut b = CfgBuilder::new();
+        let ids: Vec<_> = (0..n).map(|i| b.add_block(i as u64, 1)).collect();
+        for w in ids.windows(2) {
+            b.add_edge(w[0], w[1]).unwrap();
+        }
+        let g = b.build(ids[0]).unwrap();
+        let (cf, took) = best_time(&g);
+        assert!(took < Duration::from_millis(500), "took {took:?}");
+        // Paths through the middle node: 2·(n/2)·(n/2 - 1) of n·(n - 1).
+        let mid = ids[n / 2];
+        let want = (2 * (n / 2) * (n / 2 - 1)) as f64 / (n * (n - 1)) as f64;
+        assert_eq!(cf.betweenness(mid), want);
+        assert!(block_cut::exact(g.csr_adjacency()).is_some());
+    }
+
+    #[test]
+    fn bridge_star_centrality_takes_linear_time() {
+        // One hub heading 99,999 two-member blocks: building each block's
+        // edges must not rescan the hub's whole neighbour list.
+        let n = 100_000usize;
+        let mut b = CfgBuilder::new();
+        let ids: Vec<_> = (0..n).map(|i| b.add_block(i as u64, 1)).collect();
+        for &leaf in &ids[1..] {
+            b.add_edge(ids[0], leaf).unwrap();
+        }
+        let g = b.build(ids[0]).unwrap();
+        let (cf, took) = best_time(&g);
+        assert!(took < Duration::from_millis(500), "took {took:?}");
+        // Every leaf-to-leaf path crosses the hub: (n-1)(n-2) of n(n-1).
+        let want = ((n - 1) * (n - 2)) as f64 / (n * (n - 1)) as f64;
+        assert_eq!(cf.betweenness(ids[0]), want);
+        assert_eq!(cf.betweenness(ids[1]), 0.0);
     }
 }

@@ -1,15 +1,17 @@
-//! The two-pass centrality reference and the oracle tests that hold
-//! [`CentralityFactors::compute`] to it bit for bit.
+//! The two-pass centrality reference and the oracle tests that hold both
+//! paths of [`CentralityFactors::compute`] to it bit for bit.
 //!
 //! [`betweenness_ratio`] (Brandes) and [`closeness`] (one more BFS per
-//! node) are the plain two-pass implementations and the spec: the kernel
-//! must perform the same floating-point operations in the same order, so
-//! every factor is bit-identical even when path counts exceed 2^53 and
-//! every addition rounds. Workload-sized graphs never get there, which is
-//! why the oracle below runs on layered graphs whose path totals reach
-//! ~2^68.
+//! node) are the plain two-pass implementations and the spec. The fused
+//! kernel performs the same floating-point operations in the same order,
+//! so its factors are bit-identical even when path counts exceed 2^53 and
+//! every addition rounds; the layered graphs below, whose path totals
+//! reach ~2^68, are where that shows. The exact block-cut path sums in
+//! another order and must match wherever it certifies its result: on
+//! every workload-shaped graph here, and on diamond chains up to the
+//! length where 2^53 is crossed.
 
-use super::CentralityFactors;
+use super::{block_cut, CentralityFactors};
 use crate::block::BlockId;
 use crate::graph::Cfg;
 use crate::CfgBuilder;
@@ -144,20 +146,34 @@ fn bfs_adjacency(adj: &[Vec<BlockId>], start: BlockId) -> Vec<Option<usize>> {
     dist
 }
 
-/// Asserts the kernel reproduces both reference vectors bit for bit.
-fn assert_matches_reference(g: &Cfg) {
-    let cf = CentralityFactors::compute(g);
+/// The path [`CentralityFactors::compute`] takes on a graph.
+#[derive(Debug, PartialEq)]
+enum Path {
+    Exact,
+    Fallback,
+}
+
+/// Holds the fused kernel, and the exact block-cut path wherever it
+/// certifies, to both reference vectors bit for bit; returns the path
+/// `compute` takes.
+fn check(g: &Cfg) -> Path {
     let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(
-        bits(cf.betweenness_values()),
-        bits(&betweenness_ratio(g)),
-        "betweenness"
-    );
-    assert_eq!(
-        bits(cf.closeness_values()),
-        bits(&closeness(g)),
-        "closeness"
-    );
+    let want_b = bits(&betweenness_ratio(g));
+    let want_c = bits(&closeness(g));
+    let adj = g.csr_adjacency();
+    let mut got = vec![("fused", CentralityFactors::fused(adj))];
+    let exact = block_cut::exact(adj);
+    let path = if exact.is_some() {
+        Path::Exact
+    } else {
+        Path::Fallback
+    };
+    got.extend(exact.map(|cf| ("exact", cf)));
+    for (name, cf) in got {
+        assert_eq!(bits(cf.betweenness_values()), want_b, "{name} betweenness");
+        assert_eq!(bits(cf.closeness_values()), want_c, "{name} closeness");
+    }
+    path
 }
 
 /// A seeded layered graph: `layers` layers of 3–5 blocks, every block
@@ -189,23 +205,112 @@ fn layered(seed: u64, layers: usize) -> Cfg {
     b.build(BlockId::new(0)).expect("non-empty graph builds")
 }
 
+/// `k` if/else diamonds in series: `3k + 1` blocks and `2^k` shortest
+/// paths from the first block to the last.
+pub(super) fn diamond_chain(k: usize) -> Cfg {
+    let mut b = CfgBuilder::new();
+    let entry = b.add_block(0, 1);
+    let mut top = entry;
+    for i in 0..k as u64 {
+        let then = b.add_block(3 * i + 1, 1);
+        let other = b.add_block(3 * i + 2, 1);
+        let join = b.add_block(3 * i + 3, 1);
+        for (f, t) in [(top, then), (top, other), (then, join), (other, join)] {
+            b.add_edge(f, t).unwrap();
+        }
+        top = join;
+    }
+    b.build(entry).unwrap()
+}
+
+/// The shape of a GEA example (arXiv:1902.04416): a new entry branching
+/// to both graphs' entries, and every exit of either graph joined in one
+/// new exit block.
+fn gea_shaped(original: &Cfg, target: &Cfg) -> Cfg {
+    let mut b = CfgBuilder::new();
+    let entry = b.add_block(0, 1);
+    let mut roots = Vec::new();
+    let mut exits = Vec::new();
+    for g in [original, target] {
+        let base = b.block_count();
+        for id in g.block_ids() {
+            b.push_block(*g.block(id));
+        }
+        let at = |id: BlockId| BlockId::new(base + id.index());
+        for (f, t) in g.edges() {
+            b.add_edge(at(f), at(t)).expect("fresh edge");
+        }
+        roots.push(at(g.entry()));
+        exits.extend(g.exits().into_iter().map(at));
+    }
+    let exit = b.add_block(0, 1);
+    for r in roots {
+        b.add_edge(entry, r).expect("fresh edge");
+    }
+    for e in exits {
+        b.add_edge(e, exit).expect("fresh edge");
+    }
+    b.build(entry).expect("non-empty graph builds")
+}
+
 #[test]
 fn kernel_matches_reference_bit_for_bit_on_rounding_layered_graphs() {
     for seed in 0..8 {
-        assert_matches_reference(&layered(seed, 64));
+        assert_eq!(check(&layered(seed, 64)), Path::Fallback);
     }
 }
 
 #[test]
 fn kernel_matches_reference_on_small_shapes() {
     for g in [layered(99, 1), layered(99, 2), layered(7, 5)] {
-        assert_matches_reference(&g);
+        assert_eq!(check(&g), Path::Exact);
     }
+}
+
+#[test]
+fn diamond_chains_take_the_exact_path_until_2_to_the_53() {
+    // The path total is 2^53 - 800 at 48 diamonds and about 2^54 at 49.
+    for k in [1, 2, 10, 47, 48] {
+        assert_eq!(check(&diamond_chain(k)), Path::Exact, "{k} diamonds");
+    }
+    for k in [49, 50, 64] {
+        assert_eq!(check(&diamond_chain(k)), Path::Fallback, "{k} diamonds");
+    }
+}
+
+#[test]
+fn fallbacks_are_counted() {
+    let scope = soteria_telemetry::scoped();
+    for g in [diamond_chain(48), diamond_chain(50), layered(3, 64)] {
+        CentralityFactors::compute(&g);
+    }
+    let report = soteria_telemetry::snapshot();
+    assert_eq!(report.counter("cfg.centrality.fallbacks"), Some(2));
+    drop(scope);
 }
 
 proptest! {
     #[test]
     fn kernel_matches_reference_on_arb_cfg(g in arb_cfg::arb_cfg(40)) {
-        assert_matches_reference(&g);
+        check(&g);
+    }
+
+    #[test]
+    fn gea_shaped_merges_take_the_exact_path(
+        original in arb_cfg::arb_block_rich(115),
+        target in arb_cfg::arb_block_rich(115),
+    ) {
+        prop_assert_eq!(check(&gea_shaped(&original, &target)), Path::Exact);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn exact_path_matches_reference_on_block_rich_graphs(
+        g in arb_cfg::arb_block_rich(60),
+    ) {
+        prop_assert_eq!(check(&g), Path::Exact);
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests for the CFG substrate.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -13,7 +14,25 @@ use std::collections::HashSet;
 #[path = "support/arb_cfg.rs"]
 mod arb_cfg;
 
-use arb_cfg::arb_cfg;
+use arb_cfg::{arb_block_rich, arb_cfg};
+
+/// Every betweenness value is a share of the path total, `Δ(v) ≤ T`, so it
+/// lies in [0, 1]; a node with at most one undirected neighbour is inside
+/// no shortest path and scores exactly 0.
+fn check_betweenness_range(g: &Cfg) -> Result<(), TestCaseError> {
+    let adj = g.csr_adjacency();
+    for (v, &b) in CentralityFactors::compute(g)
+        .betweenness_values()
+        .iter()
+        .enumerate()
+    {
+        prop_assert!((0.0..=1.0).contains(&b), "node {v}: {b}");
+        if adj.degree(v) <= 1 {
+            prop_assert_eq!(b, 0.0, "node {v} has degree {}", adj.degree(v));
+        }
+    }
+    Ok(())
+}
 
 proptest! {
     #[test]
@@ -43,14 +62,13 @@ proptest! {
     }
 
     #[test]
-    fn betweenness_values_are_a_probability_partition(g in arb_cfg(20)) {
-        // Each value in [0, 1]; the sum over nodes cannot exceed the longest
-        // possible interior count... but at minimum, sum <= n (each path has
-        // < n interior nodes). Check range and finiteness.
-        for &v in CentralityFactors::compute(&g).betweenness_values() {
-            prop_assert!(v.is_finite());
-            prop_assert!(v >= 0.0);
-        }
+    fn betweenness_values_lie_in_the_unit_interval(g in arb_cfg(20)) {
+        check_betweenness_range(&g)?;
+    }
+
+    #[test]
+    fn block_rich_betweenness_values_lie_in_the_unit_interval(g in arb_block_rich(40)) {
+        check_betweenness_range(&g)?;
     }
 
     #[test]

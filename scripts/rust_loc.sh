@@ -35,7 +35,7 @@ content() {
     if [[ -z $rev ]]; then
         [[ -f $path ]] && cat "$path"
     else
-        git show "$rev:$path" 2>/dev/null
+        git show "$rev:$path" 2>/dev/null || true
     fi
     return 0
 }
