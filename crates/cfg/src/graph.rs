@@ -53,6 +53,19 @@ impl CsrAdjacency {
     pub fn degree(&self, v: usize) -> usize {
         (self.offsets[v + 1] - self.offsets[v]) as usize
     }
+
+    /// The offsets array: node `v`'s neighbors are the arc slots
+    /// `offsets()[v]..offsets()[v + 1]` of [`targets`](Self::targets), so
+    /// a table with one entry per slot describes every arc `v → w`.
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// Every node's neighbor list, concatenated in node order: the target
+    /// of each arc slot.
+    pub fn targets(&self) -> &[u32] {
+        &self.targets
+    }
 }
 
 /// An immutable control flow graph.

@@ -62,6 +62,7 @@ use serde::{Deserialize, Serialize};
 use soteria_features::{ExtractorConfig, FeatureExtractor, Gram, Vocabulary};
 use soteria_nn::persist::{LayerSpec, ModelSpec};
 use soteria_nn::{Activation, Conv1d, Conv2d, Dense, Dropout, Matrix, MaxPool1d, MaxPool2d};
+use std::collections::HashMap;
 use std::path::Path;
 
 /// The 16-byte magic that opens every v3 artifact.
@@ -690,13 +691,22 @@ impl StateImage {
             )));
         }
         let mut grams = Vec::with_capacity(packed.len());
+        // A fitted vocabulary never repeats a gram; a repeat would leave
+        // the earlier copy's feature forever zero.
+        let mut first = HashMap::with_capacity(packed.len());
         for (i, (&bits, &len)) in packed.iter().zip(lens.iter()).enumerate() {
             if !(1..=4).contains(&len) || (len < 4 && bits >> (16 * u32::from(len)) != 0) {
                 return Err(StateError::Parse(format!(
                     "vocabulary gram {i} is malformed (len {len}, bits {bits:#x})"
                 )));
             }
-            grams.push(Gram::from_raw(len, bits));
+            let gram = Gram::from_raw(len, bits);
+            if let Some(j) = first.insert(gram, i) {
+                return Err(StateError::Parse(format!(
+                    "vocabulary gram {i} repeats gram {j} {gram}"
+                )));
+            }
+            grams.push(gram);
         }
         Ok(Vocabulary::from_parts(grams, idf))
     }
@@ -868,12 +878,20 @@ impl StateImage {
     /// # Errors
     ///
     /// Returns the typed [`StateError`] if the META document references
-    /// sections inconsistently with its declared shapes, or if a network's
-    /// layer widths do not chain from the extractor's feature width: the
-    /// detector maps `combined_dim` back to `combined_dim`, and each CNN
-    /// maps `per_labeling_dim` to one logit per class.
+    /// sections inconsistently with its declared shapes, if the extractor
+    /// could not extract (an n-gram size outside 1..=4) or its vocabulary
+    /// repeats a gram, or if a network's layer widths do not chain from
+    /// the extractor's feature width: the detector maps `combined_dim`
+    /// back to `combined_dim`, and each CNN maps `per_labeling_dim` to one
+    /// logit per class.
     pub fn to_state(&self) -> Result<SoteriaState, StateError> {
         let meta = &self.meta;
+        let sizes = &meta.extractor_config.ngram_sizes;
+        if let Some(n) = sizes.iter().find(|n| !(1..=4).contains(*n)) {
+            return Err(StateError::Parse(format!(
+                "extractor n-gram size {n} not in 1..=4 (sizes {sizes:?})"
+            )));
+        }
         let extractor = FeatureExtractor::from_parts(
             meta.extractor_config.clone(),
             self.vocab(&meta.dbl_vocab)?,
@@ -967,6 +985,55 @@ mod tests {
         let image = StateImage::parse(&state.to_artifact().unwrap()).unwrap();
         let err = Soteria::load_image(&image).expect_err("a misfit classifier must not load");
         assert!(err.to_string().contains("DBL CNN gives 4"), "{err}");
+    }
+
+    #[test]
+    fn extractors_that_repeat_a_gram_or_cannot_extract_are_refused() {
+        let (original, ..) = small_trained();
+        let refused = |state: &SoteriaState| {
+            let image = StateImage::parse(&state.to_artifact().unwrap()).unwrap();
+            let err = Soteria::load_image(&image).expect_err("the extractor must not load");
+            assert!(matches!(err, StateError::Parse(_)), "{err:?}");
+            err.to_string()
+        };
+
+        // A DBL vocabulary that lists its first gram again at the end.
+        let mut state = original.save_state().unwrap();
+        let ex = &state.extractor;
+        let (mut grams, mut idf) = (
+            ex.dbl_vocabulary().grams().to_vec(),
+            ex.dbl_vocabulary().idf_weights().to_vec(),
+        );
+        let last = grams.len();
+        grams.push(grams[0]);
+        idf.push(idf[0]);
+        state.extractor = FeatureExtractor::from_parts(
+            ex.config().clone(),
+            Vocabulary::from_parts(grams, idf),
+            ex.lbl_vocabulary().clone(),
+        );
+        let why = refused(&state);
+        assert!(
+            why.contains(&format!("gram {last} repeats gram 0")),
+            "{why}"
+        );
+
+        // n-gram sizes every extraction would panic on.
+        for sizes in [vec![2, 0], vec![5], vec![2, 3, 4, 8]] {
+            let mut state = original.save_state().unwrap();
+            let ex = &state.extractor;
+            let config = ExtractorConfig {
+                ngram_sizes: sizes,
+                ..ex.config().clone()
+            };
+            state.extractor = FeatureExtractor::from_parts(
+                config,
+                ex.dbl_vocabulary().clone(),
+                ex.lbl_vocabulary().clone(),
+            );
+            let why = refused(&state);
+            assert!(why.contains("not in 1..=4"), "{why}");
+        }
     }
 
     #[test]

@@ -578,7 +578,7 @@ struct ExtractBenchReport {
 
 /// `extract-bench` — time the feature-extraction stage in isolation: the
 /// sequential reference implementation against the parallel fast path
-/// (per-walk RNG streams + interned gram counting + scratch arenas) at an
+/// (per-walk RNG streams + arc-indexed gram counting + scratch arenas) at an
 /// 8-worker pool, asserting bit-identical output while measuring. `--smoke`
 /// shrinks the corpus and config for the CI gate. With `--baseline PATH`,
 /// drift against a committed report is *noted* (never fatal: wall-clock

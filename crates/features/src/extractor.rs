@@ -94,7 +94,7 @@ pub struct FeatureExtractor {
     config: ExtractorConfig,
     dbl_vocab: Vocabulary,
     lbl_vocab: Vocabulary,
-    /// Interned gram-lookup tables for the fast path, built lazily from the
+    /// The fast path's gram and prefix lookup tables, built lazily from the
     /// vocabularies; rebuilding is cheap and changes no observable state.
     fast: OnceLock<FastTables>,
 }
@@ -273,10 +273,10 @@ impl FeatureExtractor {
     /// normalization keeps clean vectors at unit magnitude so the
     /// auto-encoder and CNNs see well-conditioned inputs.
     ///
-    /// Runs on the parallel fast path (per-walk RNG streams, interned gram
-    /// counting, scratch arenas — see the `fastpath` module) and falls back
-    /// to [`extract_reference`](Self::extract_reference) whenever the fast
-    /// path cannot guarantee bit-identical output. Both paths produce the
+    /// Runs on the parallel fast path (per-walk RNG streams, arc-indexed
+    /// gram counting, scratch arenas — see the `fastpath` module) and falls
+    /// back to [`extract_reference`](Self::extract_reference) whenever the
+    /// fast path cannot guarantee bit-identical output. Both paths produce the
     /// same bytes for the same `(cfg, seed)`.
     pub fn extract(&self, cfg: &Cfg, seed: u64) -> SampleFeatures {
         let _span = soteria_telemetry::span("features.extract");

@@ -17,13 +17,20 @@
 //!   shared flag and the whole sample is recomputed on the reference path,
 //!   so a speculation miss costs time, never correctness.
 //!
-//! * **Interned gram counting.** Instead of a `HashMap<Gram, u32>` per
-//!   walk, grams are packed on the fly from a ring buffer of the last four
-//!   labels and looked up in a frozen open-addressing table built from the
-//!   fitted vocabulary ([`VocabIndex`]). In-vocabulary grams bump a slot in
-//!   a dense `u32` array indexed by feature id; out-of-vocabulary grams
-//!   only bump the walk's total (the reference's TF denominator counts
-//!   them too). Walks are never materialized as label vectors.
+//! * **Arc-indexed gram counting.** Instead of a `HashMap<Gram, u32>` per
+//!   walk, each labeling gets one [`ArcGrams`] table per sample, built over
+//!   the reachable graph's CSR before the walks fan out: the vocabulary id
+//!   of every arc's 2-gram, a flag byte saying whether the arc's label pair
+//!   starts some vocabulary 3- or 4-gram, and every node's 1-gram id. A
+//!   walk step then bumps `counts[pair[s]]` for the arc slot `s` it took
+//!   (and `counts[node[at]]` when size 1 is configured); it packs and looks
+//!   up a 3- or 4-gram window in the frozen open-addressing table
+//!   ([`VocabIndex`]) only when the arc one or two steps back carries the
+//!   matching flag. Out-of-vocabulary ids all name one sink slot past the
+//!   vocabulary, so counting takes no branch; each walk's total (the
+//!   reference's TF denominator, out-of-vocabulary windows included) is
+//!   `Σ_n max(0, L − n + 1)` over the configured sizes for `L` visited
+//!   labels. Walks are never materialized as label vectors.
 //!
 //! * **Scratch arenas.** The flat count/total buffers are checked out of a
 //!   process-wide pool and returned after use, so steady-state extraction
@@ -42,14 +49,15 @@ use crate::{labeling, ExtractorConfig, Labeling};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use soteria_cfg::{Cfg, CsrAdjacency};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// A frozen open-addressing lookup table from packed gram to feature id.
+/// A frozen open-addressing lookup table from packed gram to id.
 ///
-/// Linear probing over a power-of-two slot array sized at 4× the
-/// vocabulary (load factor ≤ 0.25), keyed by `(len, packed)`. `len == 0`
-/// marks an empty slot — constructed grams always have `1 ≤ len ≤ 4`.
+/// Linear probing over a power-of-two slot array sized at 4× the entry
+/// count (load factor ≤ 0.25), keyed by `(len, packed)`. `len == 0` marks
+/// an empty slot — constructed grams always have `1 ≤ len ≤ 4`.
 #[derive(Debug, Clone)]
 pub(crate) struct VocabIndex {
     slots: Vec<Slot>,
@@ -70,9 +78,17 @@ fn hash_gram(len: u8, packed: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// [`ArcGrams::flags`] bit: the arc's label pair starts a vocabulary 3-gram.
+const STARTS_3: u8 = 1;
+/// [`ArcGrams::flags`] bit: the arc's label pair starts a vocabulary 4-gram.
+const STARTS_4: u8 = 2;
+
 impl VocabIndex {
-    pub(crate) fn build(vocab: &Vocabulary) -> Self {
-        let cap = (4 * vocab.len().max(1)).next_power_of_two();
+    /// Indexes `(len, packed, id)` entries. A repeated key resolves to its
+    /// last entry, as [`Vocabulary`]'s own index does, so a vocabulary that
+    /// lists a gram twice counts it into the same feature on both paths.
+    fn from_entries(entries: impl ExactSizeIterator<Item = (u8, u64, u32)>) -> Self {
+        let cap = (4 * entries.len().max(1)).next_power_of_two();
         let mut slots = vec![
             Slot {
                 len: 0,
@@ -82,19 +98,43 @@ impl VocabIndex {
             cap
         ];
         let mask = cap - 1;
-        for (i, g) in vocab.grams().iter().enumerate() {
-            let (len, packed) = (g.len() as u8, g.packed());
+        for (len, packed, id) in entries {
             let mut at = hash_gram(len, packed) as usize & mask;
-            while slots[at].len != 0 {
+            while slots[at].len != 0 && (slots[at].len, slots[at].packed) != (len, packed) {
                 at = (at + 1) & mask;
             }
-            slots[at] = Slot {
-                len,
-                packed,
-                id: i as u32,
-            };
+            slots[at] = Slot { len, packed, id };
         }
         VocabIndex { slots, mask }
+    }
+
+    /// Maps every vocabulary gram to its feature id.
+    pub(crate) fn build(vocab: &Vocabulary) -> Self {
+        Self::from_entries(
+            vocab
+                .grams()
+                .iter()
+                .enumerate()
+                .map(|(i, g)| (g.len() as u8, g.packed(), i as u32)),
+        )
+    }
+
+    /// Maps every label pair that starts a vocabulary 3- or 4-gram, keyed
+    /// as a 2-gram, to its `STARTS_3 | STARTS_4` bits.
+    fn prefixes(vocab: &Vocabulary) -> Self {
+        let mut bits: BTreeMap<u64, u8> = BTreeMap::new();
+        for g in vocab.grams() {
+            let flag = match g.len() {
+                3 => STARTS_3,
+                4 => STARTS_4,
+                _ => continue,
+            };
+            *bits.entry(g.packed() & 0xFFFF_FFFF).or_default() |= flag;
+        }
+        Self::from_entries(
+            bits.into_iter()
+                .map(|(pair, flag)| (2, pair, u32::from(flag))),
+        )
     }
 
     #[inline]
@@ -113,27 +153,164 @@ impl VocabIndex {
     }
 }
 
-/// The two interned vocabularies, built once per fitted extractor and
-/// cached behind a `OnceLock` (rebuilt transparently after deserialize).
+/// One labeling's frozen lookup tables.
+#[derive(Debug, Clone)]
+struct LabelingTables {
+    /// Vocabulary gram → feature id.
+    grams: VocabIndex,
+    /// Label pair → the `STARTS_*` bits of the 3- and 4-grams it starts.
+    prefixes: VocabIndex,
+    /// The count slot every out-of-vocabulary window bumps: one past the
+    /// vocabulary.
+    sink: u32,
+}
+
+impl LabelingTables {
+    fn build(vocab: &Vocabulary) -> Self {
+        LabelingTables {
+            grams: VocabIndex::build(vocab),
+            prefixes: VocabIndex::prefixes(vocab),
+            sink: vocab.len() as u32,
+        }
+    }
+}
+
+/// Both labelings' tables, built once per fitted extractor and cached
+/// behind a `OnceLock` (rebuilt transparently after loading).
 #[derive(Debug, Clone)]
 pub(crate) struct FastTables {
-    dbl: VocabIndex,
-    lbl: VocabIndex,
+    dbl: LabelingTables,
+    lbl: LabelingTables,
 }
 
 impl FastTables {
     pub(crate) fn build(dbl: &Vocabulary, lbl: &Vocabulary) -> Self {
         FastTables {
-            dbl: VocabIndex::build(dbl),
-            lbl: VocabIndex::build(lbl),
+            dbl: LabelingTables::build(dbl),
+            lbl: LabelingTables::build(lbl),
         }
+    }
+}
+
+/// The configured n-gram sizes as one flag per size (index 1..=4), or
+/// `None` when a size lies outside 1..=4 or repeats: the per-size kernel
+/// counts each size once, where the reference counts a repeated size as
+/// often as it is listed.
+fn size_set(sizes: &[usize]) -> Option<[bool; 5]> {
+    let mut set = [false; 5];
+    for &n in sizes {
+        if !(1..=4).contains(&n) || std::mem::replace(&mut set[n], true) {
+            return None;
+        }
+    }
+    Some(set)
+}
+
+/// One labeling's gram ids laid over a graph's CSR, built once per sample
+/// before the walks fan out, so a walk step reads arrays instead of
+/// packing and hashing its windows. Out-of-vocabulary ids are the tables'
+/// sink.
+struct ArcGrams<'a> {
+    csr: &'a CsrAdjacency,
+    labels: &'a [usize],
+    grams: &'a VocabIndex,
+    /// Per arc slot `s` (see [`CsrAdjacency::offsets`]) from `u` to `v`:
+    /// the id of the 2-gram `(label u, label v)`.
+    pair: Vec<u32>,
+    /// Per arc slot: `STARTS_3` / `STARTS_4` when the arc's label pair
+    /// starts some vocabulary 3- / 4-gram.
+    flags: Vec<u8>,
+    /// Per node: the id of its label's 1-gram.
+    node: Vec<u32>,
+}
+
+impl<'a> ArcGrams<'a> {
+    fn build(csr: &'a CsrAdjacency, labels: &'a [usize], tables: &'a LabelingTables) -> Self {
+        let id = |len, packed| tables.grams.get(len, packed).unwrap_or(tables.sink);
+        let arcs = csr.targets().len();
+        let (mut pair, mut flags) = (Vec::with_capacity(arcs), Vec::with_capacity(arcs));
+        for (u, &lu) in labels.iter().enumerate() {
+            for &v in csr.neighbors(u) {
+                let packed = lu as u64 | (labels[v as usize] as u64) << 16;
+                pair.push(id(2, packed));
+                flags.push(tables.prefixes.get(2, packed).map_or(0, |f| f as u8));
+            }
+        }
+        let node = labels.iter().map(|&l| id(1, l as u64)).collect();
+        ArcGrams {
+            csr,
+            labels,
+            grams: &tables.grams,
+            pair,
+            flags,
+            node,
+        }
+    }
+
+    /// Walks `len` steps from `entry` and counts every configured window
+    /// into `counts` (one slot per vocabulary gram, then the sink).
+    /// Returns the walk's window total, in vocabulary or not, which is the
+    /// reference's TF denominator.
+    fn count_walk<R: Rng>(
+        &self,
+        entry: usize,
+        len: usize,
+        sizes: [bool; 5],
+        rng: &mut R,
+        counts: &mut [u32],
+    ) -> u64 {
+        let (offsets, targets) = (self.csr.offsets(), self.csr.targets());
+        let mut at = entry;
+        // The last four labels, newest in the top 16 bits, so the n-label
+        // window ending here packs as `window >> (16 * (4 - n))`.
+        let mut window = (self.labels[at] as u64) << 48;
+        // Flags of the arcs taken one and two steps back (0 until taken).
+        let (mut back1, mut back2) = (0u8, 0u8);
+        let mut visited = 1u64;
+        if sizes[1] {
+            counts[self.node[at] as usize] += 1;
+        }
+        for _ in 0..len {
+            let lo = offsets[at] as usize;
+            let degree = offsets[at + 1] as usize - lo;
+            if degree == 0 {
+                break;
+            }
+            let s = lo + rng.gen_range(0..degree);
+            at = targets[s] as usize;
+            visited += 1;
+            window = window >> 16 | (self.labels[at] as u64) << 48;
+            if sizes[1] {
+                counts[self.node[at] as usize] += 1;
+            }
+            if sizes[2] {
+                counts[self.pair[s] as usize] += 1;
+            }
+            if sizes[3] && back1 & STARTS_3 != 0 {
+                if let Some(id) = self.grams.get(3, window >> 16) {
+                    counts[id as usize] += 1;
+                }
+            }
+            if sizes[4] && back2 & STARTS_4 != 0 {
+                if let Some(id) = self.grams.get(4, window) {
+                    counts[id as usize] += 1;
+                }
+            }
+            back2 = back1;
+            back1 = self.flags[s];
+        }
+        (1..=4u64)
+            .filter(|&n| sizes[n as usize])
+            .map(|n| (visited + 1).saturating_sub(n))
+            .sum()
     }
 }
 
 /// Reusable count/total buffers for one extraction.
 #[derive(Default)]
 struct Scratch {
-    /// Per-walk dense counts: `count` DBL blocks then `count` LBL blocks.
+    /// Per-walk dense counts: `count` DBL blocks then `count` LBL blocks,
+    /// each one slot per vocabulary gram plus the sink.
     counts: Vec<u32>,
     /// Column sums over walks, DBL block then LBL block.
     merged: Vec<u32>,
@@ -169,59 +346,25 @@ pub(crate) struct FastOutput {
 }
 
 /// One walk's unit of work: its global index (which fixes its RNG word
-/// offset), its labeling, and disjoint output slices.
+/// offset), its labeling's tables, and disjoint output slices.
 struct WalkUnit<'a> {
     w: usize,
-    labels: &'a [usize],
+    arcs: &'a ArcGrams<'a>,
     idf: &'a [f64],
-    index: &'a VocabIndex,
     vlen: usize,
     counts: &'a mut [u32],
     total: &'a mut u64,
     out: &'a mut [f64],
 }
 
-/// Appends one label to the fused walk/count state: the ring keeps the last
-/// four labels, and every configured window ending at this position is
-/// packed and counted. Counting all windows in `total` (in-vocabulary or
-/// not) mirrors the reference's TF denominator.
-#[inline]
-fn push_label(
-    label: usize,
-    ring: &mut [u64; 4],
-    pos: &mut usize,
-    sizes: &[usize],
-    index: &VocabIndex,
-    counts: &mut [u32],
-    total: &mut u64,
-) {
-    ring[*pos & 3] = label as u64;
-    *pos += 1;
-    for &n in sizes {
-        if *pos < n {
-            continue;
-        }
-        let mut packed = 0u64;
-        for j in 0..n {
-            packed |= ring[(*pos - n + j) & 3] << (16 * j);
-        }
-        *total += 1;
-        if let Some(id) = index.get(n as u8, packed) {
-            counts[id as usize] += 1;
-        }
-    }
-}
-
 /// Runs one walk end to end: jump the RNG to the walk's predicted word
 /// offset, walk and count fused, verify the speculation, then transform and
 /// normalize into the walk's output slice.
-#[allow(clippy::too_many_arguments)]
 fn run_unit(
     unit: &mut WalkUnit<'_>,
-    csr: &CsrAdjacency,
     entry: usize,
     len: usize,
-    sizes: &[usize],
+    sizes: [bool; 5],
     seed: u64,
     words_per_walk: u64,
     ok: &AtomicBool,
@@ -232,36 +375,9 @@ fn run_unit(
     let start = (unit.w as u64).wrapping_mul(words_per_walk);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     rng.set_word_pos(start);
-
-    let mut ring = [0u64; 4];
-    let mut pos = 0usize;
-    let mut total = 0u64;
-    let mut at = entry;
-    push_label(
-        unit.labels[at],
-        &mut ring,
-        &mut pos,
-        sizes,
-        unit.index,
-        unit.counts,
-        &mut total,
-    );
-    for _ in 0..len {
-        let neighbors = csr.neighbors(at);
-        if neighbors.is_empty() {
-            break;
-        }
-        at = neighbors[rng.gen_range(0..neighbors.len())] as usize;
-        push_label(
-            unit.labels[at],
-            &mut ring,
-            &mut pos,
-            sizes,
-            unit.index,
-            unit.counts,
-            &mut total,
-        );
-    }
+    let total = unit
+        .arcs
+        .count_walk(entry, len, sizes, &mut rng, unit.counts);
     if rng.get_word_pos() != start.wrapping_add(words_per_walk) {
         // A Lemire rejection shifted the sequential stream: this walk (and
         // every later one) no longer matches the reference. Abort the whole
@@ -290,10 +406,10 @@ fn run_unit(
 
 /// Extracts one sample on the fast path, or returns `None` when the fast
 /// path cannot guarantee bit-identical output and the caller must use the
-/// reference implementation: an n-gram size the 4-label ring cannot hold
-/// (the reference panics on those, and the fallback reproduces that), a
-/// label outside the packable range, a vocabulary wider than `top_k`, or an
-/// RNG speculation miss.
+/// reference implementation: an n-gram size outside 1..=4 (the reference
+/// panics on those, and the fallback reproduces that), a repeated n-gram
+/// size, a label outside the packable range, a vocabulary wider than
+/// `top_k`, or an RNG speculation miss.
 pub(crate) fn extract_fast(
     config: &ExtractorConfig,
     dbl_vocab: &Vocabulary,
@@ -303,9 +419,7 @@ pub(crate) fn extract_fast(
     seed: u64,
 ) -> Option<FastOutput> {
     let k = config.top_k;
-    if config.ngram_sizes.iter().any(|&n| n == 0 || n > 4) {
-        return None;
-    }
+    let sizes = size_set(&config.ngram_sizes)?;
     if dbl_vocab.len() > k || lbl_vocab.len() > k {
         return None;
     }
@@ -342,7 +456,7 @@ pub(crate) fn extract_fast(
     };
 
     let mut scratch = checkout();
-    let (dstride, lstride) = (dl.max(1), ll.max(1));
+    let (dstride, lstride) = (dl + 1, ll + 1);
     scratch.counts.clear();
     scratch.counts.resize(count * (dstride + lstride), 0);
     scratch.totals.clear();
@@ -356,6 +470,8 @@ pub(crate) fn extract_fast(
     let ok = AtomicBool::new(true);
     {
         let _span = soteria_telemetry::span("features.stage.walks");
+        let dbl_arcs = ArcGrams::build(csr, &dbl_labels, &tables.dbl);
+        let lbl_arcs = ArcGrams::build(csr, &lbl_labels, &tables.lbl);
         let (dbl_flat, lbl_flat) = scratch.counts.split_at_mut(count * dstride);
         let (dbl_totals, lbl_totals) = scratch.totals.split_at_mut(count);
         let mut units: Vec<WalkUnit<'_>> = Vec::with_capacity(total_walks);
@@ -367,9 +483,8 @@ pub(crate) fn extract_fast(
         {
             units.push(WalkUnit {
                 w,
-                labels: &dbl_labels,
+                arcs: &dbl_arcs,
                 idf: dbl_vocab.idf_weights(),
-                index: &tables.dbl,
                 vlen: dl,
                 counts,
                 total,
@@ -384,9 +499,8 @@ pub(crate) fn extract_fast(
         {
             units.push(WalkUnit {
                 w: count + j,
-                labels: &lbl_labels,
+                arcs: &lbl_arcs,
                 idf: lbl_vocab.idf_weights(),
-                index: &tables.lbl,
                 vlen: ll,
                 counts,
                 total,
@@ -394,11 +508,10 @@ pub(crate) fn extract_fast(
             });
         }
 
-        let sizes: &[usize] = &config.ngram_sizes;
         let jobs = (soteria_pool::pool_threads() + 1).min(units.len().max(1));
         if jobs <= 1 {
             for unit in &mut units {
-                run_unit(unit, csr, entry, len, sizes, seed, words_per_walk, &ok);
+                run_unit(unit, entry, len, sizes, seed, words_per_walk, &ok);
             }
         } else {
             let per = units.len().div_ceil(jobs);
@@ -408,7 +521,7 @@ pub(crate) fn extract_fast(
                 .map(|chunk| {
                     Box::new(move || {
                         for unit in chunk.iter_mut() {
-                            run_unit(unit, csr, entry, len, sizes, seed, words_per_walk, ok);
+                            run_unit(unit, entry, len, sizes, seed, words_per_walk, ok);
                         }
                     }) as soteria_pool::ScopedTask<'_>
                 })
@@ -509,35 +622,130 @@ mod tests {
         assert_eq!(index.get(2, 0), None);
     }
 
+    /// Five nodes with a 2-cycle (0 ⇄ 1), a self-loop on 2 and a triangle
+    /// through 3, labeled so label pairs repeat across arcs.
+    fn looped_graph() -> (Cfg, Vec<usize>) {
+        let mut b = soteria_cfg::CfgBuilder::new();
+        let n: Vec<_> = (0..5).map(|i| b.add_block(16 * i, 1)).collect();
+        for (f, t) in [(0, 1), (1, 0), (1, 2), (2, 2), (2, 3), (3, 1), (3, 4)] {
+            b.add_edge(n[f], n[t]).unwrap();
+        }
+        (b.build(n[0]).unwrap(), vec![0, 1, 2, 1, 0])
+    }
+
+    /// Hand-picked grams of every length: some label pairs start 3-grams,
+    /// some 4-grams, some both, and several walk windows stay outside.
+    fn looped_vocab() -> Vocabulary {
+        let grams: Vec<Gram> = [
+            &[0][..],
+            &[2],
+            &[0, 1],
+            &[2, 2],
+            &[1, 2],
+            &[0, 1, 2],
+            &[2, 2, 1],
+            &[1, 0, 1],
+            &[0, 1, 2, 2],
+            &[2, 2, 2, 1],
+            &[1, 2, 1, 0],
+        ]
+        .iter()
+        .map(|w| Gram::new(w))
+        .collect();
+        let idf = vec![1.0; grams.len()];
+        Vocabulary::from_parts(grams, idf)
+    }
+
     #[test]
-    fn push_label_counts_every_window_like_the_reference() {
-        let walk = [0usize, 1, 0, 1, 2, 0];
-        let sizes = [2usize, 3];
-        let vocab = vocab_of(&[&walk], &sizes, 64);
-        let index = VocabIndex::build(&vocab);
-
-        let mut counts = vec![0u32; vocab.len()];
-        let mut total = 0u64;
-        let mut ring = [0u64; 4];
-        let mut pos = 0usize;
-        for &l in &walk {
-            push_label(
-                l,
-                &mut ring,
-                &mut pos,
-                &sizes,
-                &index,
-                &mut counts,
-                &mut total,
-            );
+    fn arc_grams_hold_each_arcs_vocabulary_ids_and_start_flags() {
+        let (g, labels) = looped_graph();
+        let vocab = looped_vocab();
+        let tables = LabelingTables::build(&vocab);
+        let csr = g.csr_adjacency();
+        let arcs = ArcGrams::build(csr, &labels, &tables);
+        let id_of = |w: &[usize]| {
+            let gram = Gram::new(w);
+            vocab
+                .grams()
+                .iter()
+                .position(|&v| v == gram)
+                .map_or(vocab.len() as u32, |i| i as u32)
+        };
+        let starts = |n: usize, pair: [usize; 2]| {
+            vocab
+                .grams()
+                .iter()
+                .any(|v| v.len() == n && v.labels()[..2] == pair)
+        };
+        assert_eq!(arcs.pair.len(), csr.targets().len());
+        let mut seen_flags = 0u8;
+        for u in 0..g.node_count() {
+            assert_eq!(arcs.node[u], id_of(&[labels[u]]), "node {u}");
+            let slots = csr.offsets()[u] as usize..csr.offsets()[u + 1] as usize;
+            for s in slots {
+                let v = csr.targets()[s] as usize;
+                let pair = [labels[u], labels[v]];
+                assert_eq!(arcs.pair[s], id_of(&pair), "arc {u} -> {v}");
+                let mut want = 0;
+                if starts(3, pair) {
+                    want |= STARTS_3;
+                }
+                if starts(4, pair) {
+                    want |= STARTS_4;
+                }
+                assert_eq!(arcs.flags[s], want, "arc {u} -> {v}");
+                seen_flags |= want;
+            }
         }
+        // The graph reaches both flags, the sink and a self-loop arc.
+        assert_eq!(seen_flags, STARTS_3 | STARTS_4);
+        assert!(arcs.pair.contains(&(vocab.len() as u32)));
+        assert!(csr.neighbors(2).contains(&2));
+    }
 
-        let mut reference = GramCounts::new();
-        reference.add_walk(&walk, &sizes);
-        assert_eq!(total, reference.total());
-        for (i, g) in vocab.grams().iter().enumerate() {
-            assert_eq!(counts[i], reference.count(*g), "gram {g}");
+    #[test]
+    fn a_walk_counted_through_the_arc_tables_equals_the_reference_counts() {
+        let (g, labels) = looped_graph();
+        let vocab = looped_vocab();
+        let tables = LabelingTables::build(&vocab);
+        let csr = g.csr_adjacency();
+        let arcs = ArcGrams::build(csr, &labels, &tables);
+        let adjacency = g.undirected_adjacency();
+        for mask in 1..16usize {
+            let sizes: Vec<usize> = (1..=4).filter(|&n| mask & (1 << (n - 1)) != 0).collect();
+            let set = size_set(&sizes).unwrap();
+            for (seed, len) in [(0u64, 0usize), (1, 1), (2, 2), (3, 40), (4, 400)] {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let mut counts = vec![0u32; vocab.len() + 1];
+                let total = arcs.count_walk(0, len, set, &mut rng, &mut counts);
+
+                let mut twin = ChaCha8Rng::seed_from_u64(seed);
+                let walk =
+                    crate::walk::walk_adjacency(&adjacency, g.entry(), &labels, len, &mut twin);
+                let mut reference = GramCounts::new();
+                reference.add_walk(&walk, &sizes);
+                assert_eq!(total, reference.total(), "sizes {sizes:?}, seed {seed}");
+                for (i, gram) in vocab.grams().iter().enumerate() {
+                    let want = if sizes.contains(&gram.len()) {
+                        reference.count(*gram)
+                    } else {
+                        0
+                    };
+                    assert_eq!(counts[i], want, "{gram}, sizes {sizes:?}, seed {seed}");
+                }
+                assert_eq!(rng.get_word_pos(), twin.get_word_pos());
+            }
         }
+    }
+
+    #[test]
+    fn size_sets_decline_repeats_and_sizes_outside_1_to_4() {
+        assert_eq!(size_set(&[2, 3, 4]), Some([false, false, true, true, true]));
+        assert_eq!(size_set(&[4, 1]), Some([false, true, false, false, true]));
+        assert_eq!(size_set(&[]), Some([false; 5]));
+        assert_eq!(size_set(&[2, 2, 3]), None);
+        assert_eq!(size_set(&[0, 2]), None);
+        assert_eq!(size_set(&[2, 5]), None);
     }
 
     #[test]

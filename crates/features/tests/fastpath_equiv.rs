@@ -1,7 +1,7 @@
 //! Differential battery for the extraction fast path.
 //!
 //! `FeatureExtractor::extract` runs the parallel fast path (per-walk jumped
-//! RNG streams, interned gram counting, scratch arenas);
+//! RNG streams, arc-indexed gram counting, scratch arenas);
 //! `FeatureExtractor::extract_reference` is the sequential original,
 //! retained as the oracle. These tests pin the load-bearing claim of the
 //! optimization: for every graph and every seed the two paths produce
@@ -19,6 +19,10 @@
 //!   by the reachability pass), self-loop (neighbor list of one still
 //!   consumes a draw per step),
 //! * the paper's full-size configuration, not just the test-size one,
+//! * every n-gram size set: all 15 non-empty subsets of {1, 2, 3, 4} (the
+//!   counting kernel has one code path per size) and a repeated size (which
+//!   the fast path declines to the reference),
+//! * a vocabulary that lists a gram twice (both paths count its last copy),
 //! * worker-count invariance: the same bytes at pool sizes 1, 2, and 8,
 //! * seed sensitivity: seeds move the walks, never the vocabulary.
 
@@ -27,7 +31,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use soteria_cfg::{Cfg, CfgBuilder};
 use soteria_corpus::{motifs, Family};
-use soteria_features::{ExtractorConfig, FeatureExtractor};
+use soteria_features::ngram::Gram;
+use soteria_features::{ExtractorConfig, FeatureExtractor, Vocabulary};
 use std::sync::OnceLock;
 
 fn grown(seed: u64, target: usize, fam: Family) -> Cfg {
@@ -104,6 +109,92 @@ proptest! {
             seed ^ 0xABCD,
         );
         prop_assert_eq!(ex.extract(&cfg, seed), ex.extract_reference(&cfg, seed));
+    }
+}
+
+/// The 15 non-empty subsets of {1, 2, 3, 4}, then a set with a repeat.
+fn size_sets() -> Vec<Vec<usize>> {
+    let mut sets: Vec<Vec<usize>> = (1..16usize)
+        .map(|mask| (1..=4).filter(|&n| mask & (1 << (n - 1)) != 0).collect())
+        .collect();
+    sets.push(vec![2, 2, 3]);
+    sets
+}
+
+/// The arbitrary-graph × seed property for every n-gram size set, with a
+/// vocabulary fitted on the mini-corpus and one fitted on the case's own
+/// graph (so every size's windows hit the vocabulary).
+#[test]
+fn fast_path_matches_reference_for_every_ngram_size_set() {
+    let train: Vec<Cfg> = (0..4)
+        .map(|i| {
+            grown(
+                40 + i,
+                12 + 3 * i as usize,
+                Family::from_index(i as usize % 4),
+            )
+        })
+        .collect();
+    for sizes in size_sets() {
+        let config = ExtractorConfig {
+            ngram_sizes: sizes.clone(),
+            ..ExtractorConfig::small()
+        };
+        let corpus_fitted = FeatureExtractor::fit(&config, &train, 9);
+        proptest::test_runner::run(
+            ProptestConfig::with_cases(32),
+            &format!("ngram sizes {sizes:?}"),
+            |rng| {
+                let cfg = arb_cfg().generate(rng);
+                let seed = any::<u64>().generate(rng);
+                let self_fitted =
+                    FeatureExtractor::fit(&config, std::slice::from_ref(&cfg), seed ^ 0xABCD);
+                for ex in [&corpus_fitted, &self_fitted] {
+                    prop_assert_eq!(
+                        ex.extract(&cfg, seed),
+                        ex.extract_reference(&cfg, seed),
+                        "sizes {:?}",
+                        sizes
+                    );
+                }
+                Ok(())
+            },
+        );
+    }
+}
+
+/// `Vocabulary::from_parts` accepts a gram listed twice, and the
+/// reference counts it into its last copy; the fast path must too.
+#[test]
+fn a_vocabulary_that_repeats_a_gram_matches_the_reference() {
+    let fitted = shared();
+    for (sizes, vocab) in [
+        (
+            vec![2],
+            vec![Gram::new(&[0, 1]), Gram::new(&[1, 0]), Gram::new(&[0, 1])],
+        ),
+        (vec![2, 3], {
+            let mut grams = fitted.dbl_vocabulary().grams().to_vec();
+            grams.extend_from_within(..8);
+            grams
+        }),
+    ] {
+        let config = ExtractorConfig {
+            ngram_sizes: sizes,
+            ..ExtractorConfig::small()
+        };
+        let idf: Vec<f64> = (1..=vocab.len()).map(|i| i as f64).collect();
+        let repeated = Vocabulary::from_parts(vocab, idf);
+        let ex = FeatureExtractor::from_parts(config, repeated.clone(), repeated);
+        for g in [with_unreachable_node(), grown(5, 20, Family::Mirai)] {
+            for seed in 0..16u64 {
+                assert_eq!(
+                    ex.extract(&g, seed),
+                    ex.extract_reference(&g, seed),
+                    "seed {seed}"
+                );
+            }
+        }
     }
 }
 

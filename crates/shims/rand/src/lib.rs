@@ -201,15 +201,18 @@ impl_range_float!(f32, f64);
 fn uniform_u64<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
     debug_assert!(span > 0);
     // Widening multiply maps the 64-bit output onto [0, span) almost
-    // uniformly; one rejection round removes the residual bias.
-    let threshold = span.wrapping_neg() % span;
-    loop {
-        let x = rng.next_u64();
-        let m = (x as u128) * (span as u128);
-        if (m as u64) >= threshold {
-            return (m >> 64) as u64;
+    // uniformly; rejecting a low word below `2^64 mod span` removes the
+    // residual bias. That threshold is below `span`, so the division that
+    // computes it runs only when the low word is (Lemire's nearly
+    // divisionless test); outputs and words consumed are unchanged.
+    let mut m = u128::from(rng.next_u64()) * u128::from(span);
+    if (m as u64) < span {
+        let threshold = span.wrapping_neg() % span;
+        while (m as u64) < threshold {
+            m = u128::from(rng.next_u64()) * u128::from(span);
         }
     }
+    (m >> 64) as u64
 }
 
 /// User-facing generator methods; blanket-implemented for every

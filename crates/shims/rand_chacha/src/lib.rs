@@ -404,6 +404,38 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// `gen_range` computes its rejection threshold only when the low
+    /// product word falls below the span; the draws and the keystream
+    /// words they consume must equal the always-divide formula's.
+    #[test]
+    fn bounded_draws_match_the_always_divide_formula() {
+        fn always_divide(rng: &mut ChaCha8Rng, span: u64) -> u64 {
+            let threshold = span.wrapping_neg() % span;
+            loop {
+                let m = u128::from(rng.next_u64()) * u128::from(span);
+                if (m as u64) >= threshold {
+                    return (m >> 64) as u64;
+                }
+            }
+        }
+        for span in [1, 2, 3, 7, (1 << 32) + 1, (1 << 63) + 1, u64::MAX] {
+            let mut rng = ChaCha8Rng::seed_from_u64(span);
+            let mut twin = rng.clone();
+            for i in 0..20_000 {
+                let want = always_divide(&mut twin, span);
+                assert_eq!(rng.gen_range(0..span), want, "span {span}, draw {i}");
+            }
+            assert_eq!(rng.get_word_pos(), twin.get_word_pos(), "span {span}");
+        }
+        // Half of all low words fall below 2^64 mod (2^63 + 1), so that
+        // span exercises the rejection loop thousands of times above.
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        for _ in 0..1000 {
+            let _ = rng.gen_range(0..(1u64 << 63) + 1);
+        }
+        assert!(rng.get_word_pos() > 2 * 1000 + 500);
+    }
+
     #[test]
     fn works_through_the_rng_trait() {
         let mut rng = ChaCha8Rng::seed_from_u64(11);

@@ -58,7 +58,7 @@ cargo run -q --release -p soteria-eval --bin soteria-exp -- \
 rm -rf "$tmpdir"
 
 # Extraction smoke gate: a shrunk extract-bench run drives the parallel
-# fast path (jumped RNG streams, interned counting, scratch arenas) against
+# fast path (jumped RNG streams, arc-indexed counting, scratch arenas) against
 # the sequential reference and FAILS if the outputs are not bit-identical.
 # Speedup drift against the committed baseline is a *note*, never fatal.
 echo "==> extract bench gate: soteria-exp extract-bench --smoke"
