@@ -20,15 +20,12 @@ use soteria_corpus::{asm, corpus::Sample, CorpusError, SampleGenerator};
 use soteria_features::FeatureExtractor;
 use soteria_gea::{adaptive, gea_merge, SizeClass};
 
-/// Clones a trained detector through its persistence spec (the detector
-/// itself is deliberately not `Clone`; an adversary holding a copy is an
-/// explicit modeling decision, so the copy is made explicitly, layer by
-/// layer, through the spec training checkpoints persist).
+/// Copies a trained detector (the detector itself is deliberately not
+/// `Clone`; an adversary holding a copy is an explicit modeling decision,
+/// so the copy is made explicitly, from a clone of its network).
 fn clone_detector(detector: &AeDetector) -> AeDetector {
-    let spec =
-        soteria_nn::persist::spec_of(detector.model()).expect("autoencoder layers are persistable");
     AeDetector::from_parts(
-        spec.into_sequential(),
+        detector.model().clone(),
         detector.stats(),
         detector.config().clone(),
     )

@@ -110,24 +110,15 @@ impl AlasmaryClassifier {
         let x = Matrix::from_rows(&rows);
         let t = one_hot(labels, classes);
         let mut model = Sequential::new(vec![
-            Box::new(Dense::new(
-                x.cols(),
-                config.hidden[0],
-                Activation::Relu,
-                seed,
-            )),
-            Box::new(Dense::new(
+            Dense::new(x.cols(), config.hidden[0], Activation::Relu, seed).into(),
+            Dense::new(
                 config.hidden[0],
                 config.hidden[1],
                 Activation::Relu,
                 seed ^ 0x1,
-            )),
-            Box::new(Dense::new(
-                config.hidden[1],
-                classes,
-                Activation::Linear,
-                seed ^ 0x2,
-            )),
+            )
+            .into(),
+            Dense::new(config.hidden[1], classes, Activation::Linear, seed ^ 0x2).into(),
         ]);
         let mut trainer = Trainer::new(TrainConfig {
             epochs: config.epochs,

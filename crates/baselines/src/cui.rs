@@ -146,23 +146,19 @@ impl CuiClassifier {
         let quarter = half / 2;
         let [f1, f2] = config.filters;
         let mut model = Sequential::new(vec![
-            Box::new(Conv2d::new(1, f1, 3, side, side, true, seed)),
-            Box::new(MaxPool2d::new(f1, side, side, 2)),
-            Box::new(Conv2d::new(f1, f2, 3, half, half, true, seed ^ 0x1)),
-            Box::new(MaxPool2d::new(f2, half, half, 2)),
-            Box::new(Dense::new(
+            Conv2d::new(1, f1, 3, side, side, true, seed).into(),
+            MaxPool2d::new(f1, side, side, 2).into(),
+            Conv2d::new(f1, f2, 3, half, half, true, seed ^ 0x1).into(),
+            MaxPool2d::new(f2, half, half, 2).into(),
+            Dense::new(
                 f2 * quarter * quarter,
                 config.dense,
                 Activation::Relu,
                 seed ^ 0x2,
-            )),
-            Box::new(Dropout::new(config.dropout, seed ^ 0x3)),
-            Box::new(Dense::new(
-                config.dense,
-                classes,
-                Activation::Linear,
-                seed ^ 0x4,
-            )),
+            )
+            .into(),
+            Dropout::new(config.dropout, seed ^ 0x3).into(),
+            Dense::new(config.dense, classes, Activation::Linear, seed ^ 0x4).into(),
         ]);
         let mut trainer = Trainer::new(TrainConfig {
             epochs: config.epochs,

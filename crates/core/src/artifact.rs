@@ -60,8 +60,7 @@ use crate::persist::{SoteriaState, StateError};
 use crate::pipeline::Soteria;
 use serde::{Deserialize, Serialize};
 use soteria_features::{ExtractorConfig, FeatureExtractor, Gram, Vocabulary};
-use soteria_nn::persist::{LayerSpec, ModelSpec};
-use soteria_nn::{Activation, Conv1d, Conv2d, Dense, Dropout, Matrix, MaxPool1d, MaxPool2d};
+use soteria_nn::{Activation, Conv1d, Dense, Dropout, LayerSpec, Matrix, MaxPool1d, Sequential};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -179,7 +178,8 @@ struct VocabDesc {
     idf: u32,
 }
 
-/// One f32 layer, shapes inline and tensors by section id.
+/// One f32 layer, shapes inline and tensors by section id. Only the layer
+/// kinds Soteria's networks use are described; a 2-D layer is not.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum LayerDesc {
     Dense {
@@ -198,25 +198,9 @@ enum LayerDesc {
         w: u32,
         b: u32,
     },
-    Conv2d {
-        in_c: usize,
-        out_c: usize,
-        kernel: usize,
-        height: usize,
-        width: usize,
-        relu: bool,
-        w: u32,
-        b: u32,
-    },
     MaxPool1d {
         channels: usize,
         length: usize,
-        window: usize,
-    },
-    MaxPool2d {
-        channels: usize,
-        height: usize,
-        width: usize,
         window: usize,
     },
     Dropout {
@@ -279,8 +263,19 @@ fn vocab_desc(vocab: &Vocabulary, sink: &mut TensorSink) -> VocabDesc {
     }
 }
 
-fn model_desc(spec: &ModelSpec, sink: &mut TensorSink) -> Result<Vec<LayerDesc>, StateError> {
-    spec.layers()
+/// Describes network `net`, pushing its tensors into `sink`.
+fn model_desc(
+    net: &str,
+    model: &Sequential,
+    sink: &mut TensorSink,
+) -> Result<Vec<LayerDesc>, StateError> {
+    let not_described = |i: usize, kind: &str| {
+        StateError::Parse(format!(
+            "{net} layer {i} is a {kind}, which the v3 artifact does not describe"
+        ))
+    };
+    model
+        .layers()
         .iter()
         .enumerate()
         .map(|(i, layer)| match layer {
@@ -300,25 +295,9 @@ fn model_desc(spec: &ModelSpec, sink: &mut TensorSink) -> Result<Vec<LayerDesc>,
                 w: sink.push(c.weights()),
                 b: sink.push(c.bias()),
             }),
-            LayerSpec::Conv2d(c) => Ok(LayerDesc::Conv2d {
-                in_c: c.in_channels(),
-                out_c: c.out_channels(),
-                kernel: c.kernel(),
-                height: c.height(),
-                width: c.width(),
-                relu: c.relu(),
-                w: sink.push(c.weights()),
-                b: sink.push(c.bias()),
-            }),
             LayerSpec::MaxPool1d(p) => Ok(LayerDesc::MaxPool1d {
                 channels: p.channels(),
                 length: p.length(),
-                window: p.window(),
-            }),
-            LayerSpec::MaxPool2d(p) => Ok(LayerDesc::MaxPool2d {
-                channels: p.channels(),
-                height: p.height(),
-                width: p.width(),
                 window: p.window(),
             }),
             LayerSpec::Dropout(d) => Ok(LayerDesc::Dropout {
@@ -326,9 +305,8 @@ fn model_desc(spec: &ModelSpec, sink: &mut TensorSink) -> Result<Vec<LayerDesc>,
                 seed: d.seed(),
                 draws: d.draws(),
             }),
-            _ => Err(StateError::Parse(format!(
-                "layer {i} has a type the v3 artifact does not describe"
-            ))),
+            LayerSpec::Conv2d(_) => Err(not_described(i, "Conv2d")),
+            LayerSpec::MaxPool2d(_) => Err(not_described(i, "MaxPool2d")),
         })
         .collect()
 }
@@ -342,9 +320,9 @@ pub(crate) fn write_artifact(state: &SoteriaState) -> Result<Vec<u8>, StateError
         detector_stats: state.detector_stats,
         dbl_vocab: vocab_desc(state.extractor.dbl_vocabulary(), &mut sink),
         lbl_vocab: vocab_desc(state.extractor.lbl_vocabulary(), &mut sink),
-        detector: model_desc(&state.detector_model, &mut sink)?,
-        dbl_cnn: model_desc(&state.dbl_cnn, &mut sink)?,
-        lbl_cnn: model_desc(&state.lbl_cnn, &mut sink)?,
+        detector: model_desc("detector", &state.detector_model, &mut sink)?,
+        dbl_cnn: model_desc("DBL CNN", &state.dbl_cnn, &mut sink)?,
+        lbl_cnn: model_desc("LBL CNN", &state.lbl_cnn, &mut sink)?,
     };
     let meta_json = serde_json::to_string(&meta).map_err(|e| StateError::Parse(e.to_string()))?;
 
@@ -721,7 +699,7 @@ impl StateImage {
         descs: &[LayerDesc],
         input: usize,
         output: usize,
-    ) -> Result<ModelSpec, StateError> {
+    ) -> Result<Sequential, StateError> {
         let shape = |i: usize, what: &str, have: usize, want: usize| {
             if have == want {
                 Ok(())
@@ -781,31 +759,6 @@ impl StateImage {
                     let widths = (in_c.saturating_mul(length), out_c.saturating_mul(length));
                     (LayerSpec::from(conv), Some(widths))
                 }
-                LayerDesc::Conv2d {
-                    in_c,
-                    out_c,
-                    kernel,
-                    height,
-                    width,
-                    relu,
-                    w,
-                    b,
-                } => {
-                    if kernel % 2 == 0 {
-                        return Err(StateError::Parse(format!(
-                            "layer {i} conv2d kernel {kernel} must be odd"
-                        )));
-                    }
-                    let w: Vec<f32> = self.tensor(w)?;
-                    let b: Vec<f32> = self.tensor(b)?;
-                    let want = elements(i, &[out_c, in_c, kernel, kernel])?;
-                    shape(i, "weight", w.len(), want)?;
-                    shape(i, "bias", b.len(), out_c)?;
-                    let conv = Conv2d::from_parts(in_c, out_c, kernel, height, width, relu, w, b);
-                    let plane = height.saturating_mul(width);
-                    let widths = (in_c.saturating_mul(plane), out_c.saturating_mul(plane));
-                    (LayerSpec::from(conv), Some(widths))
-                }
                 LayerDesc::MaxPool1d {
                     channels,
                     length,
@@ -822,26 +775,6 @@ impl StateImage {
                     );
                     (
                         LayerSpec::from(MaxPool1d::new(channels, length, window)),
-                        Some(widths),
-                    )
-                }
-                LayerDesc::MaxPool2d {
-                    channels,
-                    height,
-                    width,
-                    window,
-                } => {
-                    if window < 1 || window > height || window > width {
-                        return Err(StateError::Parse(format!(
-                            "layer {i} pool window {window} does not fit {height}x{width}"
-                        )));
-                    }
-                    let widths = (
-                        channels.saturating_mul(height.saturating_mul(width)),
-                        channels.saturating_mul((height / window).saturating_mul(width / window)),
-                    );
-                    (
-                        LayerSpec::from(MaxPool2d::new(channels, height, width, window)),
                         Some(widths),
                     )
                 }
@@ -869,7 +802,7 @@ impl StateImage {
                 "{net} gives {incoming} values per sample, but {output} are needed"
             )));
         }
-        Ok(ModelSpec::new(layers))
+        Ok(Sequential::new(layers))
     }
 
     /// Builds a [`SoteriaState`] that owns a copy of every tensor this
@@ -928,6 +861,7 @@ mod tests {
     use super::*;
     use crate::config::SoteriaConfig;
     use soteria_corpus::{Corpus, CorpusConfig};
+    use soteria_nn::{Conv2d, MaxPool2d};
 
     fn small_trained() -> (Soteria, Corpus, Vec<usize>) {
         let corpus = Corpus::generate(&CorpusConfig {
@@ -1251,21 +1185,46 @@ mod tests {
     }
 
     #[test]
-    fn conv2d_shape_whose_weight_count_overflows_is_refused() {
-        let (image, id) = image_with_a_4_element_section();
-        // 4 · 1 · (2^62 + 1)² wraps to 4 in 64 bits.
-        let conv = LayerDesc::Conv2d {
-            in_c: 1,
-            out_c: 4,
-            kernel: (1 << 62) + 1,
-            height: 2,
-            width: 4,
-            relu: true,
-            w: id,
-            b: id,
-        };
-        let err = image.model("LBL CNN", &[conv], 8, 32).unwrap_err();
+    fn a_network_with_a_2d_layer_is_refused_at_write() {
+        let (original, ..) = small_trained();
+        for (layer, kind) in [
+            (
+                LayerSpec::from(Conv2d::new(1, 1, 3, 2, 2, true, 1)),
+                "Conv2d",
+            ),
+            (LayerSpec::from(MaxPool2d::new(1, 2, 2, 2)), "MaxPool2d"),
+        ] {
+            let mut state = original.save_state().unwrap();
+            state.lbl_cnn = Sequential::new(vec![layer]);
+            let err = state
+                .to_artifact()
+                .expect_err("a 2-D layer has no descriptor");
+            assert!(matches!(err, StateError::Parse(_)), "{err:?}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("LBL CNN layer 0 is a {kind}")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_meta_that_names_a_2d_layer_fails_to_load() {
+        let (original, ..) = small_trained();
+        let bytes = original.save_state().unwrap().to_artifact().unwrap();
+        let meta = StateImage::parse(&bytes).unwrap().sections()[0];
+        let window = meta.offset as usize..(meta.offset + meta.len) as usize;
+        let text = std::str::from_utf8(&bytes[window.clone()]).unwrap();
+        // Same length, so the edit keeps every section in place.
+        let edited = text.replacen("{\"Conv1d\":", "{\"Conv2d\":", 1);
+        assert_ne!(edited, text, "META describes a Conv1d layer");
+        let mut b = bytes.clone();
+        b[window].copy_from_slice(edited.as_bytes());
+        let err = StateImage::parse(&reseal(&b, 0, |_| {})).expect_err("no Conv2d descriptor");
         assert!(matches!(err, StateError::Parse(_)), "{err:?}");
-        assert!(err.to_string().contains("LBL CNN layer 0"), "{err}");
+        assert!(
+            err.to_string().contains("unknown variant `Conv2d`"),
+            "{err}"
+        );
     }
 }

@@ -9,12 +9,14 @@
 //! [`StageCheckpoint`]. Everything else — extractor fitting, feature
 //! extraction, threshold statistics — is a deterministic function of
 //! `(config, corpus, train_indices, seed)` and is simply recomputed on
-//! resume. An in-flight fit stores the model weights, the optimizer
-//! moments, the shuffle RNG state, and the current row permutation (the
-//! per-epoch shuffle permutes the *previous* order, so the permutation is
-//! part of the training state). Snapshots are layer clones
-//! ([`spec_of`]), so a run that writes no checkpoint pays a memory copy
-//! per network, never a serialization.
+//! resume. An in-flight fit stores the model weights, Adam's step count
+//! and moments, the shuffle RNG state, and the current row permutation
+//! (the per-epoch shuffle permutes the *previous* order, so the
+//! permutation is part of the training state). Adam's β₁, β₂ and ε are
+//! constants in code, not checkpoint state, so no checkpoint can change
+//! them. Snapshots are clones of the network and of its optimizer, so a
+//! run that writes no checkpoint pays a memory copy per network, never a
+//! serialization.
 //!
 //! # Resuming
 //!
@@ -49,7 +51,6 @@ use crate::config::SoteriaConfig;
 use crate::error::TrainError;
 use crate::persist::StateError;
 use serde::{Deserialize, Serialize};
-use soteria_nn::persist::{spec_of, ModelSpec};
 use soteria_nn::{Loss, Matrix, Sequential, TrainConfig, Trainer, TrainerCheckpoint};
 use std::path::Path;
 
@@ -122,7 +123,7 @@ pub enum StageCheckpoint {
     /// Mid-fit trainer state; resumes at the next epoch.
     InProgress(TrainerCheckpoint),
     /// Finished weights; the fit is skipped entirely on resume.
-    Done(ModelSpec),
+    Done(Sequential),
 }
 
 impl StageCheckpoint {
@@ -142,7 +143,7 @@ impl StageCheckpoint {
                 let (mut network, rows) = plan();
                 tc.check_fits(&mut network, rows)
             }
-            StageCheckpoint::Done(spec) => spec.check_architecture(&spec_of(&plan().0)?),
+            StageCheckpoint::Done(done) => done.check_architecture(&plan().0),
         }
     }
 
@@ -163,8 +164,8 @@ impl StageCheckpoint {
         sink: &mut dyn FnMut(StageCheckpoint) -> Result<(), String>,
     ) -> Result<(), String> {
         let resume = match self {
-            StageCheckpoint::Done(spec) => {
-                *network = spec.into_sequential();
+            StageCheckpoint::Done(done) => {
+                *network = done;
                 return Ok(());
             }
             StageCheckpoint::InProgress(tc) => Some(tc),
@@ -179,7 +180,7 @@ impl StageCheckpoint {
             checkpoint_every,
             &mut |tc| sink(StageCheckpoint::InProgress(tc)),
         )?;
-        sink(StageCheckpoint::Done(spec_of(network)?))
+        sink(StageCheckpoint::Done(network.clone()))
     }
 }
 
@@ -503,34 +504,64 @@ mod tests {
         assert_resume_refused(&ckpt, "detector stage");
     }
 
+    /// The value at `path` (object keys and array indices) in `tree`.
+    fn value_at<'a>(tree: &'a mut serde::Value, path: &[&str]) -> &'a mut serde::Value {
+        path.iter().fold(tree, |v, key| match v {
+            serde::Value::Object(fields) => {
+                &mut fields.iter_mut().find(|(k, _)| k == key).expect("field").1
+            }
+            serde::Value::Array(items) => &mut items[key.parse::<usize>().expect("index")],
+            other => panic!("no {key} in a {}", other.kind()),
+        })
+    }
+
     #[test]
     fn resume_refuses_a_short_optimizer_moment() {
         // Resumed, the Adam step skipped the weights past the short
         // moment's end and trained to a different model.
         let ckpt = first_checkpoint(detector_in_progress);
         let mut tree = serde::Serialize::to_value(&ckpt);
-        let path = [
-            "detector",
-            "InProgress",
-            "optimizer",
-            "Adam",
-            "moments",
-            "0",
-            "0",
-        ];
-        let moment = path.iter().fold(&mut tree, |v, key| match v {
-            serde::Value::Object(fields) => {
-                &mut fields.iter_mut().find(|(k, _)| k == key).expect("field").1
-            }
-            serde::Value::Array(items) => &mut items[key.parse::<usize>().expect("index")],
-            other => panic!("no {key} in a {}", other.kind()),
-        });
-        let serde::Value::Array(values) = moment else {
+        let path = ["detector", "InProgress", "optimizer", "moments", "0", "0"];
+        let serde::Value::Array(values) = value_at(&mut tree, &path) else {
             panic!("a moment is an array")
         };
         values.pop();
         let short: TrainCheckpoint = serde::Deserialize::from_value(&tree).expect("still parses");
         assert_resume_refused(&short, "detector stage");
+    }
+
+    #[test]
+    fn a_checkpoint_cannot_change_adams_hyperparameters() {
+        // A resealed checkpoint that names its own β₁ once resumed with it
+        // and trained a different model. β₁ is a constant now: the resumed
+        // run ends at the uninterrupted run's model.
+        let ckpt = first_checkpoint(detector_in_progress);
+        let mut tree = serde::Serialize::to_value(&ckpt);
+        let serde::Value::Object(adam) =
+            value_at(&mut tree, &["detector", "InProgress", "optimizer"])
+        else {
+            panic!("the optimizer is an object")
+        };
+        adam.insert(0, ("beta1".to_string(), serde::Value::Float(0.5)));
+        let payload = serde_json::to_string(&tree).expect("serializes");
+        assert!(payload.contains("\"beta1\":0.5"), "{payload}");
+        let crc = soteria_resilience::crc32(payload.as_bytes());
+        let envelope = format!("{CKPT_MAGIC} v{CKPT_VERSION} crc32={crc:08x}\n{payload}");
+        let edited = TrainCheckpoint::from_envelope(envelope.as_bytes()).expect("decode");
+
+        let (config, corpus, train) = tiny_setup();
+        let resumed = Soteria::train_resumable(
+            &config,
+            &corpus,
+            &train,
+            7,
+            Some(edited),
+            0,
+            &mut |_| Ok(()),
+        )
+        .expect("resumed run");
+        let uninterrupted = Soteria::train(&config, &corpus, &train, 7).expect("train");
+        assert_eq!(state_bytes(&resumed), state_bytes(&uninterrupted));
     }
 
     #[test]

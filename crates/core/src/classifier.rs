@@ -19,51 +19,26 @@ fn build_cnn(config: &ClassifierConfig, input_len: usize, classes: usize, seed: 
     let l2p = l1p / 2;
     Sequential::new(vec![
         // ConvB1: two conv layers, pool, dropout.
-        Box::new(Conv1d::new(1, config.filters1, 3, l1, true, seed)),
-        Box::new(Conv1d::new(
-            config.filters1,
-            config.filters1,
-            3,
-            l1,
-            true,
-            seed ^ 0x11,
-        )),
-        Box::new(MaxPool1d::new(config.filters1, l1, 2)),
-        Box::new(Dropout::new(config.conv_dropout, seed ^ 0x21)),
+        Conv1d::new(1, config.filters1, 3, l1, true, seed).into(),
+        Conv1d::new(config.filters1, config.filters1, 3, l1, true, seed ^ 0x11).into(),
+        MaxPool1d::new(config.filters1, l1, 2).into(),
+        Dropout::new(config.conv_dropout, seed ^ 0x21).into(),
         // ConvB2.
-        Box::new(Conv1d::new(
-            config.filters1,
-            config.filters2,
-            3,
-            l1p,
-            true,
-            seed ^ 0x12,
-        )),
-        Box::new(Conv1d::new(
-            config.filters2,
-            config.filters2,
-            3,
-            l1p,
-            true,
-            seed ^ 0x13,
-        )),
-        Box::new(MaxPool1d::new(config.filters2, l1p, 2)),
-        Box::new(Dropout::new(config.conv_dropout, seed ^ 0x22)),
+        Conv1d::new(config.filters1, config.filters2, 3, l1p, true, seed ^ 0x12).into(),
+        Conv1d::new(config.filters2, config.filters2, 3, l1p, true, seed ^ 0x13).into(),
+        MaxPool1d::new(config.filters2, l1p, 2).into(),
+        Dropout::new(config.conv_dropout, seed ^ 0x22).into(),
         // CB: dense + dropout + softmax (softmax fused into the loss; the
         // final layer emits logits).
-        Box::new(Dense::new(
+        Dense::new(
             config.filters2 * l2p,
             config.dense,
             Activation::Relu,
             seed ^ 0x31,
-        )),
-        Box::new(Dropout::new(config.dense_dropout, seed ^ 0x23)),
-        Box::new(Dense::new(
-            config.dense,
-            classes,
-            Activation::Linear,
-            seed ^ 0x32,
-        )),
+        )
+        .into(),
+        Dropout::new(config.dense_dropout, seed ^ 0x23).into(),
+        Dense::new(config.dense, classes, Activation::Linear, seed ^ 0x32).into(),
     ])
 }
 

@@ -48,25 +48,10 @@ impl ThresholdStats {
 
 fn build_autoencoder(input_dim: usize, hidden: [usize; 3], seed: u64) -> Sequential {
     Sequential::new(vec![
-        Box::new(Dense::new(input_dim, hidden[0], Activation::Relu, seed)),
-        Box::new(Dense::new(
-            hidden[0],
-            hidden[1],
-            Activation::Relu,
-            seed ^ 0x1,
-        )),
-        Box::new(Dense::new(
-            hidden[1],
-            hidden[2],
-            Activation::Relu,
-            seed ^ 0x2,
-        )),
-        Box::new(Dense::new(
-            hidden[2],
-            input_dim,
-            Activation::Linear,
-            seed ^ 0x3,
-        )),
+        Dense::new(input_dim, hidden[0], Activation::Relu, seed).into(),
+        Dense::new(hidden[0], hidden[1], Activation::Relu, seed ^ 0x1).into(),
+        Dense::new(hidden[1], hidden[2], Activation::Relu, seed ^ 0x2).into(),
+        Dense::new(hidden[2], input_dim, Activation::Linear, seed ^ 0x3).into(),
     ])
 }
 

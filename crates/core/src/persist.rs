@@ -20,7 +20,7 @@ use crate::config::SoteriaConfig;
 use crate::detector::{AeDetector, ThresholdStats};
 use crate::pipeline::Soteria;
 use soteria_features::FeatureExtractor;
-use soteria_nn::persist::{spec_of, ModelSpec};
+use soteria_nn::Sequential;
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
@@ -169,13 +169,13 @@ pub struct SoteriaState {
     /// The fitted feature extractor (vocabularies, IDF weights).
     pub extractor: FeatureExtractor,
     /// The auto-encoder weights.
-    pub detector_model: ModelSpec,
+    pub detector_model: Sequential,
     /// The fitted threshold statistics.
     pub detector_stats: ThresholdStats,
     /// The DBL CNN weights.
-    pub dbl_cnn: ModelSpec,
+    pub dbl_cnn: Sequential,
     /// The LBL CNN weights.
-    pub lbl_cnn: ModelSpec,
+    pub lbl_cnn: Sequential,
 }
 
 impl SoteriaState {
@@ -184,8 +184,8 @@ impl SoteriaState {
     ///
     /// # Errors
     ///
-    /// Returns [`StateError::Parse`] if the state contains a layer type
-    /// the artifact format does not describe.
+    /// Returns [`StateError::Parse`] naming the layer if a network holds
+    /// a 2-D layer, which the artifact format does not describe.
     pub fn to_artifact(&self) -> Result<Vec<u8>, StateError> {
         crate::artifact::write_artifact(self)
     }
@@ -205,33 +205,33 @@ impl SoteriaState {
 }
 
 impl Soteria {
-    /// Captures the trained system's state for persistence.
+    /// Captures the trained system's state for persistence: a clone of
+    /// the extractor and of each network.
     ///
     /// # Errors
     ///
-    /// Propagates model-extraction failures (unknown layer types cannot
-    /// occur for systems built by [`Soteria::train`]).
+    /// Never fails; the `Result` is kept for callers that chain on it.
     pub fn save_state(&self) -> Result<SoteriaState, String> {
         Ok(SoteriaState {
             config: self.config().clone(),
             extractor: self.extractor().clone(),
-            detector_model: spec_of(self.detector_ref().model())?,
+            detector_model: self.detector_ref().model().clone(),
             detector_stats: self.detector_ref().stats(),
-            dbl_cnn: spec_of(self.classifier_ref().dbl_model())?,
-            lbl_cnn: spec_of(self.classifier_ref().lbl_model())?,
+            dbl_cnn: self.classifier_ref().dbl_model().clone(),
+            lbl_cnn: self.classifier_ref().lbl_model().clone(),
         })
     }
 
     /// Restores a system from saved state.
     pub fn from_state(state: SoteriaState) -> Self {
         let detector = AeDetector::from_parts(
-            state.detector_model.into_sequential(),
+            state.detector_model,
             state.detector_stats,
             state.config.detector.clone(),
         );
         let classifier = FamilyClassifier::from_parts(
-            state.dbl_cnn.into_sequential(),
-            state.lbl_cnn.into_sequential(),
+            state.dbl_cnn,
+            state.lbl_cnn,
             state.config.classes,
             state.config.classifier.clone(),
         );

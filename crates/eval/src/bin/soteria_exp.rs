@@ -290,7 +290,8 @@ struct ClassifierBench {
 /// wall-clock numbers are hardware-dependent).
 fn run_nn_bench(flags: &Flags) -> Result<(), String> {
     use soteria_nn::{
-        Activation, Conv1d, Dense, Layer, Loss, Matrix, MaxPool1d, Sequential, TrainConfig, Trainer,
+        Activation, Conv1d, Dense, Layer, LayerSpec, Loss, Matrix, MaxPool1d, Sequential,
+        TrainConfig, Trainer,
     };
 
     let seed = flags.seed.unwrap_or(7);
@@ -411,15 +412,10 @@ fn run_nn_bench(flags: &Flags) -> Result<(), String> {
     // (batch gather, forward, backward, optimizer step).
     let (samples, feat_len, epochs) = if smoke { (64, 64, 2) } else { (256, 256, 8) };
     let mut model = Sequential::new(vec![
-        Box::new(Conv1d::new(1, 8, 3, feat_len, true, seed)),
-        Box::new(MaxPool1d::new(8, feat_len, 2)),
-        Box::new(Dense::new(
-            8 * (feat_len / 2),
-            32,
-            Activation::Relu,
-            seed ^ 1,
-        )),
-        Box::new(Dense::new(32, 2, Activation::Linear, seed ^ 2)),
+        Conv1d::new(1, 8, 3, feat_len, true, seed).into(),
+        MaxPool1d::new(8, feat_len, 2).into(),
+        Dense::new(8 * (feat_len / 2), 32, Activation::Relu, seed ^ 1).into(),
+        Dense::new(32, 2, Activation::Linear, seed ^ 2).into(),
     ]);
     let train_x = Matrix::from_vec(samples, feat_len, fill(samples * feat_len, seed ^ 0xF0));
     let labels: Vec<usize> = (0..samples).map(|i| i % 2).collect();
@@ -450,19 +446,22 @@ fn run_nn_bench(flags: &Flags) -> Result<(), String> {
     };
     let rows = if smoke { 32 } else { 128 };
     let dense_reps = if smoke { 3 } else { 10 };
-    let mut layers: Vec<Box<dyn Layer>> = Vec::new();
+    let mut layers: Vec<LayerSpec> = Vec::new();
     for w in dims.windows(2) {
         let last = w[1] == *dims.last().expect("dims non-empty");
-        layers.push(Box::new(Dense::new(
-            w[0],
-            w[1],
-            if last {
-                Activation::Linear
-            } else {
-                Activation::Relu
-            },
-            seed ^ (w[1] as u64),
-        )));
+        layers.push(
+            Dense::new(
+                w[0],
+                w[1],
+                if last {
+                    Activation::Linear
+                } else {
+                    Activation::Relu
+                },
+                seed ^ (w[1] as u64),
+            )
+            .into(),
+        );
     }
     let stack = Sequential::new(layers);
     let x = Matrix::from_vec(rows, dims[0], fill(rows * dims[0], seed ^ 0x18));
@@ -562,12 +561,19 @@ struct ExtractBenchReport {
     avg_nodes: f64,
     top_k: usize,
     walks_per_labeling: usize,
-    /// Sequential reference path: best wall time for one full pass.
+    /// Timed reps; each times one reference and one fast pass back to
+    /// back, alternating which runs first.
+    reps: usize,
+    /// Sequential reference path: median wall time for one full pass.
     reference_ms: f64,
-    /// Fast path (`extract`): best wall time for the same pass.
+    /// Fast path (`extract`): median wall time for the same pass.
     fast_ms: f64,
-    /// reference_ms / fast_ms.
+    /// Median over the reps of each rep's reference / fast ratio.
     speedup: f64,
+    /// Smallest per-rep ratio.
+    speedup_min: f64,
+    /// Largest per-rep ratio.
+    speedup_max: f64,
     /// Batch entry point (`extract_batch`) over the same samples.
     batch_ms: f64,
     batch_samples_per_sec: f64,
@@ -578,8 +584,10 @@ struct ExtractBenchReport {
 
 /// `extract-bench` — time the feature-extraction stage in isolation: the
 /// sequential reference implementation against the parallel fast path
-/// (per-walk RNG streams + arc-indexed gram counting + scratch arenas) at an
-/// 8-worker pool, asserting bit-identical output while measuring. `--smoke`
+/// (per-walk RNG streams + arc-indexed gram counting + scratch arenas) at the
+/// host's default pool, asserting bit-identical output while measuring.
+/// Each rep times the two paths as a pair, so host drift moves both sides
+/// of a rep's ratio alike; the headline is the median ratio. `--smoke`
 /// shrinks the corpus and config for the CI gate. With `--baseline PATH`,
 /// drift against a committed report is *noted* (never fatal: wall-clock
 /// numbers are hardware-dependent).
@@ -588,10 +596,7 @@ fn run_extract_bench(flags: &Flags) -> Result<(), String> {
 
     let seed = flags.seed.unwrap_or(7);
     let smoke = flags.smoke;
-    // The acceptance target is quoted at an 8-worker pool; the fast path
-    // must produce the same bytes at any size (the pool only grows, so
-    // this also covers every smaller size for later subcommands).
-    soteria_pool::ensure_threads(8);
+    soteria_pool::warm();
     let effective_threads = soteria_pool::effective_threads();
 
     let corpus = Corpus::generate(&CorpusConfig {
@@ -610,48 +615,61 @@ fn run_extract_bench(flags: &Flags) -> Result<(), String> {
     };
     let extractor = FeatureExtractor::fit(&config, &graphs, seed);
 
-    let reps = if smoke { 2 } else { 5 };
+    let reps = if smoke { 3 } else { 9 };
     let walk_seed = |i: usize| seed ^ (0xE17 + i as u64 * 131);
-
-    // Reference pass (the retained sequential oracle).
-    let mut reference_ms = f64::INFINITY;
-    let mut oracle = Vec::with_capacity(graphs.len());
-    for r in 0..reps {
+    // One timed pass over every sample, through the fast path (`extract`)
+    // or the retained sequential reference.
+    let pass = |fast: bool| {
         let t = std::time::Instant::now();
-        let pass: Vec<_> = graphs
+        let out: Vec<_> = graphs
             .iter()
             .enumerate()
-            .map(|(i, g)| extractor.extract_reference(g, walk_seed(i)))
+            .map(|(i, g)| {
+                if fast {
+                    extractor.extract(g, walk_seed(i))
+                } else {
+                    extractor.extract_reference(g, walk_seed(i))
+                }
+            })
             .collect();
-        reference_ms = reference_ms.min(t.elapsed().as_secs_f64() * 1e3);
-        if r == 0 {
-            oracle = pass;
-        }
-    }
+        (t.elapsed().as_secs_f64() * 1e3, out)
+    };
 
-    // Fast-path pass, verified against the oracle while timing (the
-    // comparison runs after the clock stops).
-    let mut fast_ms = f64::INFINITY;
+    // Each rep times a reference pass and a fast pass back to back,
+    // alternating which runs first. The first reference pass is the oracle
+    // every fast pass is compared with, after its clock stops.
+    let (mut reference_times, mut fast_times, mut ratios) = (vec![], vec![], vec![]);
+    let mut oracle = None;
     let mut bit_identical = true;
-    for _ in 0..reps {
-        let t = std::time::Instant::now();
-        let pass: Vec<_> = graphs
-            .iter()
-            .enumerate()
-            .map(|(i, g)| extractor.extract(g, walk_seed(i)))
-            .collect();
-        fast_ms = fast_ms.min(t.elapsed().as_secs_f64() * 1e3);
-        bit_identical &= pass == oracle;
+    for r in 0..reps {
+        let ((reference_ms, reference), (fast_ms, fast)) = if r % 2 == 0 {
+            let reference = pass(false);
+            (reference, pass(true))
+        } else {
+            let fast = pass(true);
+            (pass(false), fast)
+        };
+        bit_identical &= fast == *oracle.get_or_insert(reference);
+        reference_times.push(reference_ms);
+        fast_times.push(fast_ms);
+        ratios.push(reference_ms / fast_ms.max(1e-9));
     }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (speedup_min, speedup_max) = ratios.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &r| {
+        (lo.min(r), hi.max(r))
+    });
 
     // Batch entry point (per-sample derived seeds differ from the loop
     // above by design, so this measures throughput, not identity).
     let mut batch_ms = f64::INFINITY;
     for _ in 0..reps {
         let t = std::time::Instant::now();
-        let pass = extractor.extract_batch(&graphs, seed);
+        let out = extractor.extract_batch(&graphs, seed);
         batch_ms = batch_ms.min(t.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(pass.len(), graphs.len());
+        assert_eq!(out.len(), graphs.len());
     }
 
     let report = ExtractBenchReport {
@@ -662,9 +680,12 @@ fn run_extract_bench(flags: &Flags) -> Result<(), String> {
         avg_nodes,
         top_k: config.top_k,
         walks_per_labeling: config.walks_per_labeling,
-        reference_ms,
-        fast_ms,
-        speedup: reference_ms / fast_ms.max(1e-9),
+        reps,
+        reference_ms: median(reference_times),
+        fast_ms: median(fast_times),
+        speedup: median(ratios),
+        speedup_min,
+        speedup_max,
         batch_ms,
         batch_samples_per_sec: graphs.len() as f64 / (batch_ms / 1e3).max(1e-9),
         bit_identical,
@@ -679,8 +700,14 @@ fn run_extract_bench(flags: &Flags) -> Result<(), String> {
         report.top_k,
     );
     println!(
-        "  reference {:>8.2} ms   fast {:>8.2} ms   speedup {:.2}x   bit-identical: {}",
-        report.reference_ms, report.fast_ms, report.speedup, report.bit_identical
+        "  reference {:>8.2} ms   fast {:>8.2} ms   speedup {:.2}x ({:.2}x-{:.2}x over {} paired reps)   bit-identical: {}",
+        report.reference_ms,
+        report.fast_ms,
+        report.speedup,
+        report.speedup_min,
+        report.speedup_max,
+        report.reps,
+        report.bit_identical
     );
     println!(
         "  batch     {:>8.2} ms   {:.1} samples/s",

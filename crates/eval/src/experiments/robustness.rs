@@ -58,8 +58,8 @@ pub fn run(ctx: &mut ExperimentContext) -> ExperimentOutput {
     let t = one_hot(&labels, 2);
     let dim = rows[0].len();
     let mut supervised = Sequential::new(vec![
-        Box::new(Dense::new(dim, 64, Activation::Relu, 91)),
-        Box::new(Dense::new(64, 2, Activation::Linear, 92)),
+        Dense::new(dim, 64, Activation::Relu, 91).into(),
+        Dense::new(64, 2, Activation::Linear, 92).into(),
     ]);
     let mut trainer = Trainer::new(TrainConfig {
         epochs: 30,

@@ -144,6 +144,15 @@ fn headline_numbers_match_the_committed_results() {
         ("README.md", format!("**{:.2}x**", ext("speedup"))),
         (
             "README.md",
+            format!(
+                "({:.2}x here, within {:.2}x–{:.2}x)",
+                ext("speedup"),
+                ext("speedup_min"),
+                ext("speedup_max")
+            ),
+        ),
+        (
+            "README.md",
             format!("(`effective_threads` {})", ext("effective_threads")),
         ),
         (

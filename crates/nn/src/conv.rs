@@ -324,14 +324,6 @@ impl Conv1d {
         &self.bias
     }
 
-    /// Restores transient buffers after deserialization (serde skips the
-    /// gradient/arena fields). Gradient buffers are left empty and
-    /// materialized lazily on the first backward pass.
-    pub fn rebuild_buffers(&mut self) {
-        self.grad_weights = Vec::new();
-        self.grad_bias = Vec::new();
-    }
-
     /// Materializes the gradient buffers if a previous load left them
     /// empty (they always start zeroed, matching `new`).
     fn ensure_grads(&mut self) {
@@ -573,9 +565,6 @@ impl Layer for Conv1d {
         self.ensure_grads();
         visitor(&mut self.weights, &mut self.grad_weights);
         visitor(&mut self.bias, &mut self.grad_bias);
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

@@ -186,14 +186,6 @@ impl Conv2d {
         self.in_channels * self.height * self.width
     }
 
-    /// Restores transient buffers after deserialization (serde skips the
-    /// gradient/arena fields). Gradient buffers are left empty and
-    /// materialized lazily on the first backward pass.
-    pub fn rebuild_buffers(&mut self) {
-        self.grad_weights = Vec::new();
-        self.grad_bias = Vec::new();
-    }
-
     /// Materializes the gradient buffers if a previous load left them
     /// empty (they always start zeroed, matching `new`).
     fn ensure_grads(&mut self) {
@@ -505,9 +497,6 @@ impl Layer for Conv2d {
         visitor(&mut self.weights, &mut self.grad_weights);
         visitor(&mut self.bias, &mut self.grad_bias);
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// 2-D max pooling with equal window and stride.
@@ -659,9 +648,6 @@ impl Layer for MaxPool2d {
     }
 
     fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {}
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

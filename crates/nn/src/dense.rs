@@ -152,15 +152,6 @@ impl Dense {
         self.activation
     }
 
-    /// Restores transient buffers after deserialization (serde skips the
-    /// gradient/cache fields). Gradient buffers are left empty and
-    /// materialized lazily on the first backward pass, so a freshly loaded
-    /// model costs nothing until trained.
-    pub fn rebuild_buffers(&mut self) {
-        self.grad_weights = Vec::new();
-        self.grad_bias = Vec::new();
-    }
-
     /// Materializes the gradient buffers if a previous load left them
     /// empty (they always start zeroed, matching `new`).
     fn ensure_grads(&mut self) {
@@ -247,9 +238,6 @@ impl Layer for Dense {
         self.ensure_grads();
         visitor(self.weights.data_mut(), &mut self.grad_weights);
         visitor(&mut self.bias, &mut self.grad_bias);
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

@@ -8,8 +8,12 @@
 //!   (1000→2000→3000→2000→1000),
 //! * 1-D convolutions, max-pooling and dropout — the CNN classifiers,
 //! * ReLU activations, softmax + cross-entropy, and MSE/RMSE losses,
-//! * SGD-with-momentum and Adam optimizers,
+//! * the Adam optimizer,
 //! * a mini-batch trainer with deterministic shuffling.
+//!
+//! A network is one value, a [`Sequential`] of [`LayerSpec`]s (the closed
+//! set of layer kinds above). A clone of it is a snapshot, and serde gives
+//! it the JSON form that training checkpoints carry.
 //!
 //! Everything is `f32`, row-major, and seeded: two runs with the same seed
 //! produce bit-identical models.
@@ -21,8 +25,8 @@
 //!
 //! // Learn y = x on 1-D data — a smoke test of the full training loop.
 //! let mut model = Sequential::new(vec![
-//!     Box::new(Dense::new(1, 8, Activation::Relu, 1)),
-//!     Box::new(Dense::new(8, 1, Activation::Linear, 2)),
+//!     Dense::new(1, 8, Activation::Relu, 1).into(),
+//!     Dense::new(8, 1, Activation::Linear, 2).into(),
 //! ]);
 //! let x = Matrix::from_rows(&[vec![0.0], vec![0.25], vec![0.5], vec![1.0]]);
 //! let y = x.clone();
@@ -51,7 +55,6 @@ pub mod loss;
 pub mod matrix;
 pub mod model;
 pub mod optimizer;
-pub mod persist;
 pub mod pool;
 pub mod simd;
 pub mod trainer;
@@ -60,10 +63,10 @@ pub use conv::Conv1d;
 pub use conv2d::{Conv2d, MaxPool2d};
 pub use dense::{Activation, Dense};
 pub use dropout::Dropout;
-pub use layer::Layer;
+pub use layer::{Layer, LayerSpec};
 pub use loss::Loss;
 pub use matrix::Matrix;
 pub use model::Sequential;
-pub use optimizer::{Adam, Optimizer, OptimizerState, Sgd};
+pub use optimizer::Adam;
 pub use pool::MaxPool1d;
 pub use trainer::{RngState, TrainConfig, Trainer, TrainerCheckpoint, TrainingHistory};

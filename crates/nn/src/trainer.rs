@@ -1,33 +1,21 @@
 //! The mini-batch training loop: one epoch loop,
 //! [`Trainer::fit_resumable`], which [`Trainer::fit`] runs with no resume
-//! and no checkpoints. A checkpoint snapshots the model with
-//! [`spec_of`], a clone of its layers.
+//! and no checkpoints. Training uses [`Adam`]. A checkpoint is a clone of
+//! the model and of the optimizer, so taking one costs a memory copy;
+//! serde runs only when a checkpoint is written or read.
 
 use crate::layer::Layer;
 use crate::loss::Loss;
 use crate::matrix::Matrix;
 use crate::model::Sequential;
-use crate::optimizer::{Adam, Optimizer, OptimizerState, Sgd};
-use crate::persist::{spec_of, ModelSpec};
+use crate::optimizer::Adam;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::{ChaCha8Rng, ChaChaState};
 use serde::{Deserialize, Serialize};
 
-/// Which optimizer the trainer instantiates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum OptimizerKind {
-    /// SGD with the given momentum.
-    Sgd {
-        /// Momentum coefficient in `[0, 1)`.
-        momentum: f32,
-    },
-    /// Adam with canonical hyperparameters.
-    Adam,
-}
-
 /// Training hyperparameters. The paper trains for 100 epochs with batch
-/// size 128; the defaults mirror that with Adam.
+/// size 128 using Adam; the defaults mirror that.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainConfig {
     /// Number of passes over the data.
@@ -36,8 +24,6 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// Learning rate.
     pub learning_rate: f32,
-    /// Optimizer selection.
-    pub optimizer: OptimizerKind,
     /// Shuffle seed.
     pub seed: u64,
     /// If set, training stops early once the epoch loss drops below this.
@@ -50,7 +36,6 @@ impl Default for TrainConfig {
             epochs: 100,
             batch_size: 128,
             learning_rate: 1e-3,
-            optimizer: OptimizerKind::Adam,
             seed: 0,
             target_loss: None,
         }
@@ -137,9 +122,9 @@ pub struct TrainerCheckpoint {
     /// Sample order as of the end of the last completed epoch.
     pub order: Vec<usize>,
     /// Model weights and buffers.
-    pub model: ModelSpec,
-    /// Optimizer momentum/moment state.
-    pub optimizer: OptimizerState,
+    pub model: Sequential,
+    /// Adam's step count and moments.
+    pub optimizer: Adam,
     /// Shuffle-RNG position.
     pub rng: RngState,
     /// History of the completed epochs.
@@ -149,7 +134,7 @@ pub struct TrainerCheckpoint {
 impl TrainerCheckpoint {
     /// Checks that this checkpoint can continue a fit of `model` over
     /// `rows` samples: the checkpointed network has `model`'s architecture
-    /// ([`ModelSpec::check_architecture`]), every optimizer buffer has the
+    /// ([`Sequential::check_architecture`]), every optimizer buffer has the
     /// length of its parameter tensor, and `order` is a permutation of the
     /// rows. A checkpoint that fails would panic mid-fit or silently train
     /// a different model.
@@ -158,7 +143,7 @@ impl TrainerCheckpoint {
     ///
     /// Returns a message naming the first mismatch.
     pub fn check_fits(&self, model: &mut Sequential, rows: usize) -> Result<(), String> {
-        self.model.check_architecture(&spec_of(model)?)?;
+        self.model.check_architecture(model)?;
         let mut param_lens = Vec::new();
         model.visit_params(&mut |params, _| param_lens.push(params.len()));
         self.optimizer.check_fits(&param_lens)?;
@@ -180,21 +165,20 @@ impl TrainerCheckpoint {
     }
 }
 
-/// Drives mini-batch gradient descent over a model.
+/// Drives mini-batch gradient descent over a model with [`Adam`].
 #[derive(Debug)]
 pub struct Trainer {
     config: TrainConfig,
-    optimizer: Box<dyn Optimizer>,
+    optimizer: Adam,
 }
 
 impl Trainer {
-    /// Creates a trainer; the optimizer is built from the config.
+    /// Creates a trainer with a fresh optimizer.
     pub fn new(config: TrainConfig) -> Self {
-        let optimizer: Box<dyn Optimizer> = match config.optimizer {
-            OptimizerKind::Sgd { momentum } => Box::new(Sgd::new(momentum)),
-            OptimizerKind::Adam => Box::new(Adam::new()),
-        };
-        Trainer { config, optimizer }
+        Trainer {
+            config,
+            optimizer: Adam::new(),
+        }
     }
 
     /// The configuration.
@@ -266,8 +250,8 @@ impl Trainer {
                         ckpt.epochs_done, self.config.epochs
                     ));
                 }
-                *model = ckpt.model.into_sequential();
-                self.optimizer = ckpt.optimizer.into_boxed();
+                *model = ckpt.model;
+                self.optimizer = ckpt.optimizer;
                 (
                     ckpt.epochs_done,
                     ckpt.order,
@@ -320,8 +304,8 @@ impl Trainer {
                 let ckpt = TrainerCheckpoint {
                     epochs_done: epoch + 1,
                     order: order.clone(),
-                    model: spec_of(model)?,
-                    optimizer: self.optimizer.snapshot(),
+                    model: model.clone(),
+                    optimizer: self.optimizer.clone(),
                     rng: RngState::capture(&rng),
                     history: history.clone(),
                 };
@@ -377,8 +361,8 @@ mod tests {
     #[test]
     fn learns_xor() {
         let mut model = Sequential::new(vec![
-            Box::new(Dense::new(2, 16, Activation::Relu, 7)),
-            Box::new(Dense::new(16, 2, Activation::Linear, 8)),
+            Dense::new(2, 16, Activation::Relu, 7).into(),
+            Dense::new(16, 2, Activation::Linear, 8).into(),
         ]);
         let (x, t) = xor_data();
         let mut trainer = Trainer::new(TrainConfig {
@@ -396,7 +380,7 @@ mod tests {
 
     #[test]
     fn loss_decreases_over_epochs() {
-        let mut model = Sequential::new(vec![Box::new(Dense::new(2, 2, Activation::Linear, 3))]);
+        let mut model = Sequential::new(vec![Dense::new(2, 2, Activation::Linear, 3).into()]);
         let (x, t) = xor_data(); // not separable, but loss still drops from init
         let mut trainer = Trainer::new(TrainConfig {
             epochs: 30,
@@ -413,8 +397,8 @@ mod tests {
     fn training_is_deterministic() {
         let run = || {
             let mut model = Sequential::new(vec![
-                Box::new(Dense::new(2, 8, Activation::Relu, 7)),
-                Box::new(Dense::new(8, 2, Activation::Linear, 8)),
+                Dense::new(2, 8, Activation::Relu, 7).into(),
+                Dense::new(8, 2, Activation::Linear, 8).into(),
             ]);
             let (x, t) = xor_data();
             let mut trainer = Trainer::new(TrainConfig {
@@ -432,8 +416,8 @@ mod tests {
     #[test]
     fn early_stopping_respects_target_loss() {
         let mut model = Sequential::new(vec![
-            Box::new(Dense::new(2, 16, Activation::Relu, 7)),
-            Box::new(Dense::new(16, 2, Activation::Linear, 8)),
+            Dense::new(2, 16, Activation::Relu, 7).into(),
+            Dense::new(16, 2, Activation::Linear, 8).into(),
         ]);
         let (x, t) = xor_data();
         let mut trainer = Trainer::new(TrainConfig {
@@ -442,7 +426,6 @@ mod tests {
             learning_rate: 0.01,
             seed: 1,
             target_loss: Some(0.2),
-            ..TrainConfig::default()
         });
         let h = trainer.fit(&mut model, &x, &t, Loss::SoftmaxCrossEntropy);
         assert!(h.epoch_losses.len() < 10_000);
@@ -452,8 +435,8 @@ mod tests {
     #[test]
     fn history_tracks_time_and_gradients_per_epoch() {
         let mut model = Sequential::new(vec![
-            Box::new(Dense::new(2, 8, Activation::Relu, 7)),
-            Box::new(Dense::new(8, 2, Activation::Linear, 8)),
+            Dense::new(2, 8, Activation::Relu, 7).into(),
+            Dense::new(8, 2, Activation::Linear, 8).into(),
         ]);
         let (x, t) = xor_data();
         let mut trainer = Trainer::new(TrainConfig {
@@ -482,17 +465,14 @@ mod tests {
 
     fn dropout_model(seed: u64) -> Sequential {
         Sequential::new(vec![
-            Box::new(Dense::new(2, 16, Activation::Relu, seed)),
-            Box::new(crate::dropout::Dropout::new(0.2, seed ^ 0xD0)),
-            Box::new(Dense::new(16, 2, Activation::Linear, seed ^ 1)),
+            Dense::new(2, 16, Activation::Relu, seed).into(),
+            crate::dropout::Dropout::new(0.2, seed ^ 0xD0).into(),
+            Dense::new(16, 2, Activation::Linear, seed ^ 1).into(),
         ])
     }
 
-    fn spec_json(model: &Sequential) -> String {
-        spec_of(model)
-            .expect("snapshot")
-            .to_json()
-            .expect("serializes")
+    fn model_json(model: &Sequential) -> String {
+        serde_json::to_string(model).expect("serializes")
     }
 
     #[test]
@@ -521,7 +501,7 @@ mod tests {
             )
             .expect("fit_resumable");
         assert_eq!(h_plain.epoch_losses, h_res.epoch_losses);
-        assert_eq!(spec_json(&plain), spec_json(&resumable));
+        assert_eq!(model_json(&plain), model_json(&resumable));
     }
 
     #[test]
@@ -575,7 +555,7 @@ mod tests {
             .expect("resumed run");
 
         assert_eq!(h_full.epoch_losses, h_resumed.epoch_losses);
-        assert_eq!(spec_json(&full), spec_json(&resumed));
+        assert_eq!(model_json(&full), model_json(&resumed));
     }
 
     #[test]

@@ -59,8 +59,10 @@ rm -rf "$tmpdir"
 
 # Extraction smoke gate: a shrunk extract-bench run drives the parallel
 # fast path (jumped RNG streams, arc-indexed counting, scratch arenas) against
-# the sequential reference and FAILS if the outputs are not bit-identical.
-# Speedup drift against the committed baseline is a *note*, never fatal.
+# the sequential reference in paired reps (reference and fast back to back,
+# alternating order) and FAILS if any fast pass is not bit-identical to the
+# reference. Drift of the median per-rep speedup against the committed
+# baseline is a *note*, never fatal.
 echo "==> extract bench gate: soteria-exp extract-bench --smoke"
 tmpdir="$(mktemp -d)"
 extract_baseline=()
